@@ -117,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     n_sol.add_argument("--file", required=True)
     n_sol.add_argument("--ring", required=True)
     n_sol.add_argument("--budget", default=str(network.DEFAULT_BUDGET))
-    n_sol.add_argument("--jobs", type=int, default=1)
     n_ver = net.add_parser("verify")
     n_ver.add_argument("--file", required=True)
     n_ver.add_argument("--code", required=True)
@@ -260,7 +259,7 @@ def _run_network(args, out: IO) -> int:
     if args.cmd == "solve":
         spec = rings.parse_ring(args.ring)
         budget = _parse_budget(args.budget)
-        code = network.solve_brute(net, spec, budget=budget, jobs=args.jobs)
+        code = network.solve_brute(net, spec, budget=budget)
         if code is None:
             print("UNSOLVABLE (search exhausted)", file=out)
             return 1

@@ -489,7 +489,8 @@ def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
 
 def is_maximal_ring(spec: RingSpec) -> bool:
     """True iff the ring is a product of finite fields whose per-prime
-    exponent partitions are all maximal (Z(p) counts as GF(p))."""
+    exponent partitions are all maximal (Z(n) for square-free n counts as the
+    product of the prime fields GF(p) for p | n)."""
     flat = canonicalize(spec)
     factors = flat.factors if isinstance(flat, Product) else (flat,)
     pairs = []
@@ -498,8 +499,11 @@ def is_maximal_ring(spec: RingSpec) -> bool:
             pairs.append((f.p, 1))
         elif isinstance(f, GaloisField):
             pairs.append((f.p, f.k))
-        elif isinstance(f, IntegersMod) and is_prime(f.n):
-            pairs.append((f.n, 1))
+        elif isinstance(f, IntegersMod):
+            fac = factorize(f.n)
+            if any(e > 1 for _, e in fac):
+                return False
+            pairs.extend((p, 1) for p, _ in fac)
         else:
             return False
     pr = to_partition_ring(pairs)

@@ -113,6 +113,10 @@ class TransferVector:
 
 def validate(net: Network) -> list[str]:
     """Structural defects, one entry per violation; empty iff the network is valid."""
+    return _defects(net, _topological_order(net))
+
+
+def _defects(net: Network, order: list[str] | None) -> list[str]:
     defects = []
     nodes = set(net.nodes)
     if len(nodes) != len(net.nodes):
@@ -137,7 +141,6 @@ def validate(net: Network) -> list[str]:
         for d in r.demands:
             if d not in set(msg_ids):
                 defects.append(f"receiver {r.node}: unknown demand {d}")
-    order = _topological_order(net)
     if order is None:
         defects.append("graph has a directed cycle")
     return defects
@@ -145,21 +148,36 @@ def validate(net: Network) -> list[str]:
 
 def _topological_order(net: Network) -> list[str] | None:
     indeg = {n: 0 for n in net.nodes}
-    for e in net.edges:
+    heads: dict[str, list[str]] = {n: [] for n in net.nodes}
+    for e in sorted(net.edges, key=lambda e: e.id):
         if e.head in indeg and e.tail in indeg:
             indeg[e.head] += 1
+            heads[e.tail].append(e.head)
     ready = sorted(n for n, d in indeg.items() if d == 0)
     order = []
     while ready:
         n = ready.pop(0)
         order.append(n)
-        for e in sorted(net.edges, key=lambda e: e.id):
-            if e.tail == n and e.head in indeg:
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    ready.append(e.head)
+        for head in heads[n]:
+            indeg[head] -= 1
+            if indeg[head] == 0:
+                ready.append(head)
         ready.sort()
     return order if len(order) == len(net.nodes) else None
+
+
+def _layout(net: Network) -> tuple[list[Edge], dict[str, list[tuple[str, str]]]]:
+    """Edges in (topological rank of tail, id) order and every node's inputs.
+
+    Raises ValueError naming the defects of an invalid network.
+    """
+    order = _topological_order(net)
+    defects = _defects(net, order)
+    if defects:
+        raise ValueError("invalid network: " + "; ".join(defects))
+    rank = {node: i for i, node in enumerate(order)}
+    edges = sorted(net.edges, key=lambda e: (rank[e.tail], e.id))
+    return edges, {node: net.node_inputs(node) for node in net.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -206,47 +224,52 @@ def two_six() -> Network:
 # ---------------------------------------------------------------------------
 
 
+def _unit(target: str, msg_ids: Sequence[str], spec: RingSpec) -> TransferVector:
+    """The transfer vector of message target on its own."""
+    return TransferVector({m: one(spec) if m == target else zero(spec) for m in msg_ids})
+
+
+def _input_vectors(inputs, vectors, msg_ids, spec) -> list[TransferVector]:
+    """Vectors of node inputs: a message's unit vector, an in-edge's transfer vector."""
+    return [
+        _unit(ref, msg_ids, spec) if kind == "msg" else vectors[ref]
+        for kind, ref in inputs
+    ]
+
+
+def _combine(coeffs, vecs, msg_ids, spec) -> TransferVector:
+    """The transfer vector sum(c_i * vec_i)."""
+    acc = dict.fromkeys(msg_ids, zero(spec))
+    for c, vec in zip(coeffs, vecs):
+        for m in msg_ids:
+            acc[m] = add(acc[m], mul(c, vec.coefficients[m]))
+    return TransferVector(acc)
+
+
+def _combination_is(coeffs, rows, unit: TransferVector) -> bool:
+    """True iff sum(c_i * row_i) equals unit; stops at the first message that differs."""
+    for m, want in unit.coefficients.items():
+        acc = zero(want.ring)
+        for c, row in zip(coeffs, rows):
+            acc = add(acc, mul(c, row.coefficients[m]))
+        if acc != want:
+            return False
+    return True
+
+
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    defects = validate(net)
-    if defects:
-        raise ValueError("invalid network: " + "; ".join(defects))
-    order = _topological_order(net)
-    rank = {node: i for i, node in enumerate(order)}
+    edges, inputs_of = _layout(net)
     msg_ids = net.message_ids()
-    spec = code.ring
-    zero_vec = {m: zero(spec) for m in msg_ids}
     vectors: dict[str, TransferVector] = {}
-    for e in sorted(net.edges, key=lambda e: (rank[e.tail], e.id)):
+    for e in edges:
         coeffs = code.edge_coeffs.get(e.id)
-        inputs = net.node_inputs(e.tail)
+        inputs = inputs_of[e.tail]
         if coeffs is None or len(coeffs) != len(inputs):
             raise ValueError(f"edge {e.id}: coefficient arity mismatch")
-        acc = dict(zero_vec)
-        for c, (kind, ref) in zip(coeffs, inputs):
-            if kind == "msg":
-                acc[ref] = add(acc[ref], c)
-            else:
-                for m, v in vectors[ref].coefficients.items():
-                    acc[m] = add(acc[m], mul(c, v))
-        vectors[e.id] = TransferVector(acc)
+        vecs = _input_vectors(inputs, vectors, msg_ids, code.ring)
+        vectors[e.id] = _combine(coeffs, vecs, msg_ids, code.ring)
     return vectors
-
-
-def _receiver_rows(
-    net: Network, node: str, vectors: dict[str, TransferVector], spec: RingSpec
-) -> list[TransferVector]:
-    msg_ids = net.message_ids()
-    rows = []
-    for kind, ref in net.node_inputs(node):
-        if kind == "msg":
-            unit = {
-                m: (one(spec) if m == ref else zero(spec)) for m in msg_ids
-            }
-            rows.append(TransferVector(unit))
-        else:
-            rows.append(vectors[ref])
-    return rows
 
 
 def verify(net: Network, code: ScalarLinearCode) -> bool:
@@ -255,7 +278,7 @@ def verify(net: Network, code: ScalarLinearCode) -> bool:
     msg_ids = net.message_ids()
     spec = code.ring
     for recv in net.receivers:
-        rows = _receiver_rows(net, recv.node, vectors, spec)
+        rows = _input_vectors(net.node_inputs(recv.node), vectors, msg_ids, spec)
         for demand in recv.demands:
             coeffs = code.decoders.get((recv.node, demand))
             if coeffs is None:
@@ -264,19 +287,8 @@ def verify(net: Network, code: ScalarLinearCode) -> bool:
                 raise ValueError(
                     f"receiver {recv.node}: decoder arity mismatch for {demand}"
                 )
-            if not _combination_is_unit(coeffs, rows, demand, msg_ids, spec):
+            if not _combination_is(coeffs, rows, _unit(demand, msg_ids, spec)):
                 return False
-    return True
-
-
-def _combination_is_unit(coeffs, rows, target, msg_ids, spec) -> bool:
-    for m in msg_ids:
-        acc = zero(spec)
-        for c, row in zip(coeffs, rows):
-            acc = add(acc, mul(c, row.coefficients[m]))
-        want = one(spec) if m == target else zero(spec)
-        if acc != want:
-            return False
     return True
 
 
@@ -303,40 +315,30 @@ def decode_search(
     if not rows:
         return None
     msg_ids = sorted(rows[0].coefficients.keys())
+    unit = _unit(target, msg_ids, spec)
     if _is_field(spec):
-        return _decode_eliminate(rows, target, msg_ids, spec)
+        return _decode_eliminate(rows, unit, msg_ids, spec)
     r = len(rows)
     size = ring_size(spec)
     if r > 4 and size**r > DECODE_GUARD:
         raise GuardExceeded(
             f"brute-force decode space {size}^{r} exceeds {DECODE_GUARD}"
         )
-    units = {m: one(spec) if m == target else zero(spec) for m in msg_ids}
-    domain = elements(spec)
-    for combo in itertools.product(domain, repeat=r):
-        ok = True
-        for m in msg_ids:
-            acc = zero(spec)
-            for c, row in zip(combo, rows):
-                acc = add(acc, mul(c, row.coefficients[m]))
-            if acc != units[m]:
-                ok = False
-                break
-        if ok:
-            return tuple(combo)
+    for combo in itertools.product(elements(spec), repeat=r):
+        if _combination_is(combo, rows, unit):
+            return combo
     return None
 
 
-def _decode_eliminate(rows, target, msg_ids, spec):
-    """Solve sum c_i row_i = e_target over a field: eliminate on A c = b with
+def _decode_eliminate(rows, unit, msg_ids, spec):
+    """Solve sum c_i row_i = unit over a field: eliminate on A c = b with
     A[msg][i] = row_i[msg]."""
     from .rings import inverse, neg
 
     n_eq = len(msg_ids)
     n_var = len(rows)
     aug = [
-        [rows[i].coefficients[m] for i in range(n_var)]
-        + [one(spec) if m == target else zero(spec)]
+        [rows[i].coefficients[m] for i in range(n_var)] + [unit.coefficients[m]]
         for m in msg_ids
     ]
     zero_e = zero(spec)
@@ -378,7 +380,6 @@ def solve_brute(
     net: Network,
     spec: RingSpec,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> ScalarLinearCode | None:
     """First scalar linear solution in canonical coefficient order, or None.
 
@@ -388,83 +389,45 @@ def solve_brute(
     prefix is abandoned as soon as some fully determined receiver cannot
     decode a demand.  Deterministic: the returned code is reproducible.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    defects = validate(net)
-    if defects:
-        raise ValueError("invalid network: " + "; ".join(defects))
-    order = _topological_order(net)
-    rank = {node: i for i, node in enumerate(order)}
+    edges, inputs_of = _layout(net)
     msg_ids = net.message_ids()
     size = ring_size(spec)
 
-    inputs_of = {node: net.node_inputs(node) for node in net.nodes}
-    searched = [
-        e
-        for e in sorted(net.edges, key=lambda e: (rank[e.tail], e.id))
-        if len(inputs_of[e.tail]) >= 2
-    ]
+    searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
     total_coeffs = sum(len(inputs_of[e.tail]) for e in searched)
     required = size**total_coeffs
     if required > budget:
         raise BudgetExceeded(required, budget)
 
-    # resolve every edge to the searched edge or message whose symbol it carries
-    def resolve(edge: Edge):
-        ins = inputs_of[edge.tail]
+    # resolve every input to the message or searched edge whose symbol it carries
+    edge_by_id = {e.id: e for e in net.edges}
+
+    def resolve(inp: tuple[str, str]) -> tuple[str, str]:
+        kind, ref = inp
+        if kind == "msg":
+            return inp
+        ins = inputs_of[edge_by_id[ref].tail]
         if len(ins) >= 2:
-            return ("edge", edge.id)
+            return inp
         if not ins:
             return ("zero", "")
-        kind, ref = ins[0]
-        if kind == "msg":
-            return ("msg", ref)
-        return resolve(edge_by_id[ref])
+        return resolve(ins[0])
 
-    edge_by_id = {e.id: e for e in net.edges}
-    source_form = {e.id: resolve(e) for e in net.edges}
-    searched_index = {e.id: i for i, e in enumerate(searched)}
+    forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
+    vec_of = {("msg", m): _unit(m, msg_ids, spec) for m in msg_ids}
+    vec_of[("zero", "")] = TransferVector(dict.fromkeys(msg_ids, zero(spec)))
 
-    unit_vecs = {
-        m: TransferVector(
-            {q: (one(spec) if q == m else zero(spec)) for q in msg_ids}
-        )
-        for m in msg_ids
-    }
-    zero_vec = TransferVector({q: zero(spec) for q in msg_ids})
-
-    # receiver readiness: the last searched edge its inputs depend on
-    recv_inputs: dict[str, list] = {}
+    # receiver readiness: the depth of the last searched edge its inputs depend on
+    depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
     recv_ready: dict[int, list[Receiver]] = {}
-    immediate: list[Receiver] = []
     for recv in net.receivers:
-        forms = []
-        last = -1
-        for kind, ref in inputs_of[recv.node]:
-            form = ("msg", ref) if kind == "msg" else source_form[ref]
-            forms.append(form)
-            if form[0] == "edge":
-                last = max(last, searched_index[form[1]])
-        recv_inputs[recv.node] = forms
-        if last < 0:
-            immediate.append(recv)
-        else:
-            recv_ready.setdefault(last, []).append(recv)
-
-    assigned_vecs: list[TransferVector | None] = [None] * len(searched)
-
-    def vector_of(form) -> TransferVector:
-        kind, ref = form
-        if kind == "msg":
-            return unit_vecs[ref]
-        if kind == "zero":
-            return zero_vec
-        return assigned_vecs[searched_index[ref]]
+        last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
+        recv_ready.setdefault(last, []).append(recv)
 
     decode_cache: dict = {}
 
     def receiver_ok(recv: Receiver) -> dict[str, tuple] | None:
-        rows = [vector_of(f) for f in recv_inputs[recv.node]]
+        rows = [vec_of[f] for f in forms[recv.node]]
         key = (
             recv.demands,
             tuple(r.key(msg_ids) for r in rows),
@@ -481,7 +444,7 @@ def solve_brute(
         decode_cache[key] = found
         return found
 
-    for recv in immediate:
+    for recv in recv_ready.get(-1, ()):
         if receiver_ok(recv) is None:
             return None
 
@@ -490,59 +453,50 @@ def solve_brute(
         list(itertools.product(domain, repeat=len(inputs_of[e.tail])))
         for e in searched
     ]
-
-    solution_decoders: dict[tuple[str, str], tuple] = {}
+    chosen: dict[str, tuple] = {}
 
     def descend(depth: int) -> bool:
         if depth == len(searched):
             return True
         e = searched[depth]
-        forms = []
-        for kind, ref in inputs_of[e.tail]:
-            forms.append(("msg", ref) if kind == "msg" else source_form[ref])
+        vecs = [vec_of[f] for f in forms[e.tail]]
         for combo in choice_lists[depth]:
-            acc = {m: zero(spec) for m in msg_ids}
-            for c, form in zip(combo, forms):
-                vec = vector_of(form)
-                for m in msg_ids:
-                    acc[m] = add(acc[m], mul(c, vec.coefficients[m]))
-            assigned_vecs[depth] = TransferVector(acc)
+            vec_of[("edge", e.id)] = _combine(combo, vecs, msg_ids, spec)
             ok = True
             for recv in recv_ready.get(depth, ()):
                 if receiver_ok(recv) is None:
                     ok = False
                     break
             if ok and descend(depth + 1):
-                chosen_coeffs[depth] = combo
+                chosen[e.id] = combo
                 return True
-        assigned_vecs[depth] = None
         return False
 
-    chosen_coeffs: list = [None] * len(searched)
     if not descend(0):
         return None
 
-    edge_coeffs: dict[str, tuple[RingElement, ...]] = {}
-    for e in net.edges:
-        arity = len(inputs_of[e.tail])
-        if arity >= 2:
-            edge_coeffs[e.id] = tuple(chosen_coeffs[searched_index[e.id]])
-        elif arity == 1:
-            edge_coeffs[e.id] = (one(spec),)
-        else:
-            edge_coeffs[e.id] = ()
-    for recv in net.receivers:
-        decoded = receiver_ok(recv)
-        for demand, coeffs in decoded.items():
-            solution_decoders[(recv.node, demand)] = coeffs
-    code = ScalarLinearCode(spec, edge_coeffs, solution_decoders)
-    assert verify(net, code)
-    return code
+    edge_coeffs = {
+        e.id: chosen.get(e.id, (one(spec),) * len(inputs_of[e.tail]))
+        for e in net.edges
+    }
+    decoders = {
+        (recv.node, demand): coeffs
+        for recv in net.receivers
+        for demand, coeffs in receiver_ok(recv).items()
+    }
+    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders))
 
 
 # ---------------------------------------------------------------------------
 # structured constructions and transforms
 # ---------------------------------------------------------------------------
+
+
+def _checked(net: Network, code: ScalarLinearCode) -> ScalarLinearCode:
+    """The constructed code once verify accepts it; raises RuntimeError, also under -O."""
+    if not verify(net, code):
+        raise RuntimeError("constructed code fails verify")
+    return code
 
 
 def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
@@ -569,15 +523,15 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
             edge_coeffs[e.id] = (one(spec),)
     code = ScalarLinearCode(spec, edge_coeffs, {})
     vectors = transfer(net, code)
+    msg_ids = net.message_ids()
     for recv in net.receivers:
-        rows = _receiver_rows(net, recv.node, vectors, spec)
+        rows = _input_vectors(net.node_inputs(recv.node), vectors, msg_ids, spec)
         for demand in recv.demands:
             coeffs = decode_search(rows, demand, spec)
             if coeffs is None:
                 raise RuntimeError("pairwise independent rows must decode")
             code.decoders[(recv.node, demand)] = coeffs
-    assert verify(net, code)
-    return code
+    return _checked(net, code)
 
 
 def product_code(
@@ -591,26 +545,34 @@ def product_code(
             raise ValueError("listed ring does not own its code")
         if not verify(net, code):
             raise ValueError("unverified input solution")
-    specs = tuple(spec for spec, _ in solutions)
-    prod = Product(specs)
+    prod = Product(tuple(spec for spec, _ in solutions))
     codes = [code for _, code in solutions]
-    edge_coeffs = {}
-    for e in net.edges:
-        arity = len(codes[0].edge_coeffs[e.id])
-        edge_coeffs[e.id] = tuple(
-            RingElement(prod, tuple(c.edge_coeffs[e.id][i] for c in codes))
-            for i in range(arity)
-        )
-    decoders = {}
-    for key in codes[0].decoders:
-        arity = len(codes[0].decoders[key])
-        decoders[key] = tuple(
-            RingElement(prod, tuple(c.decoders[key][i] for c in codes))
-            for i in range(arity)
-        )
-    out = ScalarLinearCode(prod, edge_coeffs, decoders)
-    assert verify(net, out)
-    return out
+
+    def stack(keys, tables):
+        return {
+            key: tuple(
+                RingElement(prod, comps) for comps in zip(*(t[key] for t in tables))
+            )
+            for key in keys
+        }
+
+    edge_coeffs = stack([e.id for e in net.edges], [c.edge_coeffs for c in codes])
+    decoders = stack(codes[0].decoders, [c.decoders for c in codes])
+    return _checked(net, ScalarLinearCode(prod, edge_coeffs, decoders))
+
+
+def _apply_to_code(
+    net: Network, code: ScalarLinearCode, hom: RingHom
+) -> ScalarLinearCode:
+    """Map every coefficient of a verified code through hom, then check the image."""
+    if not verify(net, code):
+        raise ValueError("unverified input solution")
+    out = ScalarLinearCode(
+        hom.target,
+        {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
+        {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in code.decoders.items()},
+    )
+    return _checked(net, out)
 
 
 def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinearCode:
@@ -619,15 +581,7 @@ def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinear
         raise ValueError(f"hom kind {hom.kind} is not surjective")
     if code.ring != hom.source:
         raise ValueError("code ring does not match the hom source")
-    if not verify(net, code):
-        raise ValueError("unverified input solution")
-    out = ScalarLinearCode(
-        hom.target,
-        {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
-        {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in code.decoders.items()},
-    )
-    assert verify(net, out)
-    return out
+    return _apply_to_code(net, code, hom)
 
 
 def lift_subring(
@@ -638,21 +592,11 @@ def lift_subring(
     Supported inclusions: GF(p^m) into GF(p^k) for m | k, GF(p) into D(p),
     and the identity.
     """
-    source = code.ring
+    if code.ring != target:
+        return _apply_to_code(net, code, subring_inclusion(code.ring, target))
     if not verify(net, code):
         raise ValueError("unverified input solution")
-    if source == target:
-        return ScalarLinearCode(
-            target, dict(code.edge_coeffs), dict(code.decoders)
-        )
-    hom = subring_inclusion(source, target)
-    out = ScalarLinearCode(
-        target,
-        {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
-        {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in code.decoders.items()},
-    )
-    assert verify(net, out)
-    return out
+    return ScalarLinearCode(target, dict(code.edge_coeffs), dict(code.decoders))
 
 
 # ---------------------------------------------------------------------------

@@ -747,17 +747,21 @@ class _ExprParser:
             if self.peek() == "^":
                 self.pos += 1
                 exp = self.integer()
+                # bound both before base**exp or a primality test: 2**exp
+                # already exceeds the guard once exp reaches its bit length
+                if base > ENUMERATION_GUARD or exp >= ENUMERATION_GUARD.bit_length():
+                    self.error(f"GF({base}^{exp}) exceeds the size guard", start)
                 if not is_prime(base):
                     self.error(f"{base} is not prime", start)
                 if base**exp > ENUMERATION_GUARD:
                     self.error(f"GF({base}^{exp}) exceeds the size guard", start)
                 spec: RingSpec = galois_field(base, exp)
             else:
+                if base > ENUMERATION_GUARD:
+                    self.error(f"GF({base}) exceeds the size guard", start)
                 pk = prime_power(base)
                 if pk is None:
                     self.error(f"{base} is not a prime power", start)
-                if base > ENUMERATION_GUARD:
-                    self.error(f"GF({base}) exceeds the size guard", start)
                 spec = galois_field(*pk)
             self.skip_ws()
             self.expect(")")

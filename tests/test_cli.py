@@ -75,6 +75,15 @@ class TestRingsCommands:
         code, _ = run_cli("rings", "elements", "--ring", "Z(2000000)")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "ring", ["GF(10000000000000061)", "GF(10000000000000061^2)"]
+    )
+    def test_size_guard_before_primality(self, ring, capsys):
+        # the bound is checked first: trial division of this prime takes seconds
+        code, _ = run_cli("rings", "parse", "--ring", ring)
+        assert code == 2
+        assert "exceeds the size guard" in capsys.readouterr().err
+
 
 class TestDominanceCommands:
     def test_fields_no_with_reason(self):
@@ -207,12 +216,6 @@ class TestNetworkCommands:
             run_cli("network", "solve", "--file", str(path), "--ring", "GF(3)")[1]
             for _ in range(2)
         }
-        outs.add(
-            run_cli(
-                "network", "solve", "--file", str(path), "--ring", "GF(3)",
-                "--jobs", "4",
-            )[1]
-        )
         assert len(outs) == 1
 
 

@@ -312,6 +312,9 @@ class TestIsMaximalRing:
         assert not is_maximal_ring(parse_ring("GF(16)xGF(2)"))  # (4,1) divides (5)
         assert is_maximal_ring(parse_ring("Z(7)"))  # Z(p) is the field GF(p)
         assert not is_maximal_ring(parse_ring("GF(4)xZ(9)"))
+        assert is_maximal_ring(parse_ring("Z(6)"))  # Z(6) is GF(2)xGF(3)
+        assert is_maximal_ring(parse_ring("Z(30)"))
+        assert not is_maximal_ring(parse_ring("Z(12)"))
 
 
 class TestRefugeAndSquareFree:

@@ -348,6 +348,16 @@ class TestSolveBrute:
         code = solve_brute(net, Product((GF2, GF3)))
         assert code is not None and verify(net, code)
 
+    def test_self_check_raises(self, monkeypatch):
+        # wrong decoders must be refused by an explicit error, not an assert
+        # that python -O strips
+        monkeypatch.setattr(
+            "ringcode.network.decode_search",
+            lambda rows, target, spec: tuple(zero(spec) for _ in rows),
+        )
+        with pytest.raises(RuntimeError):
+            solve_brute(choose_two(3), GF2)
+
     def test_completeness_against_theory_small(self):
         """choose_two(n) solvability for n <= 4 over every catalog ring of
         size <= 6 must match the known characterization: a pair network is
