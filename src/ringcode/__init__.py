@@ -63,6 +63,7 @@ from .rings import (
     apply_hom,
     canonicalize,
     characteristic,
+    crt,
     dual_augmentation,
     element,
     elements,

@@ -259,8 +259,10 @@ def _run_network(args, out: IO) -> int:
     if args.cmd == "solve":
         spec = rings.parse_ring(args.ring)
         budget = _parse_budget(args.budget)
-        code = network.solve_brute(net, spec, budget=budget)
+        code, why = network._solve(net, spec, budget)
         if code is None:
+            if len(why) > 1:  # refuted by a factor or a residue field
+                print(f"refuted over {why[0]} ({', '.join(why[1:])})", file=sys.stderr)
             print("UNSOLVABLE (search exhausted)", file=out)
             return 1
         print(network.dump_json(network.code_to_json(code)), file=out)

@@ -9,6 +9,9 @@ coefficient list over the receiver's inputs.  The symbol an edge carries is
 the corresponding linear combination, so each edge has an exact transfer
 vector of per-message coefficients, computed in topological order.
 
+The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
+through their residue field, so it only searches fields and Z(p^k).
+
 The solver enumerates coefficient assignments in canonical element order.
 Edges whose tail has a single input are pinned to the relay coefficient 1:
 over a commutative ring any solution can be rescaled into this normal form
@@ -27,6 +30,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, GuardExceeded
 from .rings import (
+    DualNumbers,
     GaloisField,
     IntegersMod,
     PrimeField,
@@ -37,7 +41,9 @@ from .rings import (
     SURJECTIVE_KINDS,
     add,
     apply_hom,
+    crt,
     elements,
+    factorize,
     format_element,
     format_ring,
     is_prime,
@@ -177,7 +183,12 @@ def _layout(net: Network) -> tuple[list[Edge], dict[str, list[tuple[str, str]]]]
         raise ValueError("invalid network: " + "; ".join(defects))
     rank = {node: i for i, node in enumerate(order)}
     edges = sorted(net.edges, key=lambda e: (rank[e.tail], e.id))
-    return edges, {node: net.node_inputs(node) for node in net.nodes}
+    inputs_of: dict[str, list] = {node: [] for node in net.nodes}  # node_inputs
+    for m in sorted(net.messages, key=lambda m: m.id):
+        inputs_of[m.source].append(("msg", m.id))
+    for e in sorted(net.edges, key=lambda e: e.id):
+        inputs_of[e.head].append(("edge", e.id))
+    return edges, inputs_of
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +270,11 @@ def _combination_is(coeffs, rows, unit: TransferVector) -> bool:
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
+    return _transfer(net, code)[0]
+
+
+def _transfer(net: Network, code: ScalarLinearCode):
+    """transfer's vectors, plus every node's inputs from the same layout."""
     edges, inputs_of = _layout(net)
     msg_ids = net.message_ids()
     vectors: dict[str, TransferVector] = {}
@@ -269,16 +285,16 @@ def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
             raise ValueError(f"edge {e.id}: coefficient arity mismatch")
         vecs = _input_vectors(inputs, vectors, msg_ids, code.ring)
         vectors[e.id] = _combine(coeffs, vecs, msg_ids, code.ring)
-    return vectors
+    return vectors, inputs_of
 
 
 def verify(net: Network, code: ScalarLinearCode) -> bool:
     """True iff every receiver's decoders recover exactly its demands."""
-    vectors = transfer(net, code)
+    vectors, inputs_of = _transfer(net, code)
     msg_ids = net.message_ids()
     spec = code.ring
     for recv in net.receivers:
-        rows = _input_vectors(net.node_inputs(recv.node), vectors, msg_ids, spec)
+        rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, spec)
         for demand in recv.demands:
             coeffs = code.decoders.get((recv.node, demand))
             if coeffs is None:
@@ -381,23 +397,66 @@ def solve_brute(
     spec: RingSpec,
     budget: int = DEFAULT_BUDGET,
 ) -> ScalarLinearCode | None:
-    """First scalar linear solution in canonical coefficient order, or None.
+    """A scalar linear solution over spec in the solver's normal form, or None.
+
+    A product (in its factor order) or composite Z(n) (over its Z(p^k)) is
+    solvable iff every factor is; the factor solutions combine by product_code
+    and, for Z(n), crt.  Z(p^k) and D(p) are refuted when their residue field
+    is, and D(p) lifts the GF(p) solution.  Fields and Z(p^k) are searched in
+    canonical coefficient order, and the result is the image of those first
+    solutions.  BudgetExceeded is raised up front when size(spec) **
+    (coefficients to search) exceeds budget.
+    """
+    return _solve(net, spec, budget)[0]
+
+
+def _solve(net: Network, spec: RingSpec, budget: int):
+    """solve_brute's answer and the refutation chain: [] for a solution, else
+    the exhausted ring, then each reduction, e.g. ["Z(2)", "residue field of Z(4)"]."""
+    layout = edges, inputs_of = _layout(net)
+    arities = [len(inputs_of[e.tail]) for e in edges]
+    required = ring_size(spec) ** sum(a for a in arities if a >= 2)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    return _route(net, spec, layout)
+
+
+def _route(net: Network, spec: RingSpec, layout):
+    """(code, []) or (None, refutation chain), following solve_brute's routes."""
+    fac = factorize(spec.n) if isinstance(spec, IntegersMod) else []
+    if isinstance(spec, Product) or len(fac) > 1:
+        parts = spec.factors if not fac else [IntegersMod(p**k) for p, k in fac]
+        solutions = []
+        for part in parts:
+            code, why = _route(net, part, layout)
+            if code is None:
+                return None, why + [f"factor of {format_ring(spec)}"]
+            solutions.append((part, code))
+        code = product_code(net, solutions)
+        return (map_code(net, code, crt(code.ring, spec)) if fac else code), []
+    if isinstance(spec, DualNumbers) or (fac and fac[0][1] > 1):  # D(p), Z(p^k>p)
+        residue = IntegersMod(fac[0][0]) if fac else PrimeField(spec.p)
+        code, why = _route(net, residue, layout)
+        if code is None:
+            return None, why + [f"residue field of {format_ring(spec)}"]
+        if isinstance(spec, DualNumbers):
+            return lift_subring(net, code, spec), []
+    code = _search(net, spec, layout)
+    return code, [] if code is not None else [format_ring(spec)]
+
+
+def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
+    """First scalar linear solution over spec in canonical coefficient order.
 
     The search runs over the combining edges (tail arity >= 2); single-input
     edges relay their input unchanged, which preserves solvability (see the
     module docstring).  Decoders come from decode_search per receiver, and a
     prefix is abandoned as soon as some fully determined receiver cannot
-    decode a demand.  Deterministic: the returned code is reproducible.
+    decode a demand.
     """
-    edges, inputs_of = _layout(net)
+    edges, inputs_of = layout
     msg_ids = net.message_ids()
-    size = ring_size(spec)
-
     searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
-    total_coeffs = sum(len(inputs_of[e.tail]) for e in searched)
-    required = size**total_coeffs
-    if required > budget:
-        raise BudgetExceeded(required, budget)
 
     # resolve every input to the message or searched edge whose symbol it carries
     edge_by_id = {e.id: e for e in net.edges}
@@ -522,10 +581,10 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
         if e.id not in edge_coeffs:
             edge_coeffs[e.id] = (one(spec),)
     code = ScalarLinearCode(spec, edge_coeffs, {})
-    vectors = transfer(net, code)
+    vectors, inputs_of = _transfer(net, code)
     msg_ids = net.message_ids()
     for recv in net.receivers:
-        rows = _input_vectors(net.node_inputs(recv.node), vectors, msg_ids, spec)
+        rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, spec)
         for demand in recv.demands:
             coeffs = decode_search(rows, demand, spec)
             if coeffs is None:

@@ -247,13 +247,6 @@ def galois_field(p: int, k: int) -> PrimeField | GaloisField:
     return GaloisField(p, k)
 
 
-def field_of_size(q: int) -> PrimeField | GaloisField:
-    pk = prime_power(q)
-    if pk is None:
-        raise ValueError(f"{q} is not a prime power")
-    return galois_field(*pk)
-
-
 def ring_size(spec: RingSpec) -> int:
     if isinstance(spec, PrimeField):
         return spec.p
@@ -524,17 +517,18 @@ MOD_REDUCTION = "mod_reduction"
 DUAL_AUGMENTATION = "dual_augmentation"
 PROJECTION = "projection"
 SUBRING_INCLUSION = "subring_inclusion"
+CRT = "crt"
 
-SURJECTIVE_KINDS = frozenset({MOD_REDUCTION, DUAL_AUGMENTATION, PROJECTION})
+SURJECTIVE_KINDS = frozenset({MOD_REDUCTION, DUAL_AUGMENTATION, PROJECTION, CRT})
 
 
 @dataclass(frozen=True, eq=False)
 class RingHom:
     """A structure map from one catalog ring to another.
 
-    ``mod_reduction`` and ``dual_augmentation`` and ``projection`` are
-    surjective; ``subring_inclusion`` is injective and carries an explicit
-    payload table built (and exhaustively verified) at construction.
+    ``mod_reduction``, ``dual_augmentation``, ``projection`` and the bijective
+    ``crt`` are surjective; ``subring_inclusion`` is injective and carries an
+    explicit payload table built (and exhaustively verified) at construction.
     """
 
     kind: str
@@ -672,6 +666,17 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
     return RingHom(SUBRING_INCLUSION, source, target, table=MappingProxyType(table))
 
 
+def crt(product: Product, target: IntegersMod) -> RingHom:
+    """The Chinese remainder isomorphism Z(m_1) x ... x Z(m_r) -> Z(n) for
+    pairwise coprime m_i with product n (prime fields count as Z(p))."""
+    if not isinstance(product, Product) or not isinstance(target, IntegersMod):
+        raise ValueError("crt maps a product of Z(m) rings onto Z(n)")
+    moduli = [_modulus_of(f) for f in product.factors]
+    if None in moduli or _prod(moduli) != target.n or lcm(*moduli) != target.n:
+        raise ValueError(f"{format_ring(product)} does not split Z({target.n})")
+    return RingHom(CRT, product, target)
+
+
 def _eval_source_modulus(source: GaloisField, at: RingElement) -> bool:
     acc = zero(at.ring)
     for c in reversed(source.modulus):
@@ -695,6 +700,11 @@ def apply_hom(h: RingHom, a: RingElement) -> RingElement:
         return RingElement(h.target, a.payload[0])
     if h.kind == PROJECTION:
         return a.payload[h.index]
+    if h.kind == CRT:  # sum of c_i * e_i, e_i = 1 mod m_i and 0 mod the others
+        n, total = h.target.n, 0
+        for c, m in zip(a.payload, map(_modulus_of, h.source.factors)):
+            total += c.payload * (n // m) * pow(n // m, -1, m)
+        return RingElement(h.target, total % n)
     return RingElement(h.target, h.table[a.payload])
 
 
@@ -773,6 +783,8 @@ class _ExprParser:
             n = self.integer()
             if n < 2:
                 self.error("Z(n) needs n >= 2", start)
+            if n > ENUMERATION_GUARD:
+                self.error(f"Z({n}) exceeds the size guard", start)
             self.skip_ws()
             self.expect(")")
             return IntegersMod(n)
@@ -781,6 +793,8 @@ class _ExprParser:
             self.skip_ws()
             self.expect("(")
             p = self.integer()
+            if p * p > ENUMERATION_GUARD:
+                self.error(f"D({p}) exceeds the size guard", start)
             if not is_prime(p):
                 self.error(f"{p} is not prime", start)
             self.skip_ws()

@@ -76,7 +76,8 @@ class TestRingsCommands:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "ring", ["GF(10000000000000061)", "GF(10000000000000061^2)"]
+        "ring",
+        ["GF(10000000000000061)", "GF(10000000000000061^2)", "D(10000000000000061)"],
     )
     def test_size_guard_before_primality(self, ring, capsys):
         # the bound is checked first: trial division of this prime takes seconds
@@ -109,6 +110,14 @@ class TestDominanceCommands:
             "dominance", "catalog", "--left", "GF(4)", "--right", "Z(4)"
         )
         assert code == 1 and "UNKNOWN" in out
+
+    def test_zmod_size_guard_before_factoring(self, capsys):
+        # factoring this modulus by trial division takes tens of seconds
+        code, out = run_cli(
+            "dominance", "catalog", "--left", "Z(10000000000000061)", "--right", "GF(2)"
+        )
+        assert code == 2 and out == ""
+        assert "Z(10000000000000061) exceeds the size guard" in capsys.readouterr().err
 
     def test_fields_rejects_non_field(self):
         code, _ = run_cli("dominance", "fields", "--left", "Z(4)", "--right", "GF(4)")
@@ -182,6 +191,21 @@ class TestNetworkCommands:
             "network", "solve", "--file", str(path), "--ring", "GF(2)"
         )
         assert code == 1 and out == "UNSOLVABLE (search exhausted)\n"
+
+    def test_solve_names_refuting_ring(self, tmp_path, capsys):
+        path = tmp_path / "ts.json"
+        run_cli("network", "gen", "two-six", "--file", str(path))
+        capsys.readouterr()
+        for ring, line in (
+            ("Z(4)", "refuted over Z(2) (residue field of Z(4))\n"),
+            ("GF(2)xGF(3)", "refuted over GF(2) (factor of GF(2)xGF(3))\n"),
+            ("GF(2)", ""),  # refuted by its own search: nothing to name
+        ):
+            code, out = run_cli(
+                "network", "solve", "--file", str(path), "--ring", ring, "--budget", "2^40"
+            )
+            assert (code, out) == (1, "UNSOLVABLE (search exhausted)\n")
+            assert capsys.readouterr().err == line
 
     def test_solve_budget_error(self, tmp_path):
         path = tmp_path / "ts.json"

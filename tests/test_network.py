@@ -3,10 +3,12 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
-from netcorpus import corpus
+from netcorpus import corpus, relay_chain
+from ringcode import network as network_mod
 from ringcode.errors import BudgetExceeded, GuardExceeded
 from ringcode.network import (
     Edge,
@@ -38,12 +40,14 @@ from ringcode.rings import (
     Product,
     RingElement,
     add,
+    crt,
     dual_augmentation,
     elements,
     galois_field,
     mod_reduction,
     mul,
     one,
+    parse_ring,
     projection,
     zero,
 )
@@ -392,6 +396,108 @@ class TestSolveBrute:
                 assert code is not None and verify(choose_two(n), code)
             got = solve_brute(choose_two(4), spec) is not None
             assert got == (format_ring(spec) in solvable_4), format_ring(spec)
+
+
+class TestRoutedSolve:
+    """solve_brute routes products, composite Z(n), Z(p^k) and D(p) through
+    smaller rings; its verdicts must equal the plain search on the unsplit
+    ring.  Left out as too slow for the suite (seconds to minutes of plain
+    search each): choose_two(4) over Z(6), Z(8), Z(10), Z(12) and product
+    rings of size 6 or more, choose_two(5) over Z(9), and the corpus over
+    rings of size above 6."""
+
+    SMALL_CATALOG = (
+        "GF(2)", "Z(2)", "GF(3)", "Z(3)", "GF(4)", "Z(4)", "D(2)",
+        "GF(2)xGF(2)", "GF(5)", "Z(5)", "Z(6)", "GF(2)xGF(3)",
+    )
+
+    @staticmethod
+    def _agree(net, spec):
+        routed = solve_brute(net, spec)
+        plain = network_mod._search(net, spec, network_mod._layout(net))
+        assert (routed is None) == (plain is None), (net.nodes, spec)
+        if routed is not None:
+            assert routed.ring == spec and verify(net, routed)
+
+    @pytest.mark.parametrize("ring", SMALL_CATALOG)
+    def test_corpus_against_plain_search(self, ring):
+        spec = parse_ring(ring)
+        # the corpus includes choose_two(2) and choose_two(3)
+        for net in corpus():
+            self._agree(net, spec)
+
+    @pytest.mark.parametrize("ring", ["Z(4)", "D(2)", "GF(2)xGF(2)", "D(3)", "Z(9)"])
+    def test_two_six_against_plain_search(self, ring):
+        self._agree(two_six(), parse_ring(ring))
+
+    # a receiver with two copies of x decodes it in more than one way; the
+    # plain search over D(3) and Z(6) picks the decoder (0, 1), the routes (1, 0)
+    TWO_COPIES = Network(
+        ("s", "r"),
+        (Edge("e1", "s", "r"), Edge("e2", "s", "r")),
+        (Message("x", "s"),),
+        (Receiver("r", ("x",)),),
+    )
+
+    @pytest.mark.parametrize("net", [choose_two(4), TWO_COPIES])
+    def test_dual_numbers_lift_the_field_solution(self, net):
+        D3 = DualNumbers(3)
+        assert solve_brute(net, D3) == lift_subring(net, solve_brute(net, GF3), D3)
+
+    @pytest.mark.parametrize("net", [choose_two(3), TWO_COPIES])
+    def test_composite_is_crt_image_of_factors(self, net):
+        Z3 = IntegersMod(3)
+        combined = product_code(
+            net, [(Z4, solve_brute(net, Z4)), (Z3, solve_brute(net, Z3))]
+        )
+        want = map_code(net, combined, crt(Product((Z4, Z3)), IntegersMod(12)))
+        assert solve_brute(net, IntegersMod(12)) == want
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The rings that _search is called with during the test."""
+        seen = []
+        search = network_mod._search
+
+        def recording(net, spec, layout):
+            seen.append(spec)
+            return search(net, spec, layout)
+
+        monkeypatch.setattr(network_mod, "_search", recording)
+        return seen
+
+    def test_residue_field_refutes_without_searching(self, searched):
+        assert solve_brute(two_six(), Z4) is None
+        assert [len(elements(spec)) for spec in searched] == [2]
+
+    def test_product_stops_at_first_unsolvable_factor(self, searched):
+        assert solve_brute(two_six(), Product((GF2, GF3))) is None
+        assert searched == [GF2]
+
+    def test_refutation_chain(self):
+        net = two_six()
+        assert network_mod._solve(net, Product((Z4, GF3)), 2**40) == (
+            None,
+            ["Z(2)", "residue field of Z(4)", "factor of Z(4)xGF(3)"],
+        )
+        assert network_mod._solve(net, GF2, 2**40) == (None, ["GF(2)"])
+        code, why = network_mod._solve(net, GF3, 2**40)
+        assert why == [] and verify(net, code)
+
+    @pytest.mark.parametrize("n", [1000, 2**20 - 1])
+    def test_composite_modulus_is_not_enumerated(self, n):
+        # nothing to search on a relay chain, and crt maps each coefficient
+        # from the moduli: no pass over the n elements of Z(n) or their pairs
+        start = time.perf_counter()
+        code = solve_brute(relay_chain(), IntegersMod(n))
+        assert code.ring == IntegersMod(n) and verify(relay_chain(), code)
+        assert time.perf_counter() - start < 2.0
+
+    def test_budget_is_checked_on_the_requested_ring(self):
+        # the factors alone fit the budget; the requested ring does not
+        with pytest.raises(BudgetExceeded) as err:
+            solve_brute(two_six(), Product((GF2, GF3)), budget=5**8)
+        assert err.value.required == 6**8
 
 
 def _solvable_full_space(net, spec) -> bool:

@@ -16,6 +16,7 @@ from ringcode.rings import (
     apply_hom,
     canonicalize,
     characteristic,
+    crt,
     dual_augmentation,
     element,
     elements,
@@ -254,6 +255,49 @@ class TestHoms:
             subring_inclusion(GF3, GF4)
         with pytest.raises(ValueError):
             subring_inclusion(GF4, galois_field(2, 3))
+
+
+class TestCrt:
+    @pytest.mark.parametrize(
+        "moduli,n", [((2, 3), 6), ((2, 5), 10), ((4, 3), 12), ((3, 4), 12)]
+    )
+    def test_hom_laws(self, moduli, n):
+        prod = Product(tuple(IntegersMod(m) for m in moduli))
+        h = crt(prod, IntegersMod(n))
+        src = elements(prod)
+        assert apply_hom(h, zero(prod)) == zero(h.target)
+        assert apply_hom(h, one(prod)) == one(h.target)
+        for a, b in itertools.product(src, src):
+            assert apply_hom(h, add(a, b)) == add(apply_hom(h, a), apply_hom(h, b))
+            assert apply_hom(h, mul(a, b)) == mul(apply_hom(h, a), apply_hom(h, b))
+        assert len({apply_hom(h, a).payload for a in src}) == n
+        # the image of (c_i) reduces to c_i modulo each m_i
+        for a in src:
+            c = apply_hom(h, a).payload
+            assert tuple(c % m for m in moduli) == tuple(x.payload for x in a.payload)
+
+    def test_prime_fields_count_as_residues(self):
+        h = crt(Product((GF2, GF3)), IntegersMod(6))
+        assert apply_hom(h, RingElement(h.source, (one(GF2), zero(GF3)))).payload == 3
+
+    @pytest.mark.parametrize(
+        "factors,n",
+        [
+            ((IntegersMod(2), IntegersMod(6)), 12),  # not coprime
+            ((IntegersMod(4), IntegersMod(3)), 24),  # product is not n
+            ((IntegersMod(2), IntegersMod(3)), 5),
+            ((D2, GF3), 12),  # not a Z(m) factor
+        ],
+    )
+    def test_rejects_bad_factor_lists(self, factors, n):
+        with pytest.raises(ValueError):
+            crt(Product(factors), IntegersMod(n))
+
+    def test_rejects_non_product_ends(self):
+        with pytest.raises(ValueError):
+            crt(IntegersMod(6), IntegersMod(6))
+        with pytest.raises(ValueError):
+            crt(Product((GF2, GF3)), Product((GF2, GF3)))
 
 
 class TestCanonicalize:
