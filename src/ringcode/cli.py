@@ -18,6 +18,7 @@ from . import dominance, network, partitions, rings
 from .errors import BudgetExceeded, GuardExceeded, ParseError
 
 TABLE1_MAX_K = 30
+BUDGET_BITS = 1024  # refuse --budget base^exp if exp < 0 or exp * (bits of base - 1) >= this
 
 # the expected non-trivial maximal rings of size p^k, k <= 12, and the six
 # maximal rings of size 777600 = 2^7 * 3^5 * 5^2
@@ -63,7 +64,11 @@ def _parse_budget(text: str) -> int:
     text = text.strip()
     if "^" in text:
         base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
+        base, exp = int(base), int(exp)
+        # base**exp >= 2**(exp * (bit length - 1)): bound it before the power
+        if exp < 0 or exp * (base.bit_length() - 1) >= BUDGET_BITS:
+            raise GuardExceeded(f"budget {text}: exponent out of range")
+        return base**exp
     return int(text)
 
 

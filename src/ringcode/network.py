@@ -19,10 +19,17 @@ over a commutative ring any solution can be rescaled into this normal form
 search space collapses to the genuinely combining edges.  Receivers are
 checked as soon as the edges they depend on are assigned, which prunes most
 of the space.
+
+The search runs on integers: each element is its index in elements(spec),
+and transfer vectors are int tuples combined through add and mul tables
+built once per search, and only when some edge combines.  RingElement values
+appear only in the returned code, whose decoders decode_search computes from
+the code's exact transfer vectors before verify checks it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -52,6 +59,7 @@ from .rings import (
     parse_element,
     parse_ring,
     ring_size,
+    smallest_generator,
     subring_inclusion,
     zero,
 )
@@ -112,9 +120,6 @@ class TransferVector:
     """Per-message coefficients of the symbol an edge carries."""
 
     coefficients: dict[str, RingElement]
-
-    def key(self, message_ids: Sequence[str]) -> tuple:
-        return tuple(self.coefficients[m].payload for m in message_ids)
 
 
 def validate(net: Network) -> list[str]:
@@ -404,77 +409,113 @@ def solve_brute(
     and, for Z(n), crt.  Z(p^k) and D(p) are refuted when their residue field
     is, and D(p) lifts the GF(p) solution.  Fields and Z(p^k) are searched in
     canonical coefficient order, and the result is the image of those first
-    solutions.  BudgetExceeded is raised up front when size(spec) **
-    (coefficients to search) exceeds budget.
+    solutions.  BudgetExceeded is raised before a ring is searched when its
+    size ** (coefficients to search) exceeds budget.
     """
     return _solve(net, spec, budget)[0]
 
 
-def _solve(net: Network, spec: RingSpec, budget: int):
+def _solve(net: Network, spec: RingSpec, budget: int, layout=None):
     """solve_brute's answer and the refutation chain: [] for a solution, else
     the exhausted ring, then each reduction, e.g. ["Z(2)", "residue field of Z(4)"]."""
-    layout = edges, inputs_of = _layout(net)
-    arities = [len(inputs_of[e.tail]) for e in edges]
-    required = ring_size(spec) ** sum(a for a in arities if a >= 2)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    return _route(net, spec, layout)
-
-
-def _route(net: Network, spec: RingSpec, layout):
-    """(code, []) or (None, refutation chain), following solve_brute's routes."""
+    layout = layout or _layout(net)
     fac = factorize(spec.n) if isinstance(spec, IntegersMod) else []
     if isinstance(spec, Product) or len(fac) > 1:
         parts = spec.factors if not fac else [IntegersMod(p**k) for p, k in fac]
         solutions = []
         for part in parts:
-            code, why = _route(net, part, layout)
+            code, why = _solve(net, part, budget, layout)
             if code is None:
                 return None, why + [f"factor of {format_ring(spec)}"]
-            solutions.append((part, code))
-        code = product_code(net, solutions)
-        return (map_code(net, code, crt(code.ring, spec)) if fac else code), []
+            solutions.append(code)
+        code = _product_code(net, solutions)
+        return (_apply_to_code(net, code, crt(code.ring, spec)) if fac else code), []
     if isinstance(spec, DualNumbers) or (fac and fac[0][1] > 1):  # D(p), Z(p^k>p)
         residue = IntegersMod(fac[0][0]) if fac else PrimeField(spec.p)
-        code, why = _route(net, residue, layout)
+        code, why = _solve(net, residue, budget, layout)
         if code is None:
             return None, why + [f"residue field of {format_ring(spec)}"]
         if isinstance(spec, DualNumbers):
-            return lift_subring(net, code, spec), []
+            return _apply_to_code(net, code, subring_inclusion(code.ring, spec)), []
+    edges, inputs_of = layout
+    arities = [len(inputs_of[e.tail]) for e in edges]
+    required = ring_size(spec) ** sum(a for a in arities if a >= 2)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
     code = _search(net, spec, layout)
     return code, [] if code is not None else [format_ring(spec)]
 
 
 def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
-    """First scalar linear solution over spec in canonical coefficient order.
-
-    The search runs over the combining edges (tail arity >= 2); single-input
-    edges relay their input unchanged, which preserves solvability (see the
-    module docstring).  Decoders come from decode_search per receiver, and a
-    prefix is abandoned as soon as some fully determined receiver cannot
-    decode a demand.
-    """
+    """First scalar linear solution over a field or Z(p^k) in canonical
+    coefficient order of the combining edges (tail arity >= 2); single-input
+    edges relay their input (see the module docstring)."""
     edges, inputs_of = layout
-    msg_ids = net.message_ids()
     searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
+    chosen = _index_search(net, spec, inputs_of, searched) if searched else {}
+    if chosen is None:
+        return None
+    domain = elements(spec) if chosen else []
+    edge_coeffs = {
+        e.id: tuple(domain[c] for c in chosen.get(e.id, ()))
+        or (one(spec),) * len(inputs_of[e.tail])
+        for e in net.edges
+    }
+    return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}))
 
-    # resolve every input to the message or searched edge whose symbol it carries
+
+def _tables(spec: RingSpec):
+    """(add, mul, neg, inverse, one) of a field or Z(n) on element indices,
+    index i standing for elements(spec)[i]; inverse[i] is None for a non-unit."""
+    if isinstance(spec, GaloisField):
+        # an index's base-p digits are the payload coefficients, so addition
+        # is digit by digit; multiplication adds logarithms
+        p, q = spec.p, ring_size(spec)
+        digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+        add_t = digit
+        for _ in range(spec.k - 1):  # append the next less significant digit
+            add_t = [[x * p + d for x in row for d in ds] for row in add_t for ds in digit]
+        exp, x, g = [], one(spec), smallest_generator(spec)
+        for _ in range(q - 1):
+            exp.append(functools.reduce(lambda acc, c: acc * p + c, x.payload, 0))
+            x = mul(x, g)
+        log = dict(zip(exp, range(q - 1)))
+        exp += exp
+        logs = [log[b] for b in range(1, q)]
+        mul_t = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, logs)] for a in range(1, q)]
+        unit = q // p
+    elif isinstance(spec, (PrimeField, IntegersMod)):
+        q = spec.p if isinstance(spec, PrimeField) else spec.n
+        r = list(range(q))
+        add_t = [r[a:] + r[:a] for a in r]
+        mul_t = [[r[a * b % q] for b in r] for a in r]
+        unit = 1
+    else:
+        raise ValueError(f"no index tables for {format_ring(spec)}")
+    neg_t = [row.index(0) for row in add_t]
+    inv_t = [row.index(unit) if unit in row else None for row in mul_t]
+    return add_t, mul_t, neg_t, inv_t, unit
+
+
+def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
+    """Index tuples, per searched edge, of the first coefficient choice under
+    which every receiver decodes its demands; None if there is none."""
+    add_t, mul_t, neg_t, inv_t, unit = _tables(spec)
+    q = len(add_t)
+    msg_ids = net.message_ids()
     edge_by_id = {e.id: e for e in net.edges}
 
     def resolve(inp: tuple[str, str]) -> tuple[str, str]:
+        """The message or searched edge whose symbol inp carries."""
         kind, ref = inp
-        if kind == "msg":
+        ins = inputs_of[edge_by_id[ref].tail] if kind == "edge" else []
+        if kind == "msg" or len(ins) >= 2:
             return inp
-        ins = inputs_of[edge_by_id[ref].tail]
-        if len(ins) >= 2:
-            return inp
-        if not ins:
-            return ("zero", "")
-        return resolve(ins[0])
+        return resolve(ins[0]) if ins else ("zero", "")
 
     forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
-    vec_of = {("msg", m): _unit(m, msg_ids, spec) for m in msg_ids}
-    vec_of[("zero", "")] = TransferVector(dict.fromkeys(msg_ids, zero(spec)))
+    vec_of = {("msg", m): tuple(unit if j == m else 0 for j in msg_ids) for m in msg_ids}
+    vec_of[("zero", "")] = (0,) * len(msg_ids)
 
     # receiver readiness: the depth of the last searched edge its inputs depend on
     depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
@@ -483,67 +524,85 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
         last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
         recv_ready.setdefault(last, []).append(recv)
 
+    def scaled(c, vec):
+        return tuple(map(mul_t[c].__getitem__, vec))
+
+    def plus(u, v):  # add_t[a][b] for a, b in zip(u, v)
+        return tuple(map(list.__getitem__, map(add_t.__getitem__, u), v))
+
+    def reduced(v, basis):  # v minus its components along an echelon basis
+        for j, b in basis:
+            if v[j]:
+                v = plus(v, scaled(neg_t[v[j]], b))
+        return v
+
+    def field_decodes(rows, targets) -> bool:
+        basis = []
+        for row in rows:
+            v = reduced(row, basis)
+            j = next((j for j, x in enumerate(v) if x), None)
+            if j is not None:
+                basis.append((j, scaled(inv_t[v[j]], v)))
+        return not any(any(reduced(t, basis)) for t in targets)
+
+    def ring_decodes(rows, targets) -> bool:  # targets in the span of rows
+        if len(rows) > 4 and q ** len(rows) > DECODE_GUARD:  # decode_search's guard
+            raise GuardExceeded(f"brute-force decode space {q}^{len(rows)} exceeds {DECODE_GUARD}")
+        span = {scaled(c, rows[0]) for c in range(q)}
+        for row in rows[1:]:
+            multiples = {scaled(c, row) for c in range(q)}
+            span = {plus(s, m) for s in span for m in multiples}
+        return all(t in span for t in targets)
+
+    decodes = field_decodes if _is_field(spec) else ring_decodes
     decode_cache: dict = {}
 
-    def receiver_ok(recv: Receiver) -> dict[str, tuple] | None:
-        rows = [vec_of[f] for f in forms[recv.node]]
-        key = (
-            recv.demands,
-            tuple(r.key(msg_ids) for r in rows),
-        )
-        if key in decode_cache:
-            return decode_cache[key]
-        found: dict[str, tuple] | None = {}
-        for demand in recv.demands:
-            coeffs = decode_search(rows, demand, spec)
-            if coeffs is None:
-                found = None
-                break
-            found[demand] = coeffs
-        decode_cache[key] = found
-        return found
+    def receiver_ok(recv: Receiver) -> bool:
+        rows = tuple(map(vec_of.__getitem__, forms[recv.node]))
+        key = (recv.demands, rows)
+        if key not in decode_cache:
+            targets = [vec_of[("msg", d)] for d in recv.demands]
+            decode_cache[key] = bool(rows) and decodes(rows, targets)
+        return decode_cache[key]
 
-    for recv in recv_ready.get(-1, ()):
-        if receiver_ok(recv) is None:
-            return None
-
-    domain = elements(spec)
-    choice_lists = [
-        list(itertools.product(domain, repeat=len(inputs_of[e.tail])))
-        for e in searched
-    ]
-    chosen: dict[str, tuple] = {}
+    if not all(receiver_ok(recv) for recv in recv_ready.get(-1, ())):
+        return None
+    chosen: dict[str, tuple[int, ...]] = {}
 
     def descend(depth: int) -> bool:
         if depth == len(searched):
             return True
         e = searched[depth]
-        vecs = [vec_of[f] for f in forms[e.tail]]
-        for combo in choice_lists[depth]:
-            vec_of[("edge", e.id)] = _combine(combo, vecs, msg_ids, spec)
-            ok = True
-            for recv in recv_ready.get(depth, ()):
-                if receiver_ok(recv) is None:
-                    ok = False
-                    break
-            if ok and descend(depth + 1):
+        multiples = [[scaled(c, vec_of[f]) for c in range(q)] for f in forms[e.tail]]
+        for combo in itertools.product(range(q), repeat=len(multiples)):
+            acc = multiples[0][combo[0]]
+            for mults, c in zip(multiples[1:], combo[1:]):
+                acc = plus(acc, mults[c])
+            vec_of[("edge", e.id)] = acc
+            if all(map(receiver_ok, recv_ready.get(depth, ()))) and descend(depth + 1):
                 chosen[e.id] = combo
                 return True
         return False
 
-    if not descend(0):
-        return None
+    return chosen if descend(0) else None
 
-    edge_coeffs = {
-        e.id: chosen.get(e.id, (one(spec),) * len(inputs_of[e.tail]))
-        for e in net.edges
-    }
-    decoders = {
-        (recv.node, demand): coeffs
-        for recv in net.receivers
-        for demand, coeffs in receiver_ok(recv).items()
-    }
-    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders))
+
+def _decoded(net: Network, code: ScalarLinearCode) -> ScalarLinearCode | None:
+    """The code with decoders from decode_search on its exact transfer
+    vectors, checked.  A receiver that cannot decode gives None when no edge
+    combines, else RuntimeError: the search or construction ensured it."""
+    vectors, inputs_of = _transfer(net, code)
+    msg_ids = net.message_ids()
+    for recv in net.receivers:
+        rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, code.ring)
+        for demand in recv.demands:
+            coeffs = decode_search(rows, demand, code.ring)
+            if coeffs is None:
+                if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):
+                    raise RuntimeError(f"receiver {recv.node} cannot decode {demand}")
+                return None
+            code.decoders[(recv.node, demand)] = coeffs
+    return _checked(net, code)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +639,7 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
     for e in net.edges:
         if e.id not in edge_coeffs:
             edge_coeffs[e.id] = (one(spec),)
-    code = ScalarLinearCode(spec, edge_coeffs, {})
-    vectors, inputs_of = _transfer(net, code)
-    msg_ids = net.message_ids()
-    for recv in net.receivers:
-        rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, spec)
-        for demand in recv.demands:
-            coeffs = decode_search(rows, demand, spec)
-            if coeffs is None:
-                raise RuntimeError("pairwise independent rows must decode")
-            code.decoders[(recv.node, demand)] = coeffs
-    return _checked(net, code)
+    return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}))
 
 
 def product_code(
@@ -604,8 +653,12 @@ def product_code(
             raise ValueError("listed ring does not own its code")
         if not verify(net, code):
             raise ValueError("unverified input solution")
-    prod = Product(tuple(spec for spec, _ in solutions))
-    codes = [code for _, code in solutions]
+    return _product_code(net, [code for _, code in solutions])
+
+
+def _product_code(net: Network, codes: list[ScalarLinearCode]) -> ScalarLinearCode:
+    """product_code of codes known to verify."""
+    prod = Product(tuple(code.ring for code in codes))
 
     def stack(keys, tables):
         return {
@@ -623,9 +676,7 @@ def product_code(
 def _apply_to_code(
     net: Network, code: ScalarLinearCode, hom: RingHom
 ) -> ScalarLinearCode:
-    """Map every coefficient of a verified code through hom, then check the image."""
-    if not verify(net, code):
-        raise ValueError("unverified input solution")
+    """Map every coefficient of a code known to verify through hom, then check the image."""
     out = ScalarLinearCode(
         hom.target,
         {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
@@ -640,6 +691,8 @@ def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinear
         raise ValueError(f"hom kind {hom.kind} is not surjective")
     if code.ring != hom.source:
         raise ValueError("code ring does not match the hom source")
+    if not verify(net, code):
+        raise ValueError("unverified input solution")
     return _apply_to_code(net, code, hom)
 
 
@@ -651,10 +704,10 @@ def lift_subring(
     Supported inclusions: GF(p^m) into GF(p^k) for m | k, GF(p) into D(p),
     and the identity.
     """
-    if code.ring != target:
-        return _apply_to_code(net, code, subring_inclusion(code.ring, target))
     if not verify(net, code):
         raise ValueError("unverified input solution")
+    if code.ring != target:
+        return _apply_to_code(net, code, subring_inclusion(code.ring, target))
     return ScalarLinearCode(target, dict(code.edge_coeffs), dict(code.decoders))
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 from types import MappingProxyType
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import GuardExceeded, ParseError
 
@@ -235,9 +235,10 @@ class Product:
             raise ValueError("product needs at least one factor")
 
 
-RingSpec = Union[PrimeField, GaloisField, IntegersMod, DualNumbers, Product]
+# PEP 604 unions: typing.Union's cache keeps the classes of every import alive
+RingSpec = PrimeField | GaloisField | IntegersMod | DualNumbers | Product
 
-Payload = Union[int, tuple]
+Payload = int | tuple
 
 
 def galois_field(p: int, k: int) -> PrimeField | GaloisField:

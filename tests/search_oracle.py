@@ -1,0 +1,105 @@
+"""The solver's search on RingElement values, kept as an oracle.
+
+``network._search`` runs on element indices; this is the same depth-first
+search in the same canonical coefficient order, written on ``RingElement``
+arithmetic and ``decode_search``.  It accepts any catalog ring, products and
+D(p) included, so it also serves as the plain search on rings that
+``solve_brute`` splits or reduces.
+"""
+
+import itertools
+
+from ringcode.network import (
+    Receiver,
+    ScalarLinearCode,
+    TransferVector,
+    _checked,
+    _combine,
+    _unit,
+    decode_search,
+)
+from ringcode.rings import elements, one, zero
+
+
+def search(net, spec, layout):
+    """First scalar linear solution over spec in canonical coefficient order,
+    with decoders from decode_search, or None."""
+    edges, inputs_of = layout
+    msg_ids = net.message_ids()
+    searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
+    edge_by_id = {e.id: e for e in net.edges}
+
+    def resolve(inp):
+        kind, ref = inp
+        if kind == "msg":
+            return inp
+        ins = inputs_of[edge_by_id[ref].tail]
+        if len(ins) >= 2:
+            return inp
+        if not ins:
+            return ("zero", "")
+        return resolve(ins[0])
+
+    forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
+    vec_of = {("msg", m): _unit(m, msg_ids, spec) for m in msg_ids}
+    vec_of[("zero", "")] = TransferVector(dict.fromkeys(msg_ids, zero(spec)))
+
+    depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
+    recv_ready: dict[int, list[Receiver]] = {}
+    for recv in net.receivers:
+        last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
+        recv_ready.setdefault(last, []).append(recv)
+
+    decode_cache: dict = {}
+
+    def receiver_ok(recv):
+        rows = [vec_of[f] for f in forms[recv.node]]
+        key = (recv.demands, tuple(r.coefficients[m] for r in rows for m in msg_ids))
+        if key in decode_cache:
+            return decode_cache[key]
+        found = {}
+        for demand in recv.demands:
+            coeffs = decode_search(rows, demand, spec)
+            if coeffs is None:
+                found = None
+                break
+            found[demand] = coeffs
+        decode_cache[key] = found
+        return found
+
+    for recv in recv_ready.get(-1, ()):
+        if receiver_ok(recv) is None:
+            return None
+
+    domain = elements(spec)
+    choice_lists = [
+        list(itertools.product(domain, repeat=len(inputs_of[e.tail])))
+        for e in searched
+    ]
+    chosen = {}
+
+    def descend(depth):
+        if depth == len(searched):
+            return True
+        e = searched[depth]
+        vecs = [vec_of[f] for f in forms[e.tail]]
+        for combo in choice_lists[depth]:
+            vec_of[("edge", e.id)] = _combine(combo, vecs, msg_ids, spec)
+            if all(receiver_ok(r) is not None for r in recv_ready.get(depth, ())):
+                if descend(depth + 1):
+                    chosen[e.id] = combo
+                    return True
+        return False
+
+    if not descend(0):
+        return None
+    edge_coeffs = {
+        e.id: chosen.get(e.id, (one(spec),) * len(inputs_of[e.tail]))
+        for e in net.edges
+    }
+    decoders = {
+        (recv.node, demand): coeffs
+        for recv in net.receivers
+        for demand, coeffs in receiver_ok(recv).items()
+    }
+    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders))

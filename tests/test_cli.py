@@ -222,6 +222,34 @@ class TestNetworkCommands:
         )
         assert code == 2
 
+    def test_solve_product_at_default_budget(self, tmp_path):
+        # the budget applies to GF(4) and GF(3), the rings searched, not to
+        # the 12**8 assignments of the requested product
+        path = tmp_path / "ts.json"
+        run_cli("network", "gen", "two-six", "--file", str(path))
+        code, out = run_cli(
+            "network", "solve", "--file", str(path), "--ring", "GF(4)xGF(3)"
+        )
+        assert code == 0
+        assert json.loads(out)["ring"] == "GF(2^2)xGF(3)"
+
+    @pytest.mark.parametrize(
+        "budget", ["2^100000000000000", "10^400", "2^1024", "1025^103", "2^-3"]
+    )
+    def test_budget_bounded_before_the_power(self, tmp_path, budget, capsys):
+        path = tmp_path / "ts.json"
+        run_cli("network", "gen", "two-six", "--file", str(path))
+        capsys.readouterr()
+        code, out = run_cli(
+            "network", "solve", "--file", str(path), "--ring", "GF(3)", "--budget", budget
+        )
+        assert (code, out) == (2, "")
+        assert "budget" in capsys.readouterr().err
+
+    def test_budget_forms(self):
+        assert cli._parse_budget("2^26") == cli._parse_budget("67108864") == 2**26
+        assert cli._parse_budget(" 2^1023 ") == 2**1023
+
     def test_threshold_grid_via_cli(self, tmp_path):
         """gen choose-two --n K then solve over GF(q): exit 0 iff q >= K-1."""
         for k in (3, 4, 5):

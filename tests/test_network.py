@@ -8,6 +8,7 @@ import time
 import pytest
 
 from netcorpus import corpus, relay_chain
+from search_oracle import search as plain_search
 from ringcode import network as network_mod
 from ringcode.errors import BudgetExceeded, GuardExceeded
 from ringcode.network import (
@@ -44,8 +45,10 @@ from ringcode.rings import (
     dual_augmentation,
     elements,
     galois_field,
+    inverse,
     mod_reduction,
     mul,
+    neg,
     one,
     parse_ring,
     projection,
@@ -414,7 +417,7 @@ class TestRoutedSolve:
     @staticmethod
     def _agree(net, spec):
         routed = solve_brute(net, spec)
-        plain = network_mod._search(net, spec, network_mod._layout(net))
+        plain = plain_search(net, spec, network_mod._layout(net))
         assert (routed is None) == (plain is None), (net.nodes, spec)
         if routed is not None:
             assert routed.ring == spec and verify(net, routed)
@@ -493,11 +496,134 @@ class TestRoutedSolve:
         assert code.ring == IntegersMod(n) and verify(relay_chain(), code)
         assert time.perf_counter() - start < 2.0
 
-    def test_budget_is_checked_on_the_requested_ring(self):
-        # the factors alone fit the budget; the requested ring does not
+    def test_budget_is_checked_on_each_searched_ring(self):
+        # GF(4) and GF(3) are searched; the requested GF(4)xGF(3) would need
+        # 12**8 assignments, but each searched ring needs at most 4**8
+        spec = Product((GF4, GF3))
+        code = solve_brute(two_six(), spec, budget=4**8)
+        assert code.ring == spec and verify(two_six(), code)
         with pytest.raises(BudgetExceeded) as err:
-            solve_brute(two_six(), Product((GF2, GF3)), budget=5**8)
-        assert err.value.required == 6**8
+            solve_brute(two_six(), spec, budget=4**8 - 1)
+        assert err.value.required == 4**8
+        # Z(4) is refuted over Z(2) before its own 4**8 search is budgeted
+        assert solve_brute(two_six(), Z4, budget=2**8) is None
+
+
+class TestIndexKernel:
+    """_search runs on element indices; RingElement values appear only in
+    the returned code, whose decoders come from decode_search."""
+
+    @pytest.mark.parametrize(
+        "ring",
+        ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(16)",
+         "GF(25)", "GF(27)", "GF(32)", "Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)"],
+    )
+    def test_tables_match_ring_arithmetic(self, ring):
+        spec = parse_ring(ring)
+        els = elements(spec)
+        add_t, mul_t, neg_t, inv_t, unit = network_mod._tables(spec)
+        assert els[unit] == one(spec)
+        for i, a in enumerate(els):
+            assert els[neg_t[i]] == neg(a)
+            assert (inv_t[i] and els[inv_t[i]]) == inverse(a)
+            for j, b in enumerate(els):
+                assert els[add_t[i][j]] == add(a, b)
+                assert els[mul_t[i][j]] == mul(a, b)
+
+    @pytest.mark.parametrize(
+        "ring", ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)",
+                 "Z(4)", "Z(8)", "Z(9)"],
+    )
+    def test_same_code_as_ring_element_search(self, ring):
+        # two-six over Z(8) is left out: the oracle takes about 50 s on it
+        spec = parse_ring(ring)
+        nets = corpus() + ([two_six()] if ring != "Z(8)" else [])
+        for net in nets:
+            layout = network_mod._layout(net)
+            got = network_mod._search(net, spec, layout)
+            want = plain_search(net, spec, layout)
+            assert (got is None) == (want is None), (net.nodes, ring)
+            if got is not None:
+                assert code_to_json(got) == code_to_json(want), (net.nodes, ring)
+
+    def test_same_code_on_random_networks(self):
+        # unlike the corpus: messages at several nodes, partial demands,
+        # edges with no input, and unsolvable cases
+        rng = random.Random(4)
+        compared = 0
+        while compared < 400:
+            n = rng.randint(2, 5)
+            nodes = [f"n{i}" for i in range(n)]
+            edges = []
+            for k in range(rng.randint(1, 6)):
+                a = rng.randrange(n - 1)
+                edges.append(Edge(f"e{k}", nodes[a], nodes[rng.randrange(a + 1, n)]))
+            msgs = [Message(f"m{j}", rng.choice(nodes[:-1])) for j in range(rng.randint(1, 3))]
+            receivers = [
+                Receiver(node, tuple(rng.sample([m.id for m in msgs], rng.randint(1, len(msgs)))))
+                for node in rng.sample(nodes[1:], rng.randint(1, n - 1))
+            ]
+            net = Network(tuple(nodes), tuple(edges), tuple(msgs), tuple(receivers))
+            layout = edges_in_order, inputs_of = network_mod._layout(net)
+            arities = [len(inputs_of[e.tail]) for e in edges_in_order]
+            for spec in (GF2, GF3, GF4, Z4):
+                if len(elements(spec)) ** sum(a for a in arities if a >= 2) > 4096:
+                    continue
+                got = network_mod._search(net, spec, layout)
+                want = plain_search(net, spec, layout)
+                assert (got is None) == (want is None), (net, spec)
+                if got is not None:
+                    assert code_to_json(got) == code_to_json(want), (net, spec)
+                compared += 1
+
+    def test_boundary_decoder_disagreeing_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            "ringcode.network.decode_search", lambda rows, target, spec: None
+        )
+        with pytest.raises(RuntimeError):
+            solve_brute(choose_two(3), GF3)
+        # with nothing to search, a receiver that cannot decode means unsolvable
+        assert solve_brute(relay_chain(), GF3) is None
+
+    @pytest.mark.parametrize("ring", ["GF(2^10)", "Z(1024)"])
+    def test_large_ring_without_combining_edge(self, ring, monkeypatch):
+        # no table is built when nothing combines
+        monkeypatch.setattr(network_mod, "_tables", None)
+        start = time.perf_counter()
+        code = solve_brute(relay_chain(), parse_ring(ring))
+        assert code is not None and verify(relay_chain(), code)
+        assert time.perf_counter() - start < 0.5
+
+    ONE_COMBINING_EDGE = Network(
+        ("s", "r"),
+        (Edge("e", "s", "r"),),
+        (Message("x", "s"), Message("y", "s")),
+        (Receiver("r", ("x",)),),
+    )
+
+    @pytest.mark.parametrize("ring, seconds", [("GF(2^10)", 1.0), ("Z(1024)", 6.9)])
+    def test_large_ring_with_one_combining_edge(self, ring, seconds):
+        # no slower than the RingElement search (1.0 s and 6.9 s on a 2-CPU
+        # VM); q*q tables built from ring calls took 26 s there
+        spec = parse_ring(ring)
+        start = time.perf_counter()
+        code = solve_brute(self.ONE_COMBINING_EDGE, spec)
+        assert time.perf_counter() - start < seconds
+        assert code.edge_coeffs["e"] == (elements(spec)[1], zero(spec))
+        assert verify(self.ONE_COMBINING_EDGE, code)
+
+    def test_each_routed_code_is_verified_once(self, monkeypatch):
+        # Z(12): searches over Z(2), Z(4) and Z(3), their product, its crt image
+        calls = []
+        original = network_mod.verify
+        monkeypatch.setattr(
+            network_mod, "verify", lambda net, code: calls.append(code.ring) or original(net, code)
+        )
+        code = solve_brute(choose_two(3), IntegersMod(12))
+        assert code.ring == IntegersMod(12)
+        assert calls == [
+            IntegersMod(2), Z4, IntegersMod(3), Product((Z4, IntegersMod(3))), IntegersMod(12)
+        ]
 
 
 def _solvable_full_space(net, spec) -> bool:

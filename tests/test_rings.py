@@ -1,6 +1,10 @@
 """Ring catalog arithmetic, homomorphisms, and the expression grammar."""
 
+import gc
+import importlib
 import itertools
+import sys
+import weakref
 
 import pytest
 
@@ -435,3 +439,24 @@ class TestSpecValidation:
             IntegersMod(1)
         with pytest.raises(ValueError):
             Product(())
+
+
+def test_reimport_frees_old_classes():
+    """Nothing outside the package keeps an earlier import's classes alive
+    (typing.Union's cache did), so re-importing ringcode does not leak."""
+    saved = {
+        name: mod for name, mod in sys.modules.items()
+        if name == "ringcode" or name.startswith("ringcode.")
+    }
+    refs = []
+    try:
+        for _ in range(3):
+            for name in saved:
+                sys.modules.pop(name, None)
+            refs.append(weakref.ref(importlib.import_module("ringcode.rings").PrimeField))
+    finally:
+        for name in [m for m in sys.modules if m == "ringcode" or m.startswith("ringcode.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
