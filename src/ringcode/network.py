@@ -22,9 +22,10 @@ of the space.
 
 The search runs on integers: each element is its index in elements(spec),
 and transfer vectors are int tuples combined through add and mul tables
-built once per search, and only when some edge combines.  RingElement values
-appear only in the returned code, whose decoders decode_search computes from
-the code's exact transfer vectors before verify checks it.
+built once per search, and only when some edge combines.  An edge skips unit
+multiples of vectors tried at the same node, so only failing subtrees go and
+the first solution in canonical order stays.  Over a field the elimination
+deciding a receiver gives its decoders, else decode_search fills them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -452,7 +454,7 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
     edges relay their input (see the module docstring)."""
     edges, inputs_of = layout
     searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
-    chosen = _index_search(net, spec, inputs_of, searched) if searched else {}
+    chosen, decoders = _index_search(net, spec, inputs_of, searched) if searched else ({}, None)
     if chosen is None:
         return None
     domain = elements(spec) if chosen else []
@@ -461,7 +463,10 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
         or (one(spec),) * len(inputs_of[e.tail])
         for e in net.edges
     }
-    return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}))
+    if decoders is None:  # Z(p^k), or nothing searched
+        return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}))
+    decoders = {k: tuple(domain[c] for c in cs) for k, cs in decoders.items()}
+    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders))
 
 
 def _tables(spec: RingSpec):
@@ -497,10 +502,29 @@ def _tables(spec: RingSpec):
     return add_t, mul_t, neg_t, inv_t, unit
 
 
+def _orbit_key(spec: RingSpec, tables):
+    """orbit_key(v) names the unit orbit {u*v} of an index vector over a field or
+    Z(p^k) in O(len(v)): v scaled so its first entry of least valuation t becomes
+    p^t (1 over a field); the units fixing p^t fix every entry of valuation >= t."""
+    _, mul_t, _, inv_t, unit = tables
+    q = len(mul_t)
+    gf = isinstance(spec, GaloisField)  # else index a is the integer a mod q
+    val = [a == 0 if gf else math.gcd(a, q) for a in range(q)]  # orders valuations
+    scaler = [inv_t[a if gf else a // val[a]] or unit for a in range(q)]  # scaler[a] * a = p^t
+
+    def orbit_key(v):
+        least = min(v, key=val.__getitem__, default=0)
+        return tuple(map(mul_t[scaler[least]].__getitem__, v))
+
+    return orbit_key
+
+
 def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
-    """Index tuples, per searched edge, of the first coefficient choice under
-    which every receiver decodes its demands; None if there is none."""
-    add_t, mul_t, neg_t, inv_t, unit = _tables(spec)
+    """(chosen, decoders): index tuples per searched edge of the first choice
+    under which every receiver decodes its demands, and over a field those of
+    decode_search per (receiver, demand); (None, None) if there is none."""
+    tables = add_t, mul_t, neg_t, inv_t, unit = _tables(spec)
+    orbit_key = _orbit_key(spec, tables)
     q = len(add_t)
     msg_ids = net.message_ids()
     edge_by_id = {e.id: e for e in net.edges}
@@ -536,55 +560,71 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
                 v = plus(v, scaled(neg_t[v[j]], b))
         return v
 
-    def field_decodes(rows, targets) -> bool:
-        basis = []
-        for row in rows:
-            v = reduced(row, basis)
-            j = next((j for j, x in enumerate(v) if x), None)
+    def field_decoders(rows, targets):  # decode_search's decoder per target, or None
+        # each row is extended by its unit vector, which records the rows a reduced
+        # vector combines; rows dependent on earlier ones pivot nowhere and get 0
+        r, m, basis, out = len(rows), len(msg_ids), [], []
+        for i, row in enumerate(rows):
+            v = reduced(row + tuple(unit if k == i else 0 for k in range(r)), basis)
+            j = next((j for j in range(m) if v[j]), None)
             if j is not None:
                 basis.append((j, scaled(inv_t[v[j]], v)))
-        return not any(any(reduced(t, basis)) for t in targets)
+        for t in targets:
+            v = reduced(t + (0,) * r, basis)
+            if any(v[:m]):
+                return None
+            out.append(tuple(neg_t[c] for c in v[m:]))
+        return out
 
-    def ring_decodes(rows, targets) -> bool:  # targets in the span of rows
+    def ring_decodes(rows, targets):  # True if targets lie in the span of rows, else None
         if len(rows) > 4 and q ** len(rows) > DECODE_GUARD:  # decode_search's guard
             raise GuardExceeded(f"brute-force decode space {q}^{len(rows)} exceeds {DECODE_GUARD}")
         span = {scaled(c, rows[0]) for c in range(q)}
         for row in rows[1:]:
             multiples = {scaled(c, row) for c in range(q)}
             span = {plus(s, m) for s in span for m in multiples}
-        return all(t in span for t in targets)
+        return all(t in span for t in targets) or None
 
-    decodes = field_decodes if _is_field(spec) else ring_decodes
+    decodes = field_decoders if _is_field(spec) else ring_decodes
     decode_cache: dict = {}
 
-    def receiver_ok(recv: Receiver) -> bool:
+    def decoders_of(recv: Receiver):  # None if recv cannot decode its demands
         rows = tuple(map(vec_of.__getitem__, forms[recv.node]))
         key = (recv.demands, rows)
         if key not in decode_cache:
             targets = [vec_of[("msg", d)] for d in recv.demands]
-            decode_cache[key] = bool(rows) and decodes(rows, targets)
+            decode_cache[key] = decodes(rows, targets) if rows else None
         return decode_cache[key]
 
-    if not all(receiver_ok(recv) for recv in recv_ready.get(-1, ())):
-        return None
     chosen: dict[str, tuple[int, ...]] = {}
 
-    def descend(depth: int) -> bool:
+    def descend(depth: int) -> bool:  # first checks the receivers edge depth - 1 completed
+        if any(decoders_of(r) is None for r in recv_ready.get(depth - 1, ())):
+            return False
         if depth == len(searched):
             return True
         e = searched[depth]
         multiples = [[scaled(c, vec_of[f]) for c in range(q)] for f in forms[e.tail]]
+        failed = set()  # unit orbits: receiver spans ignore a unit, later edges absorb it
         for combo in itertools.product(range(q), repeat=len(multiples)):
             acc = multiples[0][combo[0]]
             for mults, c in zip(multiples[1:], combo[1:]):
                 acc = plus(acc, mults[c])
+            if (key := orbit_key(acc)) in failed:
+                continue
+            failed.add(key)
             vec_of[("edge", e.id)] = acc
-            if all(map(receiver_ok, recv_ready.get(depth, ()))) and descend(depth + 1):
+            if descend(depth + 1):
                 chosen[e.id] = combo
                 return True
         return False
 
-    return chosen if descend(0) else None
+    if not descend(0):
+        return None, None
+    if decodes is ring_decodes:
+        return chosen, None
+    recvs = net.receivers
+    return chosen, {(r.node, d): cs for r in recvs for d, cs in zip(r.demands, decoders_of(r))}
 
 
 def _decoded(net: Network, code: ScalarLinearCode) -> ScalarLinearCode | None:

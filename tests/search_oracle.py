@@ -1,8 +1,9 @@
 """The solver's search on RingElement values, kept as an oracle.
 
 ``network._search`` runs on element indices; this is the same depth-first
-search in the same canonical coefficient order, written on ``RingElement``
-arithmetic and ``decode_search``.  It accepts any catalog ring, products and
+search in the same canonical coefficient order, without the kernel's
+unit-orbit pruning, written on ``RingElement`` arithmetic and
+``decode_search``.  It accepts any catalog ring, products and
 D(p) included, so it also serves as the plain search on rings that
 ``solve_brute`` splits or reduces.
 """

@@ -59,7 +59,10 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF4 = galois_field(2, 2)
 GF5 = PrimeField(5)
+GF8 = galois_field(2, 3)
 Z4 = IntegersMod(4)
+Z8 = IntegersMod(8)
+Z9 = IntegersMod(9)
 Z6 = IntegersMod(6)
 D2 = DualNumbers(2)
 
@@ -357,13 +360,24 @@ class TestSolveBrute:
 
     def test_self_check_raises(self, monkeypatch):
         # wrong decoders must be refused by an explicit error, not an assert
-        # that python -O strips
+        # that python -O strips; over a field they come from the index
+        # kernel, over Z(p^k) from decode_search
+        search = network_mod._index_search
+
+        def zero_decoders(*args):
+            chosen, decoders = search(*args)
+            return chosen, {key: (0,) * len(cs) for key, cs in decoders.items()}
+
+        monkeypatch.setattr(network_mod, "_index_search", zero_decoders)
+        with pytest.raises(RuntimeError):
+            solve_brute(choose_two(3), GF2)
+        monkeypatch.setattr(network_mod, "_index_search", search)
         monkeypatch.setattr(
             "ringcode.network.decode_search",
             lambda rows, target, spec: tuple(zero(spec) for _ in rows),
         )
         with pytest.raises(RuntimeError):
-            solve_brute(choose_two(3), GF2)
+            solve_brute(choose_two(3), Z4)
 
     def test_completeness_against_theory_small(self):
         """choose_two(n) solvability for n <= 4 over every catalog ring of
@@ -511,7 +525,8 @@ class TestRoutedSolve:
 
 class TestIndexKernel:
     """_search runs on element indices; RingElement values appear only in
-    the returned code, whose decoders come from decode_search."""
+    the returned code.  Its decoders come from the kernel over a field and
+    from decode_search over Z(p^k)."""
 
     @pytest.mark.parametrize(
         "ring",
@@ -551,7 +566,7 @@ class TestIndexKernel:
         # edges with no input, and unsolvable cases
         rng = random.Random(4)
         compared = 0
-        while compared < 400:
+        while compared < 1500:
             n = rng.randint(2, 5)
             nodes = [f"n{i}" for i in range(n)]
             edges = []
@@ -566,7 +581,7 @@ class TestIndexKernel:
             net = Network(tuple(nodes), tuple(edges), tuple(msgs), tuple(receivers))
             layout = edges_in_order, inputs_of = network_mod._layout(net)
             arities = [len(inputs_of[e.tail]) for e in edges_in_order]
-            for spec in (GF2, GF3, GF4, Z4):
+            for spec in (GF2, GF3, GF4, Z4, GF5, GF8, Z8, Z9):
                 if len(elements(spec)) ** sum(a for a in arities if a >= 2) > 4096:
                     continue
                 got = network_mod._search(net, spec, layout)
@@ -576,12 +591,45 @@ class TestIndexKernel:
                     assert code_to_json(got) == code_to_json(want), (net, spec)
                 compared += 1
 
+    @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
+    def test_orbit_key_names_unit_orbits(self, ring):
+        spec = parse_ring(ring)
+        tables = network_mod._tables(spec)
+        _, mul_t, _, inv_t, _ = tables
+        key = network_mod._orbit_key(spec, tables)
+        units = [u for u in range(len(mul_t)) if inv_t[u] is not None]
+        for v in itertools.product(range(len(mul_t)), repeat=3):
+            orbit = {tuple(mul_t[u][x] for x in v) for u in units}
+            # equal across the orbit, and a member of it: distinct orbits
+            # are disjoint, so they cannot share a key
+            assert {key(w) for w in orbit} == {key(v)} and key(v) in orbit
+
+    @pytest.mark.parametrize("n, ring, seconds", [(6, "GF(4)", 1.0), (7, "GF(5)", 3.0)])
+    def test_unit_orbit_pruning_refutes_fast(self, n, ring, seconds):
+        # without the unit-orbit pruning: about 5 s, and over 2 min, on a 2-CPU VM
+        start = time.perf_counter()
+        assert solve_brute(choose_two(n), parse_ring(ring), budget=2**80) is None
+        assert time.perf_counter() - start < seconds
+
     def test_boundary_decoder_disagreeing_raises(self, monkeypatch):
+        # a field decoder missing from the kernel's answer fails the check
+        search = network_mod._index_search
+
+        def drop_one(*args):
+            chosen, decoders = search(*args)
+            decoders.popitem()
+            return chosen, decoders
+
+        monkeypatch.setattr(network_mod, "_index_search", drop_one)
+        with pytest.raises(RuntimeError):
+            solve_brute(choose_two(3), GF3)
+        monkeypatch.setattr(network_mod, "_index_search", search)
+        # over Z(p^k) decode_search is still the boundary
         monkeypatch.setattr(
             "ringcode.network.decode_search", lambda rows, target, spec: None
         )
         with pytest.raises(RuntimeError):
-            solve_brute(choose_two(3), GF3)
+            solve_brute(choose_two(3), Z4)
         # with nothing to search, a receiver that cannot decode means unsolvable
         assert solve_brute(relay_chain(), GF3) is None
 
