@@ -19,6 +19,7 @@ the arithmetic facts it used, so independent code can re-check them; see
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -366,19 +367,9 @@ def _catalog_factors(spec: RingSpec) -> tuple[tuple[_Factor, ...], tuple[Equival
     return tuple(factors), tuple(steps)
 
 
-def _is_zlike(factors: Sequence[_Factor]) -> bool:
-    """True when the factor list is isomorphic to a single Z(n)."""
-    primes = [f.p for f in factors]
-    if len(set(primes)) != len(primes):
-        return False
-    return all(f.kind == _ZLOCAL or f.k == 1 for f in factors)
-
-
-def _zlike_modulus(factors: Sequence[_Factor]) -> int:
-    out = 1
-    for f in factors:
-        out *= f.p**f.k
-    return out
+def _characteristic(factors: Sequence[_Factor]) -> int:
+    """char of the ring the factors stand for: the lcm of p (fields) and p^k."""
+    return math.lcm(*(f.p**f.k if f.kind == _ZLOCAL else f.p for f in factors))
 
 
 def _single_factor_dominated(f: _Factor, target: _Factor) -> list | None:
@@ -406,12 +397,6 @@ def _single_factor_dominated(f: _Factor, target: _Factor) -> list | None:
 def _dominates_single_target(
     s_factors: tuple[_Factor, ...], target: _Factor
 ) -> DominanceVerdict:
-    all_fields = all(f.kind == _FIELD for f in s_factors)
-    if all_fields and target.kind == _FIELD:
-        left = to_partition_ring([(f.p, f.k) for f in s_factors])
-        right = to_partition_ring([(target.p, target.k)])
-        return field_product_dominates(left, right)
-
     # a single dominated left factor settles the pair: every network the
     # product solves is solved by each factor alone
     for i, f in enumerate(s_factors):
@@ -423,23 +408,6 @@ def _dominates_single_target(
             steps.extend(chain)
             return _dominates(steps)
 
-    if _is_zlike(s_factors):
-        n = _zlike_modulus(s_factors)
-        t_char = target.p**target.k if target.kind == _ZLOCAL else target.p
-        if target.kind == _ZLOCAL:
-            # exact Z(n)-vs-Z(p^k) comparison; the positive case was already
-            # caught by the factor rule above
-            return _not_dominates(CharacteristicObstruction(n, n, t_char))
-        if target.k == 1:
-            return _not_dominates(CharacteristicObstruction(n, n, target.p))
-        return _unknown(
-            f"no rule settles Z({n}) against GF({target.p}^{target.k})"
-        )
-
-    if all_fields and target.kind == _ZLOCAL:
-        return _unknown(
-            f"dominance of a field product by Z({target.p ** target.k}) is undecided"
-        )
     return _unknown(
         f"no rule settles this left side against {target.describe()}"
     )
@@ -450,7 +418,9 @@ def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
 
     Answers Dominates or NotDominates only when the reduction rules certify
     it; all other pairs come back Unknown with the unresolved obligation
-    named.  Pairs of field products are always decided.
+    named.  Pairs of field products are always decided, and any other pair
+    in which char(R) does not divide char(S) is NotDominates by the
+    characteristic rule of zmod_dominates.
     """
     s_factors, s_steps = _catalog_factors(s)
     r_factors, r_steps = _catalog_factors(r)
@@ -466,13 +436,13 @@ def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
         )
 
     collected: list = list(s_steps) + list(r_steps)
+    s_char, r_char = _characteristic(s_factors), _characteristic(r_factors)
+    if s_char % r_char:  # the characteristic-char(S) family separates them
+        obstruction = CharacteristicObstruction(s_char, s_char, r_char)
+        return DominanceVerdict(Relation.NOT_DOMINATES, (*collected, obstruction))
     pending: list[str] = []
     for target in r_factors:
         verdict = _dominates_single_target(s_factors, target)
-        if verdict.relation is Relation.NOT_DOMINATES:
-            return DominanceVerdict(
-                Relation.NOT_DOMINATES, tuple(collected) + verdict.certificate
-            )
         if verdict.relation is Relation.UNKNOWN:
             pending.append(verdict.certificate[0].description)
         else:

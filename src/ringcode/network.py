@@ -24,8 +24,9 @@ The search runs on integers: each element is its index in elements(spec),
 and transfer vectors are int tuples combined through add and mul tables
 built once per search, and only when some edge combines.  An edge skips unit
 multiples of vectors tried at the same node, so only failing subtrees go and
-the first solution in canonical order stays.  Over a field the elimination
-deciding a receiver gives its decoders, else decode_search fills them.
+the first solution in canonical order stays.  One Howell-form elimination
+decides each receiver and gives its decoder: the lexicographically first,
+with the last input most significant over a field and the first over Z(p^k).
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ from .rings import (
     factorize,
     format_element,
     format_ring,
+    inverse,
     is_prime,
     mul,
+    neg,
     one,
     parse_element,
     parse_ring,
@@ -67,7 +70,6 @@ from .rings import (
 )
 
 DEFAULT_BUDGET = 2**26
-DECODE_GUARD = 2**24
 CHOOSE_TWO_MAX_N = 12
 
 
@@ -96,15 +98,6 @@ class Network:
     edges: tuple[Edge, ...]
     messages: tuple[Message, ...]
     receivers: tuple[Receiver, ...]
-
-    def in_edges(self, node: str) -> list[Edge]:
-        return sorted((e for e in self.edges if e.head == node), key=lambda e: e.id)
-
-    def node_inputs(self, node: str) -> list[tuple[str, str]]:
-        """Inputs of a node: ("msg", id) entries first, then ("edge", id)."""
-        msgs = sorted(m.id for m in self.messages if m.source == node)
-        ins = [e.id for e in self.in_edges(node)]
-        return [("msg", m) for m in msgs] + [("edge", e) for e in ins]
 
     def message_ids(self) -> list[str]:
         return sorted(m.id for m in self.messages)
@@ -190,7 +183,7 @@ def _layout(net: Network) -> tuple[list[Edge], dict[str, list[tuple[str, str]]]]
         raise ValueError("invalid network: " + "; ".join(defects))
     rank = {node: i for i, node in enumerate(order)}
     edges = sorted(net.edges, key=lambda e: (rank[e.tail], e.id))
-    inputs_of: dict[str, list] = {node: [] for node in net.nodes}  # node_inputs
+    inputs_of: dict[str, list] = {node: [] for node in net.nodes}
     for m in sorted(net.messages, key=lambda m: m.id):
         inputs_of[m.source].append(("msg", m.id))
     for e in sorted(net.edges, key=lambda e: e.id):
@@ -331,67 +324,62 @@ def decode_search(
 ) -> tuple[RingElement, ...] | None:
     """Coefficients c with sum(c_i * row_i) = unit vector of target, if any.
 
-    Over a field the system is solved by Gaussian elimination; over other
-    rings the coefficient tuples are searched exhaustively in canonical
-    element order and the first hit is returned.
+    spec must be a field or Z(p^k), else ValueError.  c is the
+    lexicographically first in canonical element order, with the last input
+    most significant over a field and the first over Z(p^k); it comes from
+    _first_decoders on rings arithmetic, so no element tables are built.
     """
+    if not (_is_field(spec) or isinstance(spec, IntegersMod) and len(factorize(spec.n)) == 1):
+        raise ValueError(f"decode_search needs a field or Z(p^k), not {format_ring(spec)}")
     if not rows:
         return None
-    msg_ids = sorted(rows[0].coefficients.keys())
-    unit = _unit(target, msg_ids, spec)
-    if _is_field(spec):
-        return _decode_eliminate(rows, unit, msg_ids, spec)
-    r = len(rows)
-    size = ring_size(spec)
-    if r > 4 and size**r > DECODE_GUARD:
-        raise GuardExceeded(
-            f"brute-force decode space {size}^{r} exceeds {DECODE_GUARD}"
-        )
-    for combo in itertools.product(elements(spec), repeat=r):
-        if _combination_is(combo, rows, unit):
-            return combo
-    return None
+    msg_ids, q, z = sorted(rows[0].coefficients), ring_size(spec), zero(spec)
+    vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
+    unit = tuple(_unit(target, msg_ids, spec).coefficients.values())
+    if isinstance(spec, GaloisField):  # every nonzero element is a unit
+        arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
+    else:  # payloads are the integer values
+        el = functools.partial(RingElement, spec)
+        arith = (lambda a: math.gcd(a.payload, q), lambda a, w: (el(pow(a.payload // w, -1, q)), el(q // w % q)),
+                 lambda a, w: el(-(a.payload // w) % q))
+    plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
+    found = _first_decoders(vecs, [unit], _is_field(spec), (z, neg(one(spec)), plus, scaled, *arith))
+    return found and found[0]
 
 
-def _decode_eliminate(rows, unit, msg_ids, spec):
-    """Solve sum c_i row_i = unit over a field: eliminate on A c = b with
-    A[msg][i] = row_i[msg]."""
-    from .rings import inverse, neg
+def _first_decoders(rows, targets, last_first, ops):
+    """Per target t, the lexicographically first c with sum(c_i * rows[i]) = t,
+    with the last input most significant if last_first, else the first; None
+    if a target has none.
 
-    n_eq = len(msg_ids)
-    n_var = len(rows)
-    aug = [
-        [rows[i].coefficients[m] for i in range(n_var)] + [unit.coefficients[m]]
-        for m in msg_ids
-    ]
-    zero_e = zero(spec)
-    pivots = []
-    row_at = 0
-    for col in range(n_var):
-        pivot = next(
-            (r for r in range(row_at, n_eq) if aug[r][col] != zero_e), None
-        )
-        if pivot is None:
-            continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv = inverse(aug[row_at][col])
-        aug[row_at] = [mul(inv, v) for v in aug[row_at]]
-        for r in range(n_eq):
-            if r != row_at and aug[r][col] != zero_e:
-                factor = aug[r][col]
-                aug[r] = [
-                    add(v, mul(neg(factor), w))
-                    for v, w in zip(aug[r], aug[row_at])
-                ]
-        pivots.append(col)
-        row_at += 1
-    for r in range(row_at, n_eq):
-        if aug[r][n_var] != zero_e:
-            return None
-    out = [zero(spec)] * n_var
-    for r, col in enumerate(pivots):
-        out[col] = aug[r][n_var]
-    return tuple(out)
+    Howell-form elimination on [rows | -I] over a field or Z(p^k) (Howell
+    1986; Storjohann and Mulders 1998): a column's pivot is its entry of least
+    valuation v, scaled to p^v, and p^(k-v) times the pivot row is fed back.
+    Each (t | 0), reduced along but never a pivot, ends as (0 | c), c in least
+    residues, iff t is decodable.  ops = (zero, minus_one, plus, scaled, val,
+    split, cancel); for a != 0, val(a) = w is p^v as an integer, split(a, w)
+    = (u, p^(k-v)) for a unit u with u*a = p^v, and cancel(a, w) is the c
+    making a + c*p^v the least residue of a modulo p^v.
+    """
+    zero, minus_one, plus, scaled, val, split, cancel = ops
+    order = range(len(rows))[::-1] if last_first else range(len(rows))  # most significant first
+    todo = [row + tuple(minus_one if i == k else zero for k in order) for i, row in enumerate(rows)]
+    done = [t + (zero,) * len(rows) for t in targets]
+    for j in range(len(todo[0]) if todo else 0):
+        live = [v for v in todo if v[j] != zero]
+        if live:
+            first = min(live, key=lambda v: val(v[j])) if len(live) > 1 else live[0]
+            live.remove(first)
+            w = val(first[j])
+            u, f = split(first[j], w)
+            pivot = scaled(u, first)
+            todo = [v for v in todo if v[j] == zero] + [plus(v, scaled(cancel(v[j], w), pivot)) for v in live]
+            done = [plus(v, scaled(cancel(v[j], w), pivot)) if v[j] != zero else v for v in done]
+            if f != zero:  # the feedback row, zero at column j
+                todo.append(scaled(f, pivot))
+    if any(v[:len(t)] != (zero,) * len(t) for t, v in zip(targets, done)):
+        return None
+    return [v[len(t):][::-1] if last_first else v[len(t):] for t, v in zip(targets, done)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,38 +542,9 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     def plus(u, v):  # add_t[a][b] for a, b in zip(u, v)
         return tuple(map(list.__getitem__, map(add_t.__getitem__, u), v))
 
-    def reduced(v, basis):  # v minus its components along an echelon basis
-        for j, b in basis:
-            if v[j]:
-                v = plus(v, scaled(neg_t[v[j]], b))
-        return v
-
-    def field_decoders(rows, targets):  # decode_search's decoder per target, or None
-        # each row is extended by its unit vector, which records the rows a reduced
-        # vector combines; rows dependent on earlier ones pivot nowhere and get 0
-        r, m, basis, out = len(rows), len(msg_ids), [], []
-        for i, row in enumerate(rows):
-            v = reduced(row + tuple(unit if k == i else 0 for k in range(r)), basis)
-            j = next((j for j in range(m) if v[j]), None)
-            if j is not None:
-                basis.append((j, scaled(inv_t[v[j]], v)))
-        for t in targets:
-            v = reduced(t + (0,) * r, basis)
-            if any(v[:m]):
-                return None
-            out.append(tuple(neg_t[c] for c in v[m:]))
-        return out
-
-    def ring_decodes(rows, targets):  # True if targets lie in the span of rows, else None
-        if len(rows) > 4 and q ** len(rows) > DECODE_GUARD:  # decode_search's guard
-            raise GuardExceeded(f"brute-force decode space {q}^{len(rows)} exceeds {DECODE_GUARD}")
-        span = {scaled(c, rows[0]) for c in range(q)}
-        for row in rows[1:]:
-            multiples = {scaled(c, row) for c in range(q)}
-            span = {plus(s, m) for s in span for m in multiples}
-        return all(t in span for t in targets) or None
-
-    decodes = field_decoders if _is_field(spec) else ring_decodes
+    val = lambda a: 1 if inv_t[a] is not None else math.gcd(a, q)  # non-units: Z(p^k) integers
+    ops = (0, neg_t[unit], plus, scaled, val, lambda a, w: (inv_t[a // w], q // w % q), lambda a, w: neg_t[a // w])
+    field = _is_field(spec)
     decode_cache: dict = {}
 
     def decoders_of(recv: Receiver):  # None if recv cannot decode its demands
@@ -593,7 +552,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         key = (recv.demands, rows)
         if key not in decode_cache:
             targets = [vec_of[("msg", d)] for d in recv.demands]
-            decode_cache[key] = decodes(rows, targets) if rows else None
+            decode_cache[key] = _first_decoders(rows, targets, field, ops)
         return decode_cache[key]
 
     chosen: dict[str, tuple[int, ...]] = {}
@@ -621,7 +580,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
 
     if not descend(0):
         return None, None
-    if decodes is ring_decodes:
+    if not field:
         return chosen, None
     recvs = net.receivers
     return chosen, {(r.node, d): cs for r in recvs for d, cs in zip(r.demands, decoders_of(r))}

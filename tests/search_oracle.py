@@ -1,10 +1,10 @@
-"""The solver's search on RingElement values, kept as an oracle.
+"""The solver's search and decoding on RingElement values, kept as oracles.
 
-``network._search`` runs on element indices; this is the same depth-first
-search in the same canonical coefficient order, without the kernel's
-unit-orbit pruning, written on ``RingElement`` arithmetic and
-``decode_search``.  It accepts any catalog ring, products and
-D(p) included, so it also serves as the plain search on rings that
+``network._search`` runs on element indices; ``search`` is the same
+depth-first search in the same canonical coefficient order, without the
+kernel's unit-orbit pruning, written on ``RingElement`` arithmetic and the
+exhaustive ``decode``.  Both accept any catalog ring, products and D(p)
+included, so ``search`` also serves as the plain search on rings that
 ``solve_brute`` splits or reduces.
 """
 
@@ -15,16 +15,33 @@ from ringcode.network import (
     ScalarLinearCode,
     TransferVector,
     _checked,
+    _combination_is,
     _combine,
+    _is_field,
     _unit,
-    decode_search,
 )
 from ringcode.rings import elements, one, zero
 
 
+def decode(rows, target, spec):
+    """The first c in canonical order with sum(c_i * row_i) = unit vector of
+    target, or None, by trying every coefficient tuple.  The last input is
+    the most significant over a field and the first over any other ring:
+    over fields and Z(p^k), the normal form of decode_search."""
+    if not rows:
+        return None
+    last_first = _is_field(spec)
+    unit = _unit(target, sorted(rows[0].coefficients), spec)
+    for combo in itertools.product(elements(spec), repeat=len(rows)):
+        combo = combo[::-1] if last_first else combo
+        if _combination_is(combo, rows, unit):
+            return combo
+    return None
+
+
 def search(net, spec, layout):
     """First scalar linear solution over spec in canonical coefficient order,
-    with decoders from decode_search, or None."""
+    with decoders from decode, or None."""
     edges, inputs_of = layout
     msg_ids = net.message_ids()
     searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
@@ -60,7 +77,7 @@ def search(net, spec, layout):
             return decode_cache[key]
         found = {}
         for demand in recv.demands:
-            coeffs = decode_search(rows, demand, spec)
+            coeffs = decode(rows, demand, spec)
             if coeffs is None:
                 found = None
                 break

@@ -2,11 +2,23 @@
 
 import io
 import json
+import time
 
 import pytest
 
 from ringcode import cli
-from ringcode.network import network_from_json, two_six
+from ringcode.network import (
+    Edge,
+    Message,
+    Network,
+    Receiver,
+    code_from_json,
+    dump_json,
+    network_from_json,
+    network_to_json,
+    two_six,
+    verify,
+)
 
 
 def run_cli(*argv):
@@ -105,11 +117,13 @@ class TestDominanceCommands:
         assert run_cli("dominance", "zmod", "--left", "Z(4)", "--right", "Z(8)")[0] == 1
         assert run_cli("dominance", "zmod", "--left", "GF(4)", "--right", "Z(8)")[0] == 2
 
-    def test_catalog_unknown(self):
+    def test_catalog_characteristic_rule(self):
         code, out = run_cli(
             "dominance", "catalog", "--left", "GF(4)", "--right", "Z(4)"
         )
-        assert code == 1 and "UNKNOWN" in out
+        assert (code, out) == (
+            1, "left⪯right: NO (characteristic witness c=2: 2 | c but 4 does not divide c)\n"
+        )
 
     def test_zmod_size_guard_before_factoring(self, capsys):
         # factoring this modulus by trial division takes tens of seconds
@@ -232,6 +246,26 @@ class TestNetworkCommands:
         )
         assert code == 0
         assert json.loads(out)["ring"] == "GF(2^2)xGF(3)"
+
+    @pytest.mark.parametrize("messages", [["x"], ["x", "y"]])
+    def test_solve_receiver_with_six_inputs(self, tmp_path, messages):
+        # six parallel edges into one receiver: relays of x, or combinations
+        # of x and y; its decoders over Z(32) are found by elimination, not
+        # by enumerating 32^6 of them
+        net = Network(
+            ("s", "r"),
+            tuple(Edge(f"e{i}", "s", "r") for i in range(1, 7)),
+            tuple(Message(m, "s") for m in messages),
+            (Receiver("r", tuple(messages)),),
+        )
+        path = tmp_path / "six.json"
+        path.write_text(dump_json(network_to_json(net)))
+        start = time.perf_counter()
+        code, out = run_cli(
+            "network", "solve", "--file", str(path), "--ring", "Z(32)", "--budget", "2^64"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and verify(net, code_from_json(json.loads(out)))
 
     @pytest.mark.parametrize(
         "budget", ["2^100000000000000", "10^400", "2^1024", "1025^103", "2^-3"]

@@ -36,6 +36,41 @@ DOM = Relation.DOMINATES
 NOT = Relation.NOT_DOMINATES
 UNK = Relation.UNKNOWN
 
+CATALOG = (
+    "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(16)",
+    "GF(32)", "Z(4)", "Z(6)", "Z(8)", "Z(9)", "Z(12)", "Z(20)", "D(2)", "D(3)",
+    "GF(2)xGF(2)", "GF(2)xGF(3)", "GF(4)xGF(2)", "GF(4)xGF(3)", "GF(8)xGF(4)",
+    "GF(9)xGF(3)", "Z(4)xGF(3)", "D(2)xGF(3)", "GF(2)xGF(2)xGF(2)",
+)
+RULE_GRID = (
+    "DNDNNDNDDNNNNNNDNDNDNDNNND",
+    "NDNNNNDNNNNNNNNNDNNNNNDNNN",
+    "NNDNNNNDNUNUUNNNNNNNNNNNNN",
+    "NNNDNNNNNNNNNNNNNNNNNNNNNN",
+    "NNNNDNNNNNNNNNNNNNNNNNNNNN",
+    "NNNNNDNNNUNUUNNNNNNNNNNNNN",
+    "NNNNNNDNNUNUUNNNNNNNNNNNNN",
+    "NNNNNNNDNUNUUNNNNNNNNNNNNN",
+    "NNNNNNNNDUNUUNNNNNNNNNNNNN",
+    "DNDNNDUDDDNNNNNDNDNDNDNNND",
+    "DDDNNDDDDNDNNNNDDDDDDDDNDD",
+    "DNDNNDUDDDNDNNNDNDNDNDNNND",
+    "NDUNNUDUUNNNDNNNDNNNUUDNNN",
+    "DDDNNDDDDDDNNDNDDDDDDDDDDD",
+    "DNDDNDUDDDNNNNDDNDNDNDNNND",
+    "DNDNNDNDDNNNNNNDNDNDNDNNND",
+    "NDNNNNDNNNNNNNNNDNNNNNDNNN",
+    "DNDNNDNDDUNUUNNDNDNDNDNNND",
+    "DDDNNDDDDNDNNNNDDDDDDDDNDD",
+    "DNDNNDNDDUNUUNNDNDNDNDNNND",
+    "NDDNNNDDNUNUUUNNDNNNDNDUNN",
+    "NNDNNDNDNUNUUNNNNNNNNDNNNN",
+    "NDNNNNDNNUNUUUNNDNNNNNDUNN",
+    "DDDNNDDDDDDNNDNDDDDDDDDDDD",
+    "DDDNNDDDDNDNNNNDDDDDDDDNDD",
+    "DNDNNDNDDUNUUNNDNDNDNDNNND",
+)
+
 
 def pr(assignment: dict) -> PartitionRing:
     return PartitionRing(
@@ -182,11 +217,29 @@ class TestCatalogEngine:
         s = Product((galois_field(2, 2), PrimeField(2)))
         assert catalog_dominates(s, galois_field(2, 2)).relation is DOM
 
-    def test_unknown_for_field_vs_zlocal(self):
-        v = catalog_dominates(galois_field(2, 2), IntegersMod(4))
-        assert v.relation is UNK
-        v = catalog_dominates(Product((PrimeField(2), PrimeField(2))), IntegersMod(8))
-        assert v.relation is UNK
+    def test_characteristic_rule_for_field_vs_zlocal(self):
+        # char(R) does not divide char(S): the characteristic-char(S) family
+        # is solvable over S only
+        for s, r, c in (
+            (galois_field(2, 2), IntegersMod(4), 2),
+            (Product((PrimeField(2), PrimeField(2))), IntegersMod(8), 2),
+            (IntegersMod(20), galois_field(3, 2), 20),
+        ):
+            v = catalog_dominates(s, r)
+            assert v.relation is NOT and check_certificate(s, r, v)
+            assert v.certificate[-1].witness_modulus == c
+
+    def test_characteristic_rule_closes_the_catalog(self):
+        # the benchmark's catalog; RULE_GRID[i][j] is the relation of
+        # CATALOG[i] against CATALOG[j] under the field, factor and Z(n) rules
+        # alone (D, N, or U where they leave the pair open).  The
+        # characteristic rule turns every U into a certified N.
+        for left, row in zip(CATALOG, RULE_GRID):
+            for right, rule in zip(CATALOG, row):
+                s, r = parse_ring(left), parse_ring(right)
+                v = catalog_dominates(s, r)
+                assert v.relation.name[0] == ("N" if rule == "U" else rule), (left, right)
+                assert check_certificate(s, r, v), (left, right)
 
     def test_z_recognition(self):
         # GF(2)xGF(3) is Z(6) in disguise; Z(4) does not divide into it

@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 import random
 import time
 
 import pytest
 
 from netcorpus import corpus, relay_chain
+from search_oracle import decode as oracle_decode
 from search_oracle import search as plain_search
 from ringcode import network as network_mod
 from ringcode.errors import BudgetExceeded, GuardExceeded
@@ -65,6 +67,11 @@ Z8 = IntegersMod(8)
 Z9 = IntegersMod(9)
 Z6 = IntegersMod(6)
 D2 = DualNumbers(2)
+
+
+def _inputs(net, node):
+    """A node's inputs: ("msg", id) entries first, then ("edge", id)."""
+    return network_mod._layout(net)[1][node]
 
 
 class TestValidate:
@@ -180,7 +187,7 @@ class TestTransfer:
                 {
                     e.id: tuple(
                         rng.choice(els)
-                        for _ in net.node_inputs(e.tail)
+                        for _ in _inputs(net, e.tail)
                     )
                     for e in net.edges
                 },
@@ -214,7 +221,7 @@ def _evaluate_pointwise(net, code, assignment):
         progressed = False
         for eid in sorted(remaining):
             e = remaining[eid]
-            inputs = net.node_inputs(e.tail)
+            inputs = _inputs(net, e.tail)
             if any(kind == "edge" and ref not in values for kind, ref in inputs):
                 continue
             acc = zero(code.ring)
@@ -251,58 +258,97 @@ class TestDecodeSearch:
 
     def test_nonfield_first_hit_order(self):
         rows = [
-            TransferVector({"x": RingElement(Z6, 1), "y": zero(Z6)}),
-            TransferVector({"x": zero(Z6), "y": RingElement(Z6, 1)}),
+            TransferVector({"x": RingElement(Z8, 1), "y": zero(Z8)}),
+            TransferVector({"x": zero(Z8), "y": RingElement(Z8, 1)}),
         ]
-        got = decode_search(rows, "x", Z6)
+        got = decode_search(rows, "x", Z8)
         # canonical order scans (0,0), (0,1), ... so (1,0) is the first hit
         assert tuple(c.payload for c in got) == (1, 0)
+        # two copies of x: the first input is the most significant over
+        # Z(p^k), the last over a field
+        for spec, want in ((Z8, (0, 1)), (GF3, (1, 0))):
+            rows = [TransferVector({"x": one(spec), "y": zero(spec)})] * 2
+            assert tuple(c.payload for c in decode_search(rows, "x", spec)) == want
 
-    def test_guard(self):
-        big = IntegersMod(64)
-        rows = [
-            TransferVector({"x": one(big), "y": zero(big)}) for _ in range(5)
+    def test_rejects_other_rings(self):
+        for spec in (Z6, D2, Product((GF2, GF2))):
+            rows = [TransferVector({"x": one(spec)})]
+            with pytest.raises(ValueError):
+                decode_search(rows, "x", spec)
+
+    @staticmethod
+    def _rows(spec, entries):
+        msgs = ("x", "y", "z")[: len(entries[0])]
+        return [
+            TransferVector({m: RingElement(spec, a) for m, a in zip(msgs, row)})
+            for row in entries
         ]
-        with pytest.raises(GuardExceeded):
-            decode_search(rows, "x", big)
+
+    def test_more_than_four_inputs(self):
+        # 64^5 and 32^6 candidate decoders, too many to enumerate; the first
+        # hits start with zeros, so the oracle still reaches them early
+        cases = [
+            (IntegersMod(64), [(16, 0), (0, 8), (7, 16), (5, 35), (15, 55)],
+             {"x": (0, 0, 1, 17, 11), "y": (0, 0, 1, 16, 7)}),
+            (IntegersMod(32), [(16, 0), (8, 16), (0, 16), (7, 20), (6, 6), (11, 25)],
+             {"x": (0, 0, 0, 3, 0, 4), "y": (0, 0, 0, 3, 3, 11)}),
+        ]
+        for spec, entries, want in cases:
+            rows = self._rows(spec, entries)
+            for target, first in want.items():
+                got = decode_search(rows, target, spec)
+                assert tuple(c.payload for c in got) == first
+                assert got == oracle_decode(rows, target, spec)
 
     def test_elimination_agrees_with_exhaustion(self):
-        """The field fast path must find a combination exactly when one
-        exists; cross-checked against full enumeration on random systems."""
+        """decode_search must return exactly the exhaustive first hit, in
+        the coordinate order of its normal form, on random systems with
+        non-units, zero and duplicate rows, and more rows than messages."""
         rng = random.Random(11)
-        for spec in (GF2, GF3, GF4, GF5):
+        rings = ("Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)",
+                 "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)")
+        for ring in rings:
+            spec = parse_ring(ring)
             els = elements(spec)
-            msgs = ["x", "y", "z"]
-            for _ in range(40):
-                n_rows = rng.randint(1, 3)
-                rows = [
-                    TransferVector({m: rng.choice(els) for m in msgs})
-                    for _ in range(n_rows)
-                ]
+            found = 0
+            for _ in range(60):
+                msgs = ["x", "y", "z"][: rng.randint(1, 3)]
+                n_rows = rng.randint(1, max(1, min(5, int(math.log(3000, len(els))))))
+                rows = []
+                for _ in range(n_rows):
+                    kind = rng.random()
+                    if kind < 0.15 and rows:
+                        rows.append(rng.choice(rows))  # duplicate
+                    elif kind < 0.25:
+                        rows.append(TransferVector(dict.fromkeys(msgs, zero(spec))))
+                    else:
+                        rows.append(TransferVector({m: rng.choice(els) for m in msgs}))
                 target = rng.choice(msgs)
                 got = decode_search(rows, target, spec)
-                exists = False
-                for combo in itertools.product(els, repeat=n_rows):
-                    good = True
-                    for m in msgs:
-                        acc = zero(spec)
-                        for c, row in zip(combo, rows):
-                            acc = add(acc, mul(c, row.coefficients[m]))
-                        want = one(spec) if m == target else zero(spec)
-                        if acc != want:
-                            good = False
-                            break
-                    if good:
-                        exists = True
-                        break
-                assert (got is not None) == exists
-                if got is not None:
-                    for m in msgs:
-                        acc = zero(spec)
-                        for c, row in zip(got, rows):
-                            acc = add(acc, mul(c, row.coefficients[m]))
-                        want = one(spec) if m == target else zero(spec)
-                        assert acc == want
+                assert got == oracle_decode(rows, target, spec), (ring, rows, target)
+                found += got is not None
+            assert 0 < found < 60, ring
+
+    def test_every_receiver_matches_the_oracle(self):
+        # each receiver of the corpus and of two-six, under random codes
+        rng = random.Random(5)
+        for ring in ("Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)",
+                     "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)"):
+            spec = parse_ring(ring)
+            els = elements(spec)
+            for net in corpus() + [two_six()]:
+                inputs_of = network_mod._layout(net)[1]
+                code = ScalarLinearCode(
+                    spec,
+                    {e.id: tuple(rng.choice(els) for _ in inputs_of[e.tail]) for e in net.edges},
+                    {},
+                )
+                vectors = transfer(net, code)
+                units = {m: network_mod._unit(m, net.message_ids(), spec) for m in net.message_ids()}
+                for recv in net.receivers:
+                    rows = [units[ref] if kind == "msg" else vectors[ref] for kind, ref in inputs_of[recv.node]]
+                    for demand in recv.demands:
+                        assert decode_search(rows, demand, spec) == oracle_decode(rows, demand, spec)
 
 
 class TestVerify:
@@ -318,7 +364,7 @@ class TestVerify:
         code = ScalarLinearCode(
             GF2,
             {
-                e.id: tuple(zero(GF2) for _ in net.node_inputs(e.tail))
+                e.id: tuple(zero(GF2) for _ in _inputs(net, e.tail))
                 for e in net.edges
             },
             {},
@@ -591,6 +637,20 @@ class TestIndexKernel:
                     assert code_to_json(got) == code_to_json(want), (net, spec)
                 compared += 1
 
+    def test_receiver_without_inputs_or_demands(self):
+        # it decodes its (no) demands, as verify and the oracle agree
+        net = Network(
+            ("s", "t", "u"),
+            (Edge("e", "s", "t"),),
+            (Message("x", "s"), Message("y", "s")),
+            (Receiver("t", ("x",)), Receiver("u", ())),
+        )
+        layout = network_mod._layout(net)
+        for spec in (GF2, Z4):
+            got = network_mod._search(net, spec, layout)
+            assert got is not None and verify(net, got)
+            assert code_to_json(got) == code_to_json(plain_search(net, spec, layout))
+
     @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
     def test_orbit_key_names_unit_orbits(self, ring):
         spec = parse_ring(ring)
@@ -680,7 +740,7 @@ def _solvable_full_space(net, spec) -> bool:
     els = elements(spec)
     edge_ids = sorted(e.id for e in net.edges)
     arities = {
-        e.id: len(net.node_inputs(e.tail)) for e in net.edges
+        e.id: len(_inputs(net, e.tail)) for e in net.edges
     }
     spaces = [
         list(itertools.product(els, repeat=arities[eid])) for eid in edge_ids
@@ -692,11 +752,11 @@ def _solvable_full_space(net, spec) -> bool:
         for recv in net.receivers:
             rows = [
                 vectors[ref]
-                for kind, ref in net.node_inputs(recv.node)
+                for kind, ref in _inputs(net, recv.node)
                 if kind == "edge"
             ]
             for demand in recv.demands:
-                coeffs = decode_search(rows, demand, spec)
+                coeffs = oracle_decode(rows, demand, spec)
                 if coeffs is None:
                     good = False
                     break
