@@ -25,8 +25,9 @@ and transfer vectors are int tuples combined through add and mul tables
 built once per search, and only when some edge combines.  An edge skips unit
 multiples of vectors tried at the same node, so only failing subtrees go and
 the first solution in canonical order stays.  One Howell-form elimination
-decides each receiver and gives its decoder: the lexicographically first,
-with the last input most significant over a field and the first over Z(p^k).
+per receiver decides all of its demands and gives a decoder for each: the
+lexicographically first, with the last input most significant over a field
+and the first over Z(p^k).
 """
 
 from __future__ import annotations
@@ -320,22 +321,26 @@ def _is_field(spec: RingSpec) -> bool:
 
 
 def decode_search(
-    rows: Sequence[TransferVector], target: str, spec: RingSpec
-) -> tuple[RingElement, ...] | None:
-    """Coefficients c with sum(c_i * row_i) = unit vector of target, if any.
+    rows: Sequence[TransferVector], demands: Sequence[str], spec: RingSpec
+) -> tuple[tuple[RingElement, ...], ...] | None:
+    """Per demand, in order, coefficients c with sum(c_i * row_i) = its unit
+    vector; None if some demand has none, () if there are no demands.
 
-    spec must be a field or Z(p^k), else ValueError.  c is the
+    spec must be a field or Z(p^k), else ValueError.  Each c is the
     lexicographically first in canonical element order, with the last input
-    most significant over a field and the first over Z(p^k); it comes from
-    _first_decoders on rings arithmetic, so no element tables are built.
+    most significant over a field and the first over Z(p^k).  One
+    _first_decoders call on rings arithmetic serves every demand of the
+    receiver, so no element tables are built.
     """
     if not (_is_field(spec) or isinstance(spec, IntegersMod) and len(factorize(spec.n)) == 1):
         raise ValueError(f"decode_search needs a field or Z(p^k), not {format_ring(spec)}")
+    if not demands:
+        return ()
     if not rows:
         return None
     msg_ids, q, z = sorted(rows[0].coefficients), ring_size(spec), zero(spec)
     vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
-    unit = tuple(_unit(target, msg_ids, spec).coefficients.values())
+    units = [tuple(_unit(d, msg_ids, spec).coefficients.values()) for d in demands]
     if isinstance(spec, GaloisField):  # every nonzero element is a unit
         arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
     else:  # payloads are the integer values
@@ -343,8 +348,8 @@ def decode_search(
         arith = (lambda a: math.gcd(a.payload, q), lambda a, w: (el(pow(a.payload // w, -1, q)), el(q // w % q)),
                  lambda a, w: el(-(a.payload // w) % q))
     plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
-    found = _first_decoders(vecs, [unit], _is_field(spec), (z, neg(one(spec)), plus, scaled, *arith))
-    return found and found[0]
+    found = _first_decoders(vecs, units, _is_field(spec), (z, neg(one(spec)), plus, scaled, *arith))
+    return None if found is None else tuple(found)
 
 
 def _first_decoders(rows, targets, last_first, ops):
@@ -458,8 +463,10 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
 
 
 def _tables(spec: RingSpec):
-    """(add, mul, neg, inverse, one) of a field or Z(n) on element indices,
-    index i standing for elements(spec)[i]; inverse[i] is None for a non-unit."""
+    """(add, mul, neg, inverse, one, val) of a field or Z(n) on element
+    indices, index i standing for elements(spec)[i]; inverse[i] is None for a
+    non-unit, and val[i] is 1 for a unit, else gcd(i, n): p^v for i of
+    valuation v in Z(p^k), and the ring size for 0."""
     if isinstance(spec, GaloisField):
         # an index's base-p digits are the payload coefficients, so addition
         # is digit by digit; multiplication adds logarithms
@@ -487,18 +494,17 @@ def _tables(spec: RingSpec):
         raise ValueError(f"no index tables for {format_ring(spec)}")
     neg_t = [row.index(0) for row in add_t]
     inv_t = [row.index(unit) if unit in row else None for row in mul_t]
-    return add_t, mul_t, neg_t, inv_t, unit
+    val = [1 if inv_t[a] is not None else math.gcd(a, q) for a in range(q)]
+    return add_t, mul_t, neg_t, inv_t, unit, val
 
 
-def _orbit_key(spec: RingSpec, tables):
+def _orbit_key(tables):
     """orbit_key(v) names the unit orbit {u*v} of an index vector over a field or
     Z(p^k) in O(len(v)): v scaled so its first entry of least valuation t becomes
     p^t (1 over a field); the units fixing p^t fix every entry of valuation >= t."""
-    _, mul_t, _, inv_t, unit = tables
-    q = len(mul_t)
-    gf = isinstance(spec, GaloisField)  # else index a is the integer a mod q
-    val = [a == 0 if gf else math.gcd(a, q) for a in range(q)]  # orders valuations
-    scaler = [inv_t[a if gf else a // val[a]] or unit for a in range(q)]  # scaler[a] * a = p^t
+    _, mul_t, _, inv_t, unit, val = tables
+    # for a != 0, a // val[a] is a unit (a non-unit index of Z(p^k) is its integer)
+    scaler = [inv_t[a // w] or unit for a, w in enumerate(val)]  # scaler[a] * a = p^t
 
     def orbit_key(v):
         least = min(v, key=val.__getitem__, default=0)
@@ -511,8 +517,8 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     """(chosen, decoders): index tuples per searched edge of the first choice
     under which every receiver decodes its demands, and over a field those of
     decode_search per (receiver, demand); (None, None) if there is none."""
-    tables = add_t, mul_t, neg_t, inv_t, unit = _tables(spec)
-    orbit_key = _orbit_key(spec, tables)
+    tables = add_t, mul_t, neg_t, inv_t, unit, val = _tables(spec)
+    orbit_key = _orbit_key(tables)
     q = len(add_t)
     msg_ids = net.message_ids()
     edge_by_id = {e.id: e for e in net.edges}
@@ -542,8 +548,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     def plus(u, v):  # add_t[a][b] for a, b in zip(u, v)
         return tuple(map(list.__getitem__, map(add_t.__getitem__, u), v))
 
-    val = lambda a: 1 if inv_t[a] is not None else math.gcd(a, q)  # non-units: Z(p^k) integers
-    ops = (0, neg_t[unit], plus, scaled, val, lambda a, w: (inv_t[a // w], q // w % q), lambda a, w: neg_t[a // w])
+    ops = (0, neg_t[unit], plus, scaled, val.__getitem__, lambda a, w: (inv_t[a // w], q // w % q), lambda a, w: neg_t[a // w])
     field = _is_field(spec)
     decode_cache: dict = {}
 
@@ -587,20 +592,20 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
 
 
 def _decoded(net: Network, code: ScalarLinearCode) -> ScalarLinearCode | None:
-    """The code with decoders from decode_search on its exact transfer
-    vectors, checked.  A receiver that cannot decode gives None when no edge
-    combines, else RuntimeError: the search or construction ensured it."""
+    """The code with decoders from one decode_search per receiver on its
+    exact transfer vectors, checked.  A receiver that cannot decode gives None
+    when no edge combines, else RuntimeError: the search or construction
+    ensured it."""
     vectors, inputs_of = _transfer(net, code)
     msg_ids = net.message_ids()
     for recv in net.receivers:
         rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, code.ring)
-        for demand in recv.demands:
-            coeffs = decode_search(rows, demand, code.ring)
-            if coeffs is None:
-                if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):
-                    raise RuntimeError(f"receiver {recv.node} cannot decode {demand}")
-                return None
-            code.decoders[(recv.node, demand)] = coeffs
+        found = decode_search(rows, recv.demands, code.ring)
+        if found is None:
+            if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):
+                raise RuntimeError(f"receiver {recv.node} cannot decode {', '.join(recv.demands)}")
+            return None
+        code.decoders.update(((recv.node, d), cs) for d, cs in zip(recv.demands, found))
     return _checked(net, code)
 
 

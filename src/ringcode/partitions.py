@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import GuardExceeded
 
@@ -43,10 +43,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-def partition(parts: Iterable[int]) -> Partition:
-    return Partition(tuple(parts))
 
 
 def parse_partition(text: str) -> Partition:

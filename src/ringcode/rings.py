@@ -1,7 +1,7 @@
 """Exact arithmetic for a fixed catalog of finite commutative rings.
 
-The catalog consists of prime fields GF(p), Galois fields GF(p^k) with an
-explicit irreducible modulus, integers modulo n, dual numbers
+The catalog consists of prime fields GF(p), Galois fields GF(p^k) over the
+lexicographically smallest irreducible modulus, integers modulo n, dual numbers
 D(p) = GF(p)[x]/<x^2>, and finite direct products of these.  Every value is
 immutable and every operation is a pure function, so everything here is safe
 to share across threads.
@@ -187,22 +187,14 @@ class PrimeField:
 class GaloisField:
     p: int
     k: int
-    modulus: tuple[int, ...] = field(default=())
+    modulus: tuple[int, ...] = field(init=False)  # find_irreducible(p, k), as format_ring assumes
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"GF({self.p}^{self.k}): {self.p} is not prime")
         if self.k < 1:
             raise ValueError("extension degree must be positive")
-        if not self.modulus:
-            object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
-        m = self.modulus
-        if len(m) != self.k + 1 or m[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if any(not 0 <= c < self.p for c in m):
-            raise ValueError("modulus coefficients out of range")
-        if not poly_is_irreducible(m, self.p):
-            raise ValueError("modulus is reducible")
+        object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,20 +394,6 @@ def _iter_elements(spec: RingSpec) -> Iterator[RingElement]:
     else:
         for combo in itertools.product(*(_iter_elements(f) for f in spec.factors)):
             yield RingElement(spec, combo)
-
-
-def payload_key(a: RingElement) -> tuple[int, ...]:
-    """Flat integer tuple realizing the lexicographic element order."""
-    p = a.payload
-    if isinstance(p, int):
-        return (p,)
-    key: list[int] = []
-    for c in p:
-        if isinstance(c, RingElement):
-            key.extend(payload_key(c))
-        else:
-            key.append(c)
-    return tuple(key)
 
 
 def _check_owner(a: RingElement, b: RingElement):
@@ -649,7 +627,7 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
             cur = one(target)
             for _ in range(p**m - 1):
                 if _eval_source_modulus(source, cur) and (
-                    root is None or payload_key(cur) < payload_key(root)
+                    root is None or cur.payload < root.payload
                 ):
                     root = cur
                 cur = mul(cur, t)

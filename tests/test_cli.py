@@ -125,6 +125,14 @@ class TestDominanceCommands:
             1, "left⪯right: NO (characteristic witness c=2: 2 | c but 4 does not divide c)\n"
         )
 
+    def test_catalog_unknown(self):
+        code, out = run_cli(
+            "dominance", "catalog", "--left", "GF(4)xZ(9)", "--right", "GF(2)"
+        )
+        assert (code, out) == (
+            1, "left⪯right: UNKNOWN (no rule settles this left side against GF(2))\n"
+        )
+
     def test_zmod_size_guard_before_factoring(self, capsys):
         # factoring this modulus by trial division takes tens of seconds
         code, out = run_cli(

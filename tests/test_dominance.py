@@ -5,8 +5,17 @@ import itertools
 import pytest
 
 from ringcode.dominance import (
+    CharacteristicObstruction,
+    DominanceVerdict,
+    EquivalenceStep,
+    FactorSelection,
+    FieldCriterion,
+    FieldViolation,
+    ModReductionStep,
+    Obligation,
     PartitionRing,
     Relation,
+    SubfieldStep,
     catalog_dominates,
     check_certificate,
     field_product_dominates,
@@ -20,6 +29,7 @@ from ringcode.dominance import (
     zmod_dominates,
 )
 from ringcode.errors import GuardExceeded
+from ringcode.network import solve_brute, two_six
 from ringcode.partitions import Partition, enumerate_partitions
 from ringcode.rings import (
     DualNumbers,
@@ -308,6 +318,75 @@ class TestCatalogEngine:
         for t in ("GF(4)", "Z(12)", "D(3)", "Z(8)", "GF(8)xGF(4)", "Z(4)xGF(3)"):
             spec = parse_ring(t)
             assert catalog_dominates(spec, spec).relation is DOM
+
+
+class TestForgedCertificates:
+    """check_certificate rejects a certificate whose claim does not hold,
+    one forgery per step kind; each pair's true certificate passes."""
+
+    @pytest.mark.parametrize(
+        "left, right, relation, steps",
+        [
+            # a field criterion with a wrong exponent: 3 does not divide 4
+            ("GF(8)", "GF(16)", DOM, (FieldCriterion(((2, 4, 3),)),)),
+            # ... citing a left exponent the left side lacks
+            ("GF(4)", "GF(16)", DOM, (FieldCriterion(((2, 4, 4),)),)),
+            # ... or a right factor the right side lacks
+            ("GF(4)", "GF(16)", DOM, (FieldCriterion(((2, 8, 2),)),)),
+            # a field violation where the divisor 2 of 4 exists
+            ("GF(4)", "GF(16)", NOT, (FieldViolation(2, 4, (2,)),)),
+            # ... on a left side that is not a product of fields
+            ("Z(4)", "GF(8)", NOT, (FieldViolation(2, 3, ()),)),
+            # ... citing a right factor the right side lacks
+            ("GF(8)", "GF(16)", NOT, (FieldViolation(2, 5, (3,)),)),
+            # a characteristic obstruction whose c is divisible by char(R)
+            ("Z(8)", "Z(4)", NOT, (CharacteristicObstruction(8, 8, 4),)),
+            # ... or not divisible by char(S)
+            ("GF(4)", "Z(4)", NOT, (CharacteristicObstruction(3, 2, 4),)),
+            # a NOT resting on no violation at all
+            ("GF(8)", "GF(16)", NOT, (SubfieldStep(2, 3, 4),)),
+            # a residue reduction and a subfield step that do not divide
+            ("Z(8)", "Z(4)", DOM, (ModReductionStep(8, 3),)),
+            ("GF(8)", "GF(16)", DOM, (SubfieldStep(2, 3, 4),)),
+            # a factor selection out of range
+            ("GF(4)xGF(2)", "GF(4)", DOM, (FactorSelection(2, "GF(2)"), SubfieldStep(2, 2, 2))),
+            ("GF(4)xGF(2)", "GF(4)", DOM, (FactorSelection(-1, "GF(2)"), SubfieldStep(2, 2, 2))),
+            # an equivalence under an unknown rule
+            ("D(2)", "GF(2)", DOM, (EquivalenceStep("frobenius", "D(2) is GF(2)"),
+                                    FieldCriterion(((2, 1, 1),)))),
+            # a step of no known kind
+            ("Z(8)", "Z(4)", DOM, (Obligation("trust me"), ModReductionStep(8, 4))),
+            # the right-hand factor Z(4)'s terminal step dropped
+            ("Z(12)", "Z(4)xGF(3)", DOM, (
+                EquivalenceStep("crt-split", "Z(12) is isomorphic to Z(4)xZ(3)"),
+                FactorSelection(1, "GF(3)"),
+                SubfieldStep(3, 1, 1),
+                FactorSelection(0, "Z(4)"),
+            )),
+        ],
+    )
+    def test_rejects(self, left, right, relation, steps):
+        s, r = parse_ring(left), parse_ring(right)
+        assert check_certificate(s, r, catalog_dominates(s, r))
+        assert not check_certificate(s, r, DominanceVerdict(relation, steps))
+
+    def test_unknown_needs_an_obligation(self):
+        s, r = parse_ring("GF(4)xZ(9)"), parse_ring("GF(2)")
+        assert not check_certificate(s, r, DominanceVerdict(UNK))
+        assert not check_certificate(s, r, DominanceVerdict(UNK, (SubfieldStep(2, 1, 1),)))
+
+
+def test_unknown_pair_is_open():
+    # no rule settles GF(4)xZ(9) against GF(2): GF(4) is no subfield of GF(2)
+    # and Z(9) has characteristic 3
+    s, r = parse_ring("GF(4)xZ(9)"), parse_ring("GF(2)")
+    v = catalog_dominates(s, r)
+    assert v == DominanceVerdict(UNK, (Obligation("no rule settles this left side against GF(2)"),))
+    assert check_certificate(s, r, v)
+    # two-six solves over the left side only, so a rule may settle the
+    # pair only as NOT
+    assert solve_brute(two_six(), s) is not None
+    assert solve_brute(two_six(), r) is None
 
 
 class TestMaximalRings:

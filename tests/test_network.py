@@ -242,39 +242,41 @@ class TestDecodeSearch:
             TransferVector({"x": one(GF2), "y": zero(GF2)}),
             TransferVector({"x": zero(GF2), "y": one(GF2)}),
         ]
-        assert decode_search(rows, "x", GF2) == (one(GF2), zero(GF2))
+        assert decode_search(rows, ["x"], GF2) == ((one(GF2), zero(GF2)),)
+        assert decode_search(rows, ["y", "x"], GF2) == ((zero(GF2), one(GF2)), (one(GF2), zero(GF2)))
+        assert decode_search([], [], GF2) == () and decode_search([], ["x"], GF2) is None
 
     def test_gf3_example(self):
         rows = [
             TransferVector({"x": RingElement(GF3, 1), "y": RingElement(GF3, 1)}),
             TransferVector({"x": RingElement(GF3, 1), "y": RingElement(GF3, 2)}),
         ]
-        got = decode_search(rows, "y", GF3)
+        (got,) = decode_search(rows, ["y"], GF3)
         assert tuple(c.payload for c in got) == (2, 1)
 
     def test_z4_nonunit(self):
         rows = [TransferVector({"x": RingElement(Z4, 2), "y": zero(Z4)})]
-        assert decode_search(rows, "x", Z4) is None
+        assert decode_search(rows, ["x"], Z4) is None
 
     def test_nonfield_first_hit_order(self):
         rows = [
             TransferVector({"x": RingElement(Z8, 1), "y": zero(Z8)}),
             TransferVector({"x": zero(Z8), "y": RingElement(Z8, 1)}),
         ]
-        got = decode_search(rows, "x", Z8)
+        (got,) = decode_search(rows, ["x"], Z8)
         # canonical order scans (0,0), (0,1), ... so (1,0) is the first hit
         assert tuple(c.payload for c in got) == (1, 0)
         # two copies of x: the first input is the most significant over
         # Z(p^k), the last over a field
         for spec, want in ((Z8, (0, 1)), (GF3, (1, 0))):
             rows = [TransferVector({"x": one(spec), "y": zero(spec)})] * 2
-            assert tuple(c.payload for c in decode_search(rows, "x", spec)) == want
+            assert tuple(c.payload for c in decode_search(rows, ["x"], spec)[0]) == want
 
     def test_rejects_other_rings(self):
         for spec in (Z6, D2, Product((GF2, GF2))):
             rows = [TransferVector({"x": one(spec)})]
             with pytest.raises(ValueError):
-                decode_search(rows, "x", spec)
+                decode_search(rows, ["x"], spec)
 
     @staticmethod
     def _rows(spec, entries):
@@ -295,10 +297,10 @@ class TestDecodeSearch:
         ]
         for spec, entries, want in cases:
             rows = self._rows(spec, entries)
-            for target, first in want.items():
-                got = decode_search(rows, target, spec)
-                assert tuple(c.payload for c in got) == first
-                assert got == oracle_decode(rows, target, spec)
+            got = decode_search(rows, list(want), spec)
+            for cs, (target, first) in zip(got, want.items()):
+                assert tuple(c.payload for c in cs) == first
+                assert cs == oracle_decode(rows, target, spec)
 
     def test_elimination_agrees_with_exhaustion(self):
         """decode_search must return exactly the exhaustive first hit, in
@@ -324,10 +326,26 @@ class TestDecodeSearch:
                     else:
                         rows.append(TransferVector({m: rng.choice(els) for m in msgs}))
                 target = rng.choice(msgs)
-                got = decode_search(rows, target, spec)
+                (got,) = decode_search(rows, [target], spec) or (None,)
                 assert got == oracle_decode(rows, target, spec), (ring, rows, target)
                 found += got is not None
             assert 0 < found < 60, ring
+
+    def test_one_call_per_receiver(self, monkeypatch):
+        # a receiver's demands share one elimination of its rows
+        calls = []
+
+        def counted(name):
+            real = getattr(network_mod, name)
+            monkeypatch.setattr(network_mod, name, lambda *a: calls.append(name) or real(*a))
+
+        counted("decode_search")
+        counted("_first_decoders")
+        assert solve_brute(choose_two(3), Z4) is not None
+        assert calls.count("decode_search") == 3  # three receivers, two demands each
+        calls.clear()
+        choose_two_field_solution(4, GF4)
+        assert calls == ["decode_search", "_first_decoders"] * 6
 
     def test_every_receiver_matches_the_oracle(self):
         # each receiver of the corpus and of two-six, under random codes
@@ -347,8 +365,9 @@ class TestDecodeSearch:
                 units = {m: network_mod._unit(m, net.message_ids(), spec) for m in net.message_ids()}
                 for recv in net.receivers:
                     rows = [units[ref] if kind == "msg" else vectors[ref] for kind, ref in inputs_of[recv.node]]
-                    for demand in recv.demands:
-                        assert decode_search(rows, demand, spec) == oracle_decode(rows, demand, spec)
+                    want = [oracle_decode(rows, d, spec) for d in recv.demands]
+                    want = None if None in want else tuple(want)
+                    assert decode_search(rows, recv.demands, spec) == want
 
 
 class TestVerify:
@@ -420,7 +439,7 @@ class TestSolveBrute:
         monkeypatch.setattr(network_mod, "_index_search", search)
         monkeypatch.setattr(
             "ringcode.network.decode_search",
-            lambda rows, target, spec: tuple(zero(spec) for _ in rows),
+            lambda rows, demands, spec: tuple(tuple(zero(spec) for _ in rows) for _ in demands),
         )
         with pytest.raises(RuntimeError):
             solve_brute(choose_two(3), Z4)
@@ -582,11 +601,13 @@ class TestIndexKernel:
     def test_tables_match_ring_arithmetic(self, ring):
         spec = parse_ring(ring)
         els = elements(spec)
-        add_t, mul_t, neg_t, inv_t, unit = network_mod._tables(spec)
+        add_t, mul_t, neg_t, inv_t, unit, val = network_mod._tables(spec)
         assert els[unit] == one(spec)
         for i, a in enumerate(els):
             assert els[neg_t[i]] == neg(a)
             assert (inv_t[i] and els[inv_t[i]]) == inverse(a)
+            assert (val[i] == 1) == (inv_t[i] is not None)
+            assert (val[i] == len(els)) == (a == zero(spec))
             for j, b in enumerate(els):
                 assert els[add_t[i][j]] == add(a, b)
                 assert els[mul_t[i][j]] == mul(a, b)
@@ -655,8 +676,8 @@ class TestIndexKernel:
     def test_orbit_key_names_unit_orbits(self, ring):
         spec = parse_ring(ring)
         tables = network_mod._tables(spec)
-        _, mul_t, _, inv_t, _ = tables
-        key = network_mod._orbit_key(spec, tables)
+        _, mul_t, _, inv_t, _, _ = tables
+        key = network_mod._orbit_key(tables)
         units = [u for u in range(len(mul_t)) if inv_t[u] is not None]
         for v in itertools.product(range(len(mul_t)), repeat=3):
             orbit = {tuple(mul_t[u][x] for x in v) for u in units}
@@ -686,7 +707,7 @@ class TestIndexKernel:
         monkeypatch.setattr(network_mod, "_index_search", search)
         # over Z(p^k) decode_search is still the boundary
         monkeypatch.setattr(
-            "ringcode.network.decode_search", lambda rows, target, spec: None
+            "ringcode.network.decode_search", lambda rows, demands, spec: None
         )
         with pytest.raises(RuntimeError):
             solve_brute(choose_two(3), Z4)

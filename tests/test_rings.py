@@ -29,6 +29,7 @@ from ringcode.rings import (
     format_ring,
     galois_field,
     inverse,
+    is_prime,
     mod_reduction,
     mul,
     neg,
@@ -426,9 +427,19 @@ class TestValidatingConstructor:
 
 
 class TestSpecValidation:
-    def test_galois_rejects_reducible_modulus(self):
-        with pytest.raises(ValueError):
-            GaloisField(2, 2, (0, 0, 1))
+    def test_galois_modulus_is_not_a_parameter(self):
+        # format_ring names no modulus, so a GF(p^k) over any other one
+        # would be read back over the default after a JSON round trip
+        with pytest.raises(TypeError):
+            GaloisField(2, 3, (1, 1, 0, 1))
+        with pytest.raises(TypeError):
+            GaloisField(2, 2, modulus=(1, 1, 1))
+        specs = [GaloisField(p, k) for p in range(2, 32) if is_prime(p)
+                 for k in range(2, 11) if p**k <= 2**10]
+        assert len(specs) == 26
+        for spec in specs:
+            assert spec.modulus == find_irreducible(spec.p, spec.k)
+            assert parse_ring(format_ring(spec)) == spec
 
     def test_prime_checks(self):
         with pytest.raises(ValueError):
