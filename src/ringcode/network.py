@@ -50,6 +50,8 @@ from .rings import (
     RingHom,
     RingSpec,
     SURJECTIVE_KINDS,
+    _field_tables,
+    _iter_elements,
     add,
     apply_hom,
     crt,
@@ -65,7 +67,6 @@ from .rings import (
     parse_element,
     parse_ring,
     ring_size,
-    smallest_generator,
     subring_inclusion,
     zero,
 )
@@ -471,16 +472,14 @@ def _tables(spec: RingSpec):
         # an index's base-p digits are the payload coefficients, so addition
         # is digit by digit; multiplication adds logarithms
         p, q = spec.p, ring_size(spec)
+        if (tables := _field_tables(p, spec.k)) is None:
+            raise GuardExceeded(f"{format_ring(spec)} is too large for index tables")
         digit = [[(a + b) % p for b in range(p)] for a in range(p)]
         add_t = digit
         for _ in range(spec.k - 1):  # append the next less significant digit
             add_t = [[x * p + d for x in row for d in ds] for row in add_t for ds in digit]
-        exp, x, g = [], one(spec), smallest_generator(spec)
-        for _ in range(q - 1):
-            exp.append(functools.reduce(lambda acc, c: acc * p + c, x.payload, 0))
-            x = mul(x, g)
+        exp = [functools.reduce(lambda acc, c: acc * p + c, x, 0) for x in tables[0]]
         log = dict(zip(exp, range(q - 1)))
-        exp += exp
         logs = [log[b] for b in range(1, q)]
         mul_t = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, logs)] for a in range(1, q)]
         unit = q // p
@@ -635,7 +634,7 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
         raise ValueError(f"field size {q} is below n - 1 = {n - 1}")
     net = choose_two(n)
     pairs = [(zero(spec), one(spec))] + [
-        (one(spec), a) for a in elements(spec)[: n - 1]
+        (one(spec), a) for a in itertools.islice(_iter_elements(spec), n - 1)
     ]
     edge_coeffs: dict[str, tuple[RingElement, ...]] = {}
     for i in range(1, n + 1):

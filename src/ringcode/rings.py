@@ -10,6 +10,12 @@ Elements are canonically encoded (residues reduced, coefficient vectors in
 little-endian order, i.e. constant term first) and enumerate in lexicographic
 payload order; all iteration orders elsewhere in the package derive from that
 order, which keeps outputs reproducible byte for byte.
+
+GF(p^k) multiplies and inverts through log/exp tables over its smallest
+generator g when it has at most FIELD_TABLE_LIMIT = 2**12 elements: exp[i] is
+the payload of g^i and log maps a nonzero payload back to i.  They are built
+once per field, on first use, by schoolbook polynomial multiplication, which
+larger fields keep using for every product.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterator
 from .errors import GuardExceeded, ParseError
 
 ENUMERATION_GUARD = 2**20
+FIELD_TABLE_LIMIT = 2**12  # larger GF(p^k) multiply polynomials: the tables grow with q
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -192,8 +199,8 @@ class GaloisField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"GF({self.p}^{self.k}): {self.p} is not prime")
-        if self.k < 1:
-            raise ValueError("extension degree must be positive")
+        if self.k < 2:
+            raise ValueError(f"GF({self.p}^{self.k}): use galois_field(p, k) or PrimeField(p) for k = 1")
         object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
 
 
@@ -397,7 +404,7 @@ def _iter_elements(spec: RingSpec) -> Iterator[RingElement]:
 
 
 def _check_owner(a: RingElement, b: RingElement):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise ValueError("elements belong to different rings")
 
 
@@ -434,9 +441,12 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     if isinstance(spec, IntegersMod):
         return RingElement(spec, (a.payload * b.payload) % spec.n)
     if isinstance(spec, GaloisField):
-        prod = _poly_mul(a.payload, b.payload, spec.p)
-        red = _poly_mod(prod, spec.modulus, spec.p)
-        return RingElement(spec, red + (0,) * (spec.k - len(red)))
+        tables = _field_tables(spec.p, spec.k)
+        if tables is None:
+            return RingElement(spec, _field_mul(a.payload, b.payload, spec))
+        exp, log = tables
+        i, j = log.get(a.payload), log.get(b.payload)
+        return RingElement(spec, (0,) * spec.k if i is None or j is None else exp[i + j])
     if isinstance(spec, DualNumbers):
         p = spec.p
         a0, a1 = a.payload
@@ -459,9 +469,13 @@ def inverse(a: RingElement) -> RingElement | None:
         except ValueError:
             return None
     if isinstance(spec, GaloisField):
+        if (tables := _field_tables(spec.p, spec.k)) is not None:
+            exp, log = tables
+            i = log.get(a.payload)
+            return None if i is None else RingElement(spec, exp[len(log) - i])
         if all(c == 0 for c in a.payload):
             return None
-        return _pow(a, ring_size(spec) - 2)
+        return _pow(a, ring_size(spec) - 2, mul, one(spec))
     if isinstance(spec, DualNumbers):
         a0, a1 = a.payload
         if a0 == 0:
@@ -477,13 +491,33 @@ def inverse(a: RingElement) -> RingElement | None:
     return RingElement(spec, tuple(comps))
 
 
-def _pow(a: RingElement, e: int) -> RingElement:
-    out = one(a.ring)
-    base = a
+def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tuple[int, ...]:
+    """Payload of a * b in GF(p^k) by polynomial multiply-and-reduce."""
+    red = _poly_mod(_poly_mul(a, b, spec.p), spec.modulus, spec.p)
+    return red + (0,) * (spec.k - len(red))
+
+
+@functools.cache
+def _field_tables(p: int, k: int) -> tuple[tuple, dict] | None:
+    """(exp, log) of GF(p^k) for g = smallest_generator: exp[i] is the payload
+    of g^i, listed twice so exp[log[a] + log[b]] needs no wrap, and log[a] is
+    i for each nonzero payload a; None above FIELD_TABLE_LIMIT.  Shared by
+    every caller, so read only."""
+    if p**k > FIELD_TABLE_LIMIT:
+        return None
+    spec = GaloisField(p, k)
+    g, exp = smallest_generator(spec).payload, [one(spec).payload]
+    for _ in range(p**k - 2):
+        exp.append(_field_mul(exp[-1], g, spec))
+    return tuple(exp + exp), {a: i for i, a in enumerate(exp)}
+
+
+def _pow(base, e: int, times, out):
+    """base^e by squaring under the product times, whose identity is out."""
     while e:
         if e & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = times(out, base)
+        base = times(base, base)
         e >>= 1
     return out
 
@@ -558,14 +592,19 @@ def _multiplicative_order_checks(q: int) -> list[int]:
 
 
 def smallest_generator(spec: PrimeField | GaloisField) -> RingElement:
-    """Lexicographically smallest generator of the multiplicative group."""
+    """Lexicographically smallest generator of the multiplicative group,
+    found on payloads so that the field tables it seeds are not needed."""
     q = ring_size(spec)
     checks = _multiplicative_order_checks(q)
-    uno = one(spec)
+    uno = one(spec).payload
+    if isinstance(spec, GaloisField):
+        times = functools.partial(_field_mul, spec=spec)
+    else:
+        times = lambda a, b: a * b % q
     for cand in _iter_elements(spec):
-        if is_zero(cand) or (cand == uno and q > 2):
+        if is_zero(cand) or (cand.payload == uno and q > 2):
             continue
-        if all(_pow(cand, e) != uno for e in checks):
+        if all(_pow(cand.payload, e, times, uno) != uno for e in checks):
             return cand
     raise RuntimeError("unreachable: finite field groups are cyclic")
 
@@ -622,7 +661,7 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
                 acc = add(acc, uno)
         else:
             g = smallest_generator(target)
-            t = _pow(g, (ring_size(target) - 1) // (p**m - 1))
+            t = _pow(g, (ring_size(target) - 1) // (p**m - 1), mul, one(target))
             root = None
             cur = one(target)
             for _ in range(p**m - 1):
@@ -805,7 +844,7 @@ def format_ring(spec: RingSpec) -> str:
     if isinstance(spec, PrimeField):
         return f"GF({spec.p})"
     if isinstance(spec, GaloisField):
-        return f"GF({spec.p})" if spec.k == 1 else f"GF({spec.p}^{spec.k})"
+        return f"GF({spec.p}^{spec.k})"
     if isinstance(spec, IntegersMod):
         return f"Z({spec.n})"
     if isinstance(spec, DualNumbers):

@@ -612,6 +612,13 @@ class TestIndexKernel:
                 assert els[add_t[i][j]] == add(a, b)
                 assert els[mul_t[i][j]] == mul(a, b)
 
+    def test_tables_refuse_fields_without_log_tables(self):
+        # q*q entries per table: GF(2^13) would need about 67 million each
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            network_mod._tables(parse_ring("GF(2^13)"))
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize(
         "ring", ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)",
                  "Z(4)", "Z(8)", "Z(9)"],
@@ -835,6 +842,17 @@ class TestConstruction:
     )
     def test_constructions_verify(self, n, spec):
         assert verify(choose_two(n), choose_two_field_solution(n, spec))
+
+    def test_large_field_takes_only_the_elements_it_uses(self):
+        spec = parse_ring("GF(2^20)")
+        start = time.perf_counter()
+        code = choose_two_field_solution(4, spec)
+        assert time.perf_counter() - start < 0.5
+        assert verify(choose_two(4), code)
+        small = galois_field(2, 4)
+        firsts = [c[1] for e, c in choose_two_field_solution(12, small).edge_coeffs.items()
+                  if e.startswith("lam") and e != "lam01"]
+        assert firsts == elements(small)[:11]
 
 
 class TestProductCode:

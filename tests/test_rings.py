@@ -3,11 +3,13 @@
 import gc
 import importlib
 import itertools
+import random
 import sys
 import weakref
 
 import pytest
 
+from ringcode import rings as rings_mod
 from ringcode.errors import GuardExceeded, ParseError
 from ringcode.rings import (
     DualNumbers,
@@ -441,6 +443,16 @@ class TestSpecValidation:
             assert spec.modulus == find_irreducible(spec.p, spec.k)
             assert parse_ring(format_ring(spec)) == spec
 
+    def test_degree_one_is_a_prime_field(self):
+        # GF(p^1) would print as GF(p) and read back as PrimeField(p)
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="PrimeField"):
+                GaloisField(p, 1)
+            assert galois_field(p, 1) == PrimeField(p)
+            assert parse_ring(format_ring(galois_field(p, 1))) == PrimeField(p)
+        with pytest.raises(ValueError):
+            GaloisField(2, 0)
+
     def test_prime_checks(self):
         with pytest.raises(ValueError):
             PrimeField(6)
@@ -450,6 +462,94 @@ class TestSpecValidation:
             IntegersMod(1)
         with pytest.raises(ValueError):
             Product(())
+
+
+def oracle_mul(a, b, spec):
+    """a * b in GF(p^k) the schoolbook way, independent of rings: add b_j
+    times a * x^j, where multiplying by x shifts and folds x^k back through
+    the modulus."""
+    p, m = spec.p, spec.modulus
+    out, shifted = [0] * spec.k, list(a)
+    for bj in b:
+        out = [(o + bj * s) % p for o, s in zip(out, shifted)]
+        top = shifted[-1]
+        shifted = [(s - top * mi) % p for s, mi in zip([0] + shifted[:-1], m)]
+    return tuple(out)
+
+
+def oracle_power(a, e, spec):
+    out = (1,) + (0,) * (spec.k - 1)
+    while e:
+        if e & 1:
+            out = oracle_mul(out, a, spec)
+        a, e = oracle_mul(a, a, spec), e >> 1
+    return out
+
+
+def oracle_generator(spec):
+    """The lexicographically smallest payload whose powers g^((q-1)/l) differ
+    from 1 for every prime l dividing q - 1 (the scan smallest_generator did
+    on rings.mul before the field tables)."""
+    q, one_ = spec.p**spec.k, (1,) + (0,) * (spec.k - 1)
+    ells = [ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
+    for cand in itertools.product(range(spec.p), repeat=spec.k):
+        if any(cand) and cand != one_:
+            if all(oracle_power(cand, (q - 1) // ell, spec) != one_ for ell in ells):
+                return cand
+
+
+def galois_fields(limit):
+    return [GaloisField(p, k) for p in range(2, limit) if is_prime(p)
+            for k in range(2, 20) if p**k <= limit]
+
+
+class TestFieldTables:
+    """GF(p^k) mul and inverse (log/exp tables up to FIELD_TABLE_LIMIT
+    elements, polynomials above) against the schoolbook oracle."""
+
+    @pytest.mark.parametrize("spec", galois_fields(256), ids=format_ring)
+    def test_exhaustive_small_fields(self, spec):
+        els = elements(spec)
+        for a in els:
+            inv = inverse(a)
+            if any(a.payload):
+                assert oracle_mul(a.payload, inv.payload, spec) == one(spec).payload
+            else:
+                assert inv is None
+            for b in els:
+                assert mul(a, b).payload == oracle_mul(a.payload, b.payload, spec)
+
+    @pytest.mark.parametrize("text", ["GF(2^10)", "GF(3^5)", "GF(5^4)", "GF(2^13)"])
+    def test_seeded_pairs(self, text):
+        spec = parse_ring(text)
+        assert (rings_mod._field_tables(spec.p, spec.k) is None) == (text == "GF(2^13)")
+        rng = random.Random(8)
+        uno = one(spec).payload
+        for _ in range(2000):
+            a, b = (tuple(rng.randrange(spec.p) for _ in range(spec.k)) for _ in "ab")
+            got = mul(RingElement(spec, a), RingElement(spec, b)).payload
+            assert got == oracle_mul(a, b, spec)
+            inv = inverse(RingElement(spec, a))
+            assert (inv is None) == (not any(a))
+            assert inv is None or oracle_mul(a, inv.payload, spec) == uno
+
+    @pytest.mark.parametrize("spec", galois_fields(2**12), ids=format_ring)
+    def test_exp_lists_the_powers_of_the_generator_twice(self, spec):
+        exp, log = rings_mod._field_tables(spec.p, spec.k)
+        q = spec.p**spec.k
+        nonzero = set(itertools.product(range(spec.p), repeat=spec.k)) - {(0,) * spec.k}
+        assert len(exp) == 2 * (q - 1) and exp[: q - 1] == exp[q - 1 :]
+        assert set(exp) == nonzero and len(set(exp[: q - 1])) == q - 1
+        g = smallest_generator(spec).payload
+        assert exp[0] == one(spec).payload and exp[1] == g
+        assert all(oracle_mul(x, g, spec) == y for x, y in zip(exp, exp[1:]))
+        assert len(log) == q - 1 and all(exp[i] == a for a, i in log.items())
+
+    def test_smallest_generator_matches_the_scan(self):
+        specs = galois_fields(2**10 + 1)
+        assert len(specs) == 26
+        for spec in specs:
+            assert smallest_generator(spec).payload == oracle_generator(spec)
 
 
 def test_reimport_frees_old_classes():
