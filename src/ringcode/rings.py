@@ -11,11 +11,15 @@ little-endian order, i.e. constant term first) and enumerate in lexicographic
 payload order; all iteration orders elsewhere in the package derive from that
 order, which keeps outputs reproducible byte for byte.
 
-GF(p^k) multiplies and inverts through log/exp tables over its smallest
-generator g when it has at most FIELD_TABLE_LIMIT = 2**12 elements: exp[i] is
-the payload of g^i and log maps a nonzero payload back to i.  They are built
-once per field, on first use, by schoolbook polynomial multiplication, which
-larger fields keep using for every product.
+GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes by table
+lookup over its smallest generator g: exp[i] is the payload of g^i, log maps a
+nonzero payload back to i, and the Zech logarithm zech[n] = log(1 + g^n) turns
+a sum into g^i + g^j = g^(i + zech[j - i]).  The tables also hold the elements
+g^i themselves, built over the spec galois_field returns, so add, neg, mul and
+inverse return shared elements and build none.  They are built once per field,
+on first use: exp by schoolbook polynomial multiplication, which larger fields
+keep using for every product, and zech from exp in O(q).  zero(spec) and
+one(spec) are likewise one shared constant per spec.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import GuardExceeded, ParseError
 
@@ -240,8 +244,10 @@ RingSpec = PrimeField | GaloisField | IntegersMod | DualNumbers | Product
 Payload = int | tuple
 
 
+@functools.cache
 def galois_field(p: int, k: int) -> PrimeField | GaloisField:
-    """GF(p^k) with the canonical (lex-smallest) modulus; GF(p) for k = 1."""
+    """GF(p^k) with the canonical (lex-smallest) modulus; GF(p) for k = 1.
+    One spec object per (p, k), which parse_ring and the field tables share."""
     if k == 1:
         return PrimeField(p)
     return GaloisField(p, k)
@@ -359,6 +365,7 @@ def element(spec: RingSpec, payload: Payload) -> RingElement:
     return RingElement(spec, payload)
 
 
+@functools.cache  # one shared constant per spec, here and in one
 def zero(spec: RingSpec) -> RingElement:
     if isinstance(spec, (PrimeField, IntegersMod)):
         return RingElement(spec, 0)
@@ -369,6 +376,7 @@ def zero(spec: RingSpec) -> RingElement:
     return RingElement(spec, tuple(zero(f) for f in spec.factors))
 
 
+@functools.cache
 def one(spec: RingSpec) -> RingElement:
     if isinstance(spec, (PrimeField, IntegersMod)):
         return RingElement(spec, 1)
@@ -415,9 +423,20 @@ def add(a: RingElement, b: RingElement) -> RingElement:
         return RingElement(spec, (a.payload + b.payload) % spec.p)
     if isinstance(spec, IntegersMod):
         return RingElement(spec, (a.payload + b.payload) % spec.n)
-    if isinstance(spec, (GaloisField, DualNumbers)):
+    if isinstance(spec, GaloisField):
+        if (t := _field_tables(spec.p, spec.k)) is None:
+            p = spec.p
+            return RingElement(spec, tuple((x + y) % p for x, y in zip(a.payload, b.payload)))
+        i, j = t.log.get(a.payload), t.log.get(b.payload)
+        if i is None or j is None:
+            return b if i is None else a
+        z = t.zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
+        return t.zero if z is None else t.els[i + z]
+    if isinstance(spec, DualNumbers):
         p = spec.p
-        return RingElement(spec, tuple((x + y) % p for x, y in zip(a.payload, b.payload)))
+        a0, a1 = a.payload
+        b0, b1 = b.payload
+        return RingElement(spec, ((a0 + b0) % p, (a1 + b1) % p))
     return RingElement(spec, tuple(add(x, y) for x, y in zip(a.payload, b.payload)))
 
 
@@ -427,9 +446,16 @@ def neg(a: RingElement) -> RingElement:
         return RingElement(spec, (-a.payload) % spec.p)
     if isinstance(spec, IntegersMod):
         return RingElement(spec, (-a.payload) % spec.n)
-    if isinstance(spec, (GaloisField, DualNumbers)):
+    if isinstance(spec, GaloisField):
+        if (t := _field_tables(spec.p, spec.k)) is None:
+            p = spec.p
+            return RingElement(spec, tuple((-x) % p for x in a.payload))
+        i = t.log.get(a.payload)
+        return a if i is None else t.els[i + t.neg_one]
+    if isinstance(spec, DualNumbers):
         p = spec.p
-        return RingElement(spec, tuple((-x) % p for x in a.payload))
+        a0, a1 = a.payload
+        return RingElement(spec, ((-a0) % p, (-a1) % p))
     return RingElement(spec, tuple(neg(x) for x in a.payload))
 
 
@@ -441,12 +467,10 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     if isinstance(spec, IntegersMod):
         return RingElement(spec, (a.payload * b.payload) % spec.n)
     if isinstance(spec, GaloisField):
-        tables = _field_tables(spec.p, spec.k)
-        if tables is None:
+        if (t := _field_tables(spec.p, spec.k)) is None:
             return RingElement(spec, _field_mul(a.payload, b.payload, spec))
-        exp, log = tables
-        i, j = log.get(a.payload), log.get(b.payload)
-        return RingElement(spec, (0,) * spec.k if i is None or j is None else exp[i + j])
+        i, j = t.log.get(a.payload), t.log.get(b.payload)
+        return t.zero if i is None or j is None else t.els[i + j]
     if isinstance(spec, DualNumbers):
         p = spec.p
         a0, a1 = a.payload
@@ -456,7 +480,7 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
 
 
 def is_zero(a: RingElement) -> bool:
-    return a == zero(a.ring)
+    return a.payload == zero(a.ring).payload
 
 
 def inverse(a: RingElement) -> RingElement | None:
@@ -469,10 +493,9 @@ def inverse(a: RingElement) -> RingElement | None:
         except ValueError:
             return None
     if isinstance(spec, GaloisField):
-        if (tables := _field_tables(spec.p, spec.k)) is not None:
-            exp, log = tables
-            i = log.get(a.payload)
-            return None if i is None else RingElement(spec, exp[len(log) - i])
+        if (t := _field_tables(spec.p, spec.k)) is not None:
+            i = t.log.get(a.payload)
+            return None if i is None else t.els[len(t.log) - i]
         if all(c == 0 for c in a.payload):
             return None
         return _pow(a, ring_size(spec) - 2, mul, one(spec))
@@ -497,19 +520,32 @@ def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tup
     return red + (0,) * (spec.k - len(red))
 
 
+class _FieldTables(NamedTuple):
+    """Tables of GF(p^k) over g = smallest_generator, shared by every caller
+    and so read only.  exp and els list g^i for i < q - 1 twice, so an index
+    i + j needs no wrap."""
+
+    exp: tuple  # payloads of g^i
+    log: dict  # nonzero payload -> i
+    zech: tuple  # zech[n] = log(1 + g^n), None where g^n = -1
+    neg_one: int  # log(-1): 0 for p = 2, else (q - 1) / 2
+    els: tuple  # the elements g^i over galois_field(p, k)
+    zero: RingElement
+
+
 @functools.cache
-def _field_tables(p: int, k: int) -> tuple[tuple, dict] | None:
-    """(exp, log) of GF(p^k) for g = smallest_generator: exp[i] is the payload
-    of g^i, listed twice so exp[log[a] + log[b]] needs no wrap, and log[a] is
-    i for each nonzero payload a; None above FIELD_TABLE_LIMIT.  Shared by
-    every caller, so read only."""
+def _field_tables(p: int, k: int) -> _FieldTables | None:
+    """The tables of GF(p^k), or None above FIELD_TABLE_LIMIT."""
     if p**k > FIELD_TABLE_LIMIT:
         return None
-    spec = GaloisField(p, k)
+    spec = galois_field(p, k)
     g, exp = smallest_generator(spec).payload, [one(spec).payload]
     for _ in range(p**k - 2):
         exp.append(_field_mul(exp[-1], g, spec))
-    return tuple(exp + exp), {a: i for i, a in enumerate(exp)}
+    log = {a: i for i, a in enumerate(exp)}
+    zech = tuple(log.get(((x[0] + 1) % p, *x[1:])) for x in exp)  # None only at 1 + x = 0
+    els = tuple(RingElement(spec, x) for x in exp)
+    return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, RingElement(spec, (0,) * k))
 
 
 def _pow(base, e: int, times, out):

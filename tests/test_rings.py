@@ -32,6 +32,7 @@ from ringcode.rings import (
     galois_field,
     inverse,
     is_prime,
+    is_zero,
     mod_reduction,
     mul,
     neg,
@@ -498,6 +499,15 @@ def oracle_generator(spec):
                 return cand
 
 
+def oracle_add(a, b, spec):
+    """a + b in GF(p^k) or D(p): coefficientwise mod p, independent of rings."""
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def oracle_neg(a, spec):
+    return tuple(-x % spec.p for x in a)
+
+
 def galois_fields(limit):
     return [GaloisField(p, k) for p in range(2, limit) if is_prime(p)
             for k in range(2, 20) if p**k <= limit]
@@ -535,7 +545,7 @@ class TestFieldTables:
 
     @pytest.mark.parametrize("spec", galois_fields(2**12), ids=format_ring)
     def test_exp_lists_the_powers_of_the_generator_twice(self, spec):
-        exp, log = rings_mod._field_tables(spec.p, spec.k)
+        exp, log, *_ = rings_mod._field_tables(spec.p, spec.k)
         q = spec.p**spec.k
         nonzero = set(itertools.product(range(spec.p), repeat=spec.k)) - {(0,) * spec.k}
         assert len(exp) == 2 * (q - 1) and exp[: q - 1] == exp[q - 1 :]
@@ -552,22 +562,89 @@ class TestFieldTables:
             assert smallest_generator(spec).payload == oracle_generator(spec)
 
 
+class TestFieldAddition:
+    """GF(p^k) add and neg (Zech logarithms up to FIELD_TABLE_LIMIT elements,
+    coefficients above) and D(p) add and neg against the coefficient oracle."""
+
+    @staticmethod
+    def check(a, b, spec):
+        assert add(a, b).payload == oracle_add(a.payload, b.payload, spec)
+        assert (a - b).payload == oracle_add(a.payload, oracle_neg(b.payload, spec), spec)
+        assert neg(a).payload == oracle_neg(a.payload, spec)
+        assert is_zero(a) == (not any(a.payload))
+
+    @pytest.mark.parametrize(
+        "spec", galois_fields(256) + [DualNumbers(2), DualNumbers(13)], ids=format_ring
+    )
+    def test_exhaustive_small_rings(self, spec):
+        els = elements(spec)
+        z, u = zero(spec), one(spec)
+        assert z is zero(spec) and u is one(spec)
+        assert z.payload == (0,) * len(z.payload) and u.payload[0] == 1 and not any(u.payload[1:])
+        for a in els:
+            assert add(a, z) == add(z, a) == mul(a, u) == a
+            assert mul(a, z) == z and is_zero(a + neg(a))
+            for b in els:
+                self.check(a, b, spec)
+
+    @pytest.mark.parametrize("text", ["GF(2^10)", "GF(3^5)", "GF(5^4)", "GF(2^13)"])
+    def test_seeded_pairs(self, text):
+        spec = parse_ring(text)
+        assert (rings_mod._field_tables(spec.p, spec.k) is None) == (text == "GF(2^13)")
+        rng = random.Random(9)
+        for _ in range(2000):
+            a, b = (tuple(rng.randrange(spec.p) for _ in range(spec.k)) for _ in "ab")
+            self.check(RingElement(spec, a), RingElement(spec, b), spec)
+
+    @pytest.mark.parametrize("spec", galois_fields(2**12), ids=format_ring)
+    def test_zech_table(self, spec):
+        exp, log, zech, neg_one, els, z = rings_mod._field_tables(spec.p, spec.k)
+        q = spec.p**spec.k
+        assert len(zech) == q - 1 and zech.count(None) == 1
+        assert zech.index(None) == neg_one == (0 if spec.p == 2 else (q - 1) // 2)
+        uno = (1,) + (0,) * (spec.k - 1)
+        for n, x in enumerate(exp[: q - 1]):
+            want = oracle_add(x, uno, spec)
+            assert want == z.payload if zech[n] is None else exp[zech[n]] == want
+        assert [e.payload for e in els] == list(exp) and els[: q - 1] == els[q - 1 :]
+
+    @pytest.mark.parametrize("text", ["GF(4)", "GF(2^8)", "GF(3^5)", "GF(2^13)"])
+    def test_results_are_over_the_parsed_spec(self, text):
+        spec = parse_ring(text)
+        assert spec is parse_ring(text) is galois_field(spec.p, spec.k)
+        rng = random.Random(3)
+        for _ in range(50):
+            a, b = (RingElement(spec, tuple(rng.randrange(spec.p) for _ in range(spec.k))) for _ in "ab")
+            for got in (add(a, b), a - b, neg(a), mul(a, b), a - a, mul(a, zero(spec)), inverse(a)):
+                assert got is None or got.ring is spec
+
+
 def test_reimport_frees_old_classes():
     """Nothing outside the package keeps an earlier import's classes alive
-    (typing.Union's cache did), so re-importing ringcode does not leak."""
+    (typing.Union's cache did), so re-importing ringcode does not leak; the
+    caches of galois_field, zero, one and the field tables go with their
+    module."""
     saved = {
         name: mod for name, mod in sys.modules.items()
         if name == "ringcode" or name.startswith("ringcode.")
     }
+
+    def import_and_compute():
+        rings = importlib.import_module("ringcode.rings")
+        gf4 = rings.galois_field(2, 2)
+        x = rings.element(gf4, (0, 1))  # x^2 = x + 1
+        assert rings.add(rings.mul(x, x), rings.one(gf4)) == rings.add(x, rings.zero(gf4))
+        return [weakref.ref(rings.PrimeField), weakref.ref(rings.RingElement)]
+
     refs = []
     try:
         for _ in range(3):
             for name in saved:
                 sys.modules.pop(name, None)
-            refs.append(weakref.ref(importlib.import_module("ringcode.rings").PrimeField))
+            refs += import_and_compute()
     finally:
         for name in [m for m in sys.modules if m == "ringcode" or m.startswith("ringcode.")]:
             del sys.modules[name]
         sys.modules.update(saved)
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None] * 6
