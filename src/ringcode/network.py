@@ -50,10 +50,12 @@ from .rings import (
     RingHom,
     RingSpec,
     SURJECTIVE_KINDS,
+    _check_owner,
     _field_tables,
     _iter_elements,
     add,
     apply_hom,
+    arithmetic,
     crt,
     elements,
     factorize,
@@ -242,61 +244,50 @@ def _unit(target: str, msg_ids: Sequence[str], spec: RingSpec) -> TransferVector
     return TransferVector({m: one(spec) if m == target else zero(spec) for m in msg_ids})
 
 
-def _input_vectors(inputs, vectors, msg_ids, spec) -> list[TransferVector]:
-    """Vectors of node inputs: a message's unit vector, an in-edge's transfer vector."""
-    return [
-        _unit(ref, msg_ids, spec) if kind == "msg" else vectors[ref]
-        for kind, ref in inputs
-    ]
-
-
 def _combine(coeffs, vecs, msg_ids, spec) -> TransferVector:
-    """The transfer vector sum(c_i * vec_i)."""
-    acc = dict.fromkeys(msg_ids, zero(spec))
+    """The transfer vector sum(c_i * vec_i) over spec; ValueError if a c_i is not."""
+    add, mul, _ = arithmetic(spec)
+    acc = None
     for c, vec in zip(coeffs, vecs):
-        for m in msg_ids:
-            acc[m] = add(acc[m], mul(c, vec.coefficients[m]))
-    return TransferVector(acc)
-
-
-def _combination_is(coeffs, rows, unit: TransferVector) -> bool:
-    """True iff sum(c_i * row_i) equals unit; stops at the first message that differs."""
-    for m, want in unit.coefficients.items():
-        acc = zero(want.ring)
-        for c, row in zip(coeffs, rows):
-            acc = add(acc, mul(c, row.coefficients[m]))
-        if acc != want:
-            return False
-    return True
+        _check_owner(c, spec)
+        if acc is None:  # the first term itself, not zero plus it
+            acc = {m: mul(c, vec.coefficients[m]) for m in msg_ids}
+        else:
+            for m in msg_ids:
+                acc[m] = add(acc[m], mul(c, vec.coefficients[m]))
+    return TransferVector(acc or dict.fromkeys(msg_ids, zero(spec)))
 
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    return _transfer(net, code)[0]
+    return {ref: v for (kind, ref), v in _transfer(net, code, _layout(net)).items() if kind == "edge"}
 
 
-def _transfer(net: Network, code: ScalarLinearCode):
-    """transfer's vectors, plus every node's inputs from the same layout."""
-    edges, inputs_of = _layout(net)
+def _transfer(net: Network, code: ScalarLinearCode, layout):
+    """The vector of every node input on the network's _layout: ("msg", m) is
+    the unit vector of m, built once per call, ("edge", e) the transfer vector of e."""
+    edges, inputs_of = layout
     msg_ids = net.message_ids()
-    vectors: dict[str, TransferVector] = {}
+    vectors = {("msg", m): _unit(m, msg_ids, code.ring) for m in msg_ids}
     for e in edges:
         coeffs = code.edge_coeffs.get(e.id)
         inputs = inputs_of[e.tail]
         if coeffs is None or len(coeffs) != len(inputs):
             raise ValueError(f"edge {e.id}: coefficient arity mismatch")
-        vecs = _input_vectors(inputs, vectors, msg_ids, code.ring)
-        vectors[e.id] = _combine(coeffs, vecs, msg_ids, code.ring)
-    return vectors, inputs_of
+        vectors[("edge", e.id)] = _combine(coeffs, [vectors[i] for i in inputs], msg_ids, code.ring)
+    return vectors
 
 
 def verify(net: Network, code: ScalarLinearCode) -> bool:
     """True iff every receiver's decoders recover exactly its demands."""
-    vectors, inputs_of = _transfer(net, code)
-    msg_ids = net.message_ids()
-    spec = code.ring
+    return _verify(net, code, _layout(net))
+
+
+def _verify(net: Network, code: ScalarLinearCode, layout) -> bool:
+    """verify on the network's _layout."""
+    vectors, msg_ids = _transfer(net, code, layout), net.message_ids()
     for recv in net.receivers:
-        rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, spec)
+        rows = [vectors[i] for i in layout[1][recv.node]]
         for demand in recv.demands:
             coeffs = code.decoders.get((recv.node, demand))
             if coeffs is None:
@@ -305,7 +296,7 @@ def verify(net: Network, code: ScalarLinearCode) -> bool:
                 raise ValueError(
                     f"receiver {recv.node}: decoder arity mismatch for {demand}"
                 )
-            if not _combination_is(coeffs, rows, _unit(demand, msg_ids, spec)):
+            if _combine(coeffs, rows, msg_ids, code.ring) != vectors[("msg", demand)]:
                 return False
     return True
 
@@ -424,15 +415,15 @@ def _solve(net: Network, spec: RingSpec, budget: int, layout=None):
             if code is None:
                 return None, why + [f"factor of {format_ring(spec)}"]
             solutions.append(code)
-        code = _product_code(net, solutions)
-        return (_apply_to_code(net, code, crt(code.ring, spec)) if fac else code), []
+        code = _product_code(net, solutions, layout)
+        return (_apply_to_code(net, code, crt(code.ring, spec), layout) if fac else code), []
     if isinstance(spec, DualNumbers) or (fac and fac[0][1] > 1):  # D(p), Z(p^k>p)
         residue = IntegersMod(fac[0][0]) if fac else PrimeField(spec.p)
         code, why = _solve(net, residue, budget, layout)
         if code is None:
             return None, why + [f"residue field of {format_ring(spec)}"]
         if isinstance(spec, DualNumbers):
-            return _apply_to_code(net, code, subring_inclusion(code.ring, spec)), []
+            return _apply_to_code(net, code, subring_inclusion(code.ring, spec), layout), []
     edges, inputs_of = layout
     arities = [len(inputs_of[e.tail]) for e in edges]
     required = ring_size(spec) ** sum(a for a in arities if a >= 2)
@@ -458,9 +449,9 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
         for e in net.edges
     }
     if decoders is None:  # Z(p^k), or nothing searched
-        return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}))
+        return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), layout)
     decoders = {k: tuple(domain[c] for c in cs) for k, cs in decoders.items()}
-    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders))
+    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), layout)
 
 
 def _tables(spec: RingSpec):
@@ -590,22 +581,21 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     return chosen, {(r.node, d): cs for r in recvs for d, cs in zip(r.demands, decoders_of(r))}
 
 
-def _decoded(net: Network, code: ScalarLinearCode) -> ScalarLinearCode | None:
+def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode | None:
     """The code with decoders from one decode_search per receiver on its
     exact transfer vectors, checked.  A receiver that cannot decode gives None
     when no edge combines, else RuntimeError: the search or construction
     ensured it."""
-    vectors, inputs_of = _transfer(net, code)
-    msg_ids = net.message_ids()
+    vectors, inputs_of = _transfer(net, code, layout), layout[1]
     for recv in net.receivers:
-        rows = _input_vectors(inputs_of[recv.node], vectors, msg_ids, code.ring)
+        rows = [vectors[i] for i in inputs_of[recv.node]]
         found = decode_search(rows, recv.demands, code.ring)
         if found is None:
             if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):
                 raise RuntimeError(f"receiver {recv.node} cannot decode {', '.join(recv.demands)}")
             return None
         code.decoders.update(((recv.node, d), cs) for d, cs in zip(recv.demands, found))
-    return _checked(net, code)
+    return _checked(net, code, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +603,9 @@ def _decoded(net: Network, code: ScalarLinearCode) -> ScalarLinearCode | None:
 # ---------------------------------------------------------------------------
 
 
-def _checked(net: Network, code: ScalarLinearCode) -> ScalarLinearCode:
+def _checked(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode:
     """The constructed code once verify accepts it; raises RuntimeError, also under -O."""
-    if not verify(net, code):
+    if not _verify(net, code, layout):
         raise RuntimeError("constructed code fails verify")
     return code
 
@@ -642,7 +632,7 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
     for e in net.edges:
         if e.id not in edge_coeffs:
             edge_coeffs[e.id] = (one(spec),)
-    return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}))
+    return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), _layout(net))
 
 
 def product_code(
@@ -651,15 +641,16 @@ def product_code(
     """Componentwise combination of verified solutions into one over the product ring."""
     if not solutions:
         raise ValueError("need at least one solution")
+    layout = _layout(net)
     for spec, code in solutions:
         if code.ring != spec:
             raise ValueError("listed ring does not own its code")
-        if not verify(net, code):
+        if not _verify(net, code, layout):
             raise ValueError("unverified input solution")
-    return _product_code(net, [code for _, code in solutions])
+    return _product_code(net, [code for _, code in solutions], layout)
 
 
-def _product_code(net: Network, codes: list[ScalarLinearCode]) -> ScalarLinearCode:
+def _product_code(net: Network, codes: list[ScalarLinearCode], layout) -> ScalarLinearCode:
     """product_code of codes known to verify."""
     prod = Product(tuple(code.ring for code in codes))
 
@@ -673,11 +664,11 @@ def _product_code(net: Network, codes: list[ScalarLinearCode]) -> ScalarLinearCo
 
     edge_coeffs = stack([e.id for e in net.edges], [c.edge_coeffs for c in codes])
     decoders = stack(codes[0].decoders, [c.decoders for c in codes])
-    return _checked(net, ScalarLinearCode(prod, edge_coeffs, decoders))
+    return _checked(net, ScalarLinearCode(prod, edge_coeffs, decoders), layout)
 
 
 def _apply_to_code(
-    net: Network, code: ScalarLinearCode, hom: RingHom
+    net: Network, code: ScalarLinearCode, hom: RingHom, layout
 ) -> ScalarLinearCode:
     """Map every coefficient of a code known to verify through hom, then check the image."""
     out = ScalarLinearCode(
@@ -685,7 +676,7 @@ def _apply_to_code(
         {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
         {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in code.decoders.items()},
     )
-    return _checked(net, out)
+    return _checked(net, out, layout)
 
 
 def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinearCode:
@@ -694,9 +685,9 @@ def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinear
         raise ValueError(f"hom kind {hom.kind} is not surjective")
     if code.ring != hom.source:
         raise ValueError("code ring does not match the hom source")
-    if not verify(net, code):
+    if not _verify(net, code, layout := _layout(net)):
         raise ValueError("unverified input solution")
-    return _apply_to_code(net, code, hom)
+    return _apply_to_code(net, code, hom, layout)
 
 
 def lift_subring(
@@ -707,10 +698,10 @@ def lift_subring(
     Supported inclusions: GF(p^m) into GF(p^k) for m | k, GF(p) into D(p),
     and the identity.
     """
-    if not verify(net, code):
+    if not _verify(net, code, layout := _layout(net)):
         raise ValueError("unverified input solution")
     if code.ring != target:
-        return _apply_to_code(net, code, subring_inclusion(code.ring, target))
+        return _apply_to_code(net, code, subring_inclusion(code.ring, target), layout)
     return ScalarLinearCode(target, dict(code.edge_coeffs), dict(code.decoders))
 
 

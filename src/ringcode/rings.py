@@ -20,6 +20,12 @@ inverse return shared elements and build none.  They are built once per field,
 on first use: exp by schoolbook polynomial multiplication, which larger fields
 keep using for every product, and zech from exp in O(q).  zero(spec) and
 one(spec) are likewise one shared constant per spec.
+
+Each ring's add, mul and neg are defined once, in arithmetic(spec): closures
+over the ring's state (its modulus, field tables or factors' records), built on
+first use and kept on the spec outside its equality, hash and repr.  add and
+mul check both operands' ring, then call them; network's transfer and verify
+fetch them once per call and check each coefficient's ring once.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import GuardExceeded, ParseError
 
@@ -185,8 +191,12 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+class _Spec:
+    __slots__ = ("_arithmetic",)  # set by arithmetic(spec) on first use; not a dataclass field
+
+
 @dataclass(frozen=True, slots=True)
-class PrimeField:
+class PrimeField(_Spec):
     p: int
 
     def __post_init__(self):
@@ -195,7 +205,7 @@ class PrimeField:
 
 
 @dataclass(frozen=True, slots=True)
-class GaloisField:
+class GaloisField(_Spec):
     p: int
     k: int
     modulus: tuple[int, ...] = field(init=False)  # find_irreducible(p, k), as format_ring assumes
@@ -209,7 +219,7 @@ class GaloisField:
 
 
 @dataclass(frozen=True, slots=True)
-class IntegersMod:
+class IntegersMod(_Spec):
     n: int
 
     def __post_init__(self):
@@ -218,7 +228,7 @@ class IntegersMod:
 
 
 @dataclass(frozen=True, slots=True)
-class DualNumbers:
+class DualNumbers(_Spec):
     """GF(p)[x]/<x^2>: pairs a + bx with x*x = 0."""
 
     p: int
@@ -229,7 +239,7 @@ class DualNumbers:
 
 
 @dataclass(frozen=True, slots=True)
-class Product:
+class Product(_Spec):
     factors: tuple["RingSpec", ...]
 
     def __post_init__(self):
@@ -411,72 +421,91 @@ def _iter_elements(spec: RingSpec) -> Iterator[RingElement]:
             yield RingElement(spec, combo)
 
 
-def _check_owner(a: RingElement, b: RingElement):
-    if a.ring is not b.ring and a.ring != b.ring:
+def _check_owner(a: RingElement, spec: RingSpec):
+    if a.ring is not spec and a.ring != spec:
         raise ValueError("elements belong to different rings")
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:
-    _check_owner(a, b)
-    spec = a.ring
-    if isinstance(spec, PrimeField):
-        return RingElement(spec, (a.payload + b.payload) % spec.p)
-    if isinstance(spec, IntegersMod):
-        return RingElement(spec, (a.payload + b.payload) % spec.n)
-    if isinstance(spec, GaloisField):
-        if (t := _field_tables(spec.p, spec.k)) is None:
-            p = spec.p
-            return RingElement(spec, tuple((x + y) % p for x, y in zip(a.payload, b.payload)))
-        i, j = t.log.get(a.payload), t.log.get(b.payload)
-        if i is None or j is None:
-            return b if i is None else a
-        z = t.zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
-        return t.zero if z is None else t.els[i + z]
-    if isinstance(spec, DualNumbers):
-        p = spec.p
-        a0, a1 = a.payload
-        b0, b1 = b.payload
-        return RingElement(spec, ((a0 + b0) % p, (a1 + b1) % p))
-    return RingElement(spec, tuple(add(x, y) for x, y in zip(a.payload, b.payload)))
+    _check_owner(b, a.ring)
+    return arithmetic(a.ring).add(a, b)
 
 
 def neg(a: RingElement) -> RingElement:
-    spec = a.ring
-    if isinstance(spec, PrimeField):
-        return RingElement(spec, (-a.payload) % spec.p)
-    if isinstance(spec, IntegersMod):
-        return RingElement(spec, (-a.payload) % spec.n)
-    if isinstance(spec, GaloisField):
-        if (t := _field_tables(spec.p, spec.k)) is None:
-            p = spec.p
-            return RingElement(spec, tuple((-x) % p for x in a.payload))
-        i = t.log.get(a.payload)
-        return a if i is None else t.els[i + t.neg_one]
-    if isinstance(spec, DualNumbers):
-        p = spec.p
-        a0, a1 = a.payload
-        return RingElement(spec, ((-a0) % p, (-a1) % p))
-    return RingElement(spec, tuple(neg(x) for x in a.payload))
+    return arithmetic(a.ring).neg(a)
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
-    _check_owner(a, b)
-    spec = a.ring
-    if isinstance(spec, PrimeField):
-        return RingElement(spec, (a.payload * b.payload) % spec.p)
-    if isinstance(spec, IntegersMod):
-        return RingElement(spec, (a.payload * b.payload) % spec.n)
-    if isinstance(spec, GaloisField):
-        if (t := _field_tables(spec.p, spec.k)) is None:
-            return RingElement(spec, _field_mul(a.payload, b.payload, spec))
-        i, j = t.log.get(a.payload), t.log.get(b.payload)
-        return t.zero if i is None or j is None else t.els[i + j]
+    _check_owner(b, a.ring)
+    return arithmetic(a.ring).mul(a, b)
+
+
+class Arithmetic(NamedTuple):
+    """One ring's add, mul and neg, closed over its state; they check no ownership."""
+
+    add: Callable[[RingElement, RingElement], RingElement]
+    mul: Callable[[RingElement, RingElement], RingElement]
+    neg: Callable[[RingElement], RingElement]
+
+
+def arithmetic(spec: RingSpec) -> Arithmetic:
+    """spec's Arithmetic, built on its first use and kept on spec."""
+    try:
+        return spec._arithmetic
+    except AttributeError:
+        object.__setattr__(spec, "_arithmetic", _build_arithmetic(spec))
+        return spec._arithmetic
+
+
+def _build_arithmetic(spec: RingSpec) -> Arithmetic:
+    new = functools.partial(RingElement, spec)
+    if isinstance(spec, (PrimeField, IntegersMod)):
+        n = spec.p if isinstance(spec, PrimeField) else spec.n
+        return Arithmetic(
+            lambda a, b: new((a.payload + b.payload) % n),
+            lambda a, b: new(a.payload * b.payload % n),
+            lambda a: new(-a.payload % n),
+        )
     if isinstance(spec, DualNumbers):
         p = spec.p
-        a0, a1 = a.payload
-        b0, b1 = b.payload
-        return RingElement(spec, ((a0 * b0) % p, (a0 * b1 + a1 * b0) % p))
-    return RingElement(spec, tuple(mul(x, y) for x, y in zip(a.payload, b.payload)))
+
+        def dual_mul(a, b):
+            (a0, a1), (b0, b1) = a.payload, b.payload
+            return new((a0 * b0 % p, (a0 * b1 + a1 * b0) % p))
+
+        return Arithmetic(
+            lambda a, b: new(((a.payload[0] + b.payload[0]) % p, (a.payload[1] + b.payload[1]) % p)),
+            dual_mul,
+            lambda a: new((-a.payload[0] % p, -a.payload[1] % p)),
+        )
+    if isinstance(spec, Product):  # factor by factor
+        adds, muls, negs = zip(*map(arithmetic, spec.factors))
+        return Arithmetic(
+            lambda a, b: new(tuple(f(x, y) for f, x, y in zip(adds, a.payload, b.payload))),
+            lambda a, b: new(tuple(f(x, y) for f, x, y in zip(muls, a.payload, b.payload))),
+            lambda a: new(tuple(f(x) for f, x in zip(negs, a.payload))),
+        )
+    p, t = spec.p, _field_tables(spec.p, spec.k)
+    if t is None:  # GF(p^k) above FIELD_TABLE_LIMIT: coefficient vectors
+        return Arithmetic(
+            lambda a, b: new(tuple((x + y) % p for x, y in zip(a.payload, b.payload))),
+            lambda a, b: new(_field_mul(a.payload, b.payload, spec)),
+            lambda a: new(tuple(-x % p for x in a.payload)),
+        )
+    log, zech, els, zero_, neg_one = t.log.get, t.zech, t.els, t.zero, t.neg_one
+
+    def field_add(a, b):
+        i, j = log(a.payload), log(b.payload)
+        if i is None or j is None:
+            return b if i is None else a
+        z = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
+        return zero_ if z is None else els[i + z]
+
+    def field_mul(a, b):
+        i, j = log(a.payload), log(b.payload)
+        return zero_ if i is None or j is None else els[i + j]
+
+    return Arithmetic(field_add, field_mul, lambda a: a if (i := log(a.payload)) is None else els[i + neg_one])
 
 
 def is_zero(a: RingElement) -> bool:

@@ -15,12 +15,19 @@ from ringcode.network import (
     ScalarLinearCode,
     TransferVector,
     _checked,
-    _combination_is,
-    _combine,
     _is_field,
     _unit,
 )
-from ringcode.rings import elements, one, zero
+from ringcode.rings import add, elements, mul, one, zero
+
+
+def fold(coeffs, vecs, m, spec):
+    """sum(c_i * vec_i[m]) through the public rings.add and rings.mul, which
+    check every operand's ring, so the oracle does not share network._combine."""
+    acc = zero(spec)
+    for c, vec in zip(coeffs, vecs):
+        acc = add(acc, mul(c, vec.coefficients[m]))
+    return acc
 
 
 def decode(rows, target, spec):
@@ -34,7 +41,7 @@ def decode(rows, target, spec):
     unit = _unit(target, sorted(rows[0].coefficients), spec)
     for combo in itertools.product(elements(spec), repeat=len(rows)):
         combo = combo[::-1] if last_first else combo
-        if _combination_is(combo, rows, unit):
+        if all(fold(combo, rows, m, spec) == want for m, want in unit.coefficients.items()):
             return combo
     return None
 
@@ -102,7 +109,7 @@ def search(net, spec, layout):
         e = searched[depth]
         vecs = [vec_of[f] for f in forms[e.tail]]
         for combo in choice_lists[depth]:
-            vec_of[("edge", e.id)] = _combine(combo, vecs, msg_ids, spec)
+            vec_of[("edge", e.id)] = TransferVector({m: fold(combo, vecs, m, spec) for m in msg_ids})
             if all(receiver_ok(r) is not None for r in recv_ready.get(depth, ())):
                 if descend(depth + 1):
                     chosen[e.id] = combo
@@ -120,4 +127,4 @@ def search(net, spec, layout):
         for recv in net.receivers
         for demand, coeffs in receiver_ok(recv).items()
     }
-    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders))
+    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), layout)

@@ -38,6 +38,7 @@ from ringcode.network import (
 )
 from ringcode.rings import (
     DualNumbers,
+    GaloisField,
     IntegersMod,
     PrimeField,
     Product,
@@ -278,6 +279,20 @@ class TestDecodeSearch:
             with pytest.raises(ValueError):
                 decode_search(rows, ["x"], spec)
 
+    def test_rejects_a_row_entry_from_another_ring(self):
+        # rows of the right shape over a ring equal to spec are accepted
+        for spec, other, twin in ((GF3, IntegersMod(3), PrimeField(3)), (GF4, D2, GaloisField(2, 2))):
+            rows = [TransferVector({"x": one(spec), "y": zero(spec)}), TransferVector({"x": zero(spec), "y": one(spec)})]
+            for i, m in itertools.product(range(2), "xy"):
+                for ring, raises in ((other, True), (twin, False)):
+                    moved = [TransferVector(dict(r.coefficients)) for r in rows]
+                    moved[i].coefficients[m] = RingElement(ring, rows[i].coefficients[m].payload)
+                    if raises:
+                        with pytest.raises(ValueError, match="different rings"):
+                            decode_search(moved, ["x", "y"], spec)
+                    else:
+                        assert decode_search(moved, ["x", "y"], spec) == decode_search(rows, ["x", "y"], spec)
+
     @staticmethod
     def _rows(spec, entries):
         msgs = ("x", "y", "z")[: len(entries[0])]
@@ -396,6 +411,61 @@ class TestVerify:
         broken = ScalarLinearCode(GF2, code.edge_coeffs, dict(code.decoders))
         del broken.decoders[("r01x02", "x")]
         assert not verify(net, broken)
+
+
+class TestCoefficientOwnership:
+    """verify and transfer fetch the ring's arithmetic once per call and
+    check each coefficient's ring once; the other ring of each pair has
+    payloads of the same shape, so only that check can tell them apart."""
+
+    PAIRS = [(GF3, IntegersMod(3)), (GF4, D2), (Z4, GaloisField(2, 2))]
+
+    @staticmethod
+    def _code(spec):
+        net = choose_two(3)
+        code = solve_brute(net, spec)
+        assert code is not None and code.ring == spec
+        return net, code
+
+    @staticmethod
+    def _swapped(coeffs, i, other):
+        return coeffs[:i] + (RingElement(other, coeffs[i].payload),) + coeffs[i + 1:]
+
+    @pytest.mark.parametrize("spec, other", PAIRS)
+    def test_wrong_ring_edge_coefficient_raises(self, spec, other):
+        net, code = self._code(spec)
+        for e, coeffs in code.edge_coeffs.items():
+            for i in range(len(coeffs)):
+                edges = {**code.edge_coeffs, e: self._swapped(coeffs, i, other)}
+                bad = ScalarLinearCode(spec, edges, code.decoders)
+                with pytest.raises(ValueError, match="different rings"):
+                    transfer(net, bad)
+                with pytest.raises(ValueError, match="different rings"):
+                    verify(net, bad)
+
+    @pytest.mark.parametrize("spec, other", PAIRS)
+    def test_wrong_ring_decoder_coefficient_raises(self, spec, other):
+        net, code = self._code(spec)
+        assert verify(net, code)
+        for key, coeffs in code.decoders.items():
+            for i in range(len(coeffs)):
+                decoders = {**code.decoders, key: self._swapped(coeffs, i, other)}
+                with pytest.raises(ValueError, match="different rings"):
+                    verify(net, ScalarLinearCode(spec, code.edge_coeffs, decoders))
+
+    @pytest.mark.parametrize("spec, twin", [
+        (GF3, PrimeField(3)), (GF4, GaloisField(2, 2)), (Z4, IntegersMod(4)),
+        (Product((GF2, GF3)), Product((PrimeField(2), PrimeField(3)))),
+    ])
+    def test_equal_ring_of_another_object_is_accepted(self, spec, twin):
+        net, code = self._code(spec)
+        assert twin == code.ring and twin is not code.ring
+        retyped = {e: tuple(RingElement(twin, c.payload) for c in cs) for e, cs in code.edge_coeffs.items()}
+        decoders = {k: tuple(RingElement(twin, c.payload) for c in cs) for k, cs in code.decoders.items()}
+        for ring, edges, decs in ((code.ring, retyped, decoders), (twin, code.edge_coeffs, code.decoders)):
+            mixed = ScalarLinearCode(ring, edges, decs)
+            assert transfer(net, mixed) == transfer(net, code)
+            assert verify(net, mixed)
 
 
 class TestSolveBrute:
@@ -751,9 +821,9 @@ class TestIndexKernel:
     def test_each_routed_code_is_verified_once(self, monkeypatch):
         # Z(12): searches over Z(2), Z(4) and Z(3), their product, its crt image
         calls = []
-        original = network_mod.verify
+        original = network_mod._verify
         monkeypatch.setattr(
-            network_mod, "verify", lambda net, code: calls.append(code.ring) or original(net, code)
+            network_mod, "_verify", lambda net, code, layout: calls.append(code.ring) or original(net, code, layout)
         )
         code = solve_brute(choose_two(3), IntegersMod(12))
         assert code.ring == IntegersMod(12)

@@ -20,6 +20,7 @@ from ringcode.rings import (
     RingElement,
     add,
     apply_hom,
+    arithmetic,
     canonicalize,
     characteristic,
     crt,
@@ -617,6 +618,73 @@ class TestFieldAddition:
             a, b = (RingElement(spec, tuple(rng.randrange(spec.p) for _ in range(spec.k))) for _ in "ab")
             for got in (add(a, b), a - b, neg(a), mul(a, b), a - a, mul(a, zero(spec)), inverse(a)):
                 assert got is None or got.ring is spec
+
+
+def oracle_ops(spec):
+    """(add, mul, neg) on payloads, independent of rings: residues mod n,
+    D(p) in closed form, GF(p^k) by the coefficient and schoolbook oracles,
+    and a product factor by factor on component payloads."""
+    if isinstance(spec, (PrimeField, IntegersMod)):
+        n = ring_size(spec)
+        return (lambda a, b: (a + b) % n), (lambda a, b: a * b % n), (lambda a: -a % n)
+    if isinstance(spec, DualNumbers):
+        p = spec.p
+        return (lambda a, b: oracle_add(a, b, spec),
+                lambda a, b: (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p),
+                lambda a: oracle_neg(a, spec))
+    if isinstance(spec, GaloisField):
+        return (lambda a, b: oracle_add(a, b, spec), lambda a, b: oracle_mul(a, b, spec),
+                lambda a: oracle_neg(a, spec))
+    ops = [oracle_ops(f) for f in spec.factors]
+    return (lambda a, b: tuple(o[0](x.payload, y.payload) for o, x, y in zip(ops, a, b)),
+            lambda a, b: tuple(o[1](x.payload, y.payload) for o, x, y in zip(ops, a, b)),
+            lambda a: tuple(o[2](x.payload) for o, x in zip(ops, a)))
+
+
+def flat(a):
+    """A payload with every product component replaced by its own payload."""
+    return tuple(flat(c) for c in a.payload) if isinstance(a.ring, Product) else a.payload
+
+
+class TestBoundArithmetic:
+    """Each ring kind's Arithmetic record, the closures that verify and
+    decode_search call without ownership checks, against the oracles above:
+    every pair for rings of at most 64 elements, 2,000 seeded pairs above."""
+
+    RINGS = ["GF(7)", "Z(12)", "Z(1000)", "D(5)", "D(13)", "GF(2^5)", "GF(2^8)", "GF(3^5)",
+             "GF(2^13)", "GF(3^8)", "GF(4)x(Z(4)xD(2))", "GF(2^8)xGF(3^5)", "GF(2^13)xZ(9)"]
+
+    @pytest.mark.parametrize("text", RINGS)
+    def test_against_the_oracles(self, text):
+        spec = Product((GF4, Product((Z4, D2)))) if text == "GF(4)x(Z(4)xD(2))" else parse_ring(text)
+        ops, want = arithmetic(spec), oracle_ops(spec)
+        assert ops is arithmetic(spec)
+        if ring_size(spec) <= 64:
+            pairs = itertools.product(elements(spec), repeat=2)
+        else:
+            rng = random.Random(10)
+            pairs = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(2000)]
+        for a, b in pairs:
+            for got, expected in ((ops.add(a, b), want[0](a.payload, b.payload)),
+                                  (ops.mul(a, b), want[1](a.payload, b.payload)),
+                                  (ops.neg(a), want[2](a.payload))):
+                assert got.ring == spec and flat(got) == expected
+            assert ops.add(a, b) == add(a, b) and ops.mul(a, b) == mul(a, b) and ops.neg(a) == neg(a)
+
+    def test_kept_on_the_spec_outside_equality_hash_and_repr(self):
+        fresh, other = IntegersMod(77), IntegersMod(77)
+        assert arithmetic(fresh) is arithmetic(fresh) is not arithmetic(other)
+        assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == "IntegersMod(n=77)"
+        assert {fresh: 1}[other] == 1
+
+
+def random_element(spec, rng):
+    if isinstance(spec, Product):
+        return RingElement(spec, tuple(random_element(f, rng) for f in spec.factors))
+    if isinstance(spec, (PrimeField, IntegersMod)):
+        return RingElement(spec, rng.randrange(ring_size(spec)))
+    k = spec.k if isinstance(spec, GaloisField) else 2
+    return RingElement(spec, tuple(rng.randrange(spec.p) for _ in range(k)))
 
 
 def test_reimport_frees_old_classes():
