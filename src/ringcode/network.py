@@ -22,16 +22,20 @@ of the space.
 
 The search runs on integers: each element is its index in elements(spec),
 and transfer vectors are int tuples combined through add and mul tables
-built once per search, and only when some edge combines.  An edge skips unit
-multiples of vectors tried at the same node, so only failing subtrees go and
+built once per search, and only when some edge combines.  A node tries, in
+canonical order, the first coefficient tuple of each unit orbit of its
+edge's span; that list depends only on the edge's input vectors, so it is
+made once per input tuple and extended lazily.  Only failing subtrees go and
 the first solution in canonical order stays.  One Howell-form elimination
 per receiver decides all of its demands and gives a decoder for each: the
 lexicographically first, with the last input most significant over a field
-and the first over Z(p^k).
+and the first over Z(p^k).  It stops at the first message column that a
+demand's unit vector cannot reach.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import json
@@ -318,7 +322,8 @@ def decode_search(
     """Per demand, in order, coefficients c with sum(c_i * row_i) = its unit
     vector; None if some demand has none, () if there are no demands.
 
-    spec must be a field or Z(p^k), else ValueError.  Each c is the
+    spec must be a field or Z(p^k), every row over the same messages and
+    every demand one of them, else ValueError.  Each c is the
     lexicographically first in canonical element order, with the last input
     most significant over a field and the first over Z(p^k).  One
     _first_decoders call on rings arithmetic serves every demand of the
@@ -331,6 +336,10 @@ def decode_search(
     if not rows:
         return None
     msg_ids, q, z = sorted(rows[0].coefficients), ring_size(spec), zero(spec)
+    if bad := [i for i, row in enumerate(rows) if row.coefficients.keys() != rows[0].coefficients.keys()]:
+        raise ValueError(f"row {bad[0]} is over other messages than row 0, which is over {', '.join(msg_ids)}")
+    if bad := [d for d in demands if d not in msg_ids]:
+        raise ValueError(f"unknown demand {bad[0]}: the rows are over {', '.join(msg_ids)}")
     vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
     units = [tuple(_unit(d, msg_ids, spec).coefficients.values()) for d in demands]
     if isinstance(spec, GaloisField):  # every nonzero element is a unit
@@ -353,16 +362,17 @@ def _first_decoders(rows, targets, last_first, ops):
     1986; Storjohann and Mulders 1998): a column's pivot is its entry of least
     valuation v, scaled to p^v, and p^(k-v) times the pivot row is fed back.
     Each (t | 0), reduced along but never a pivot, ends as (0 | c), c in least
-    residues, iff t is decodable.  ops = (zero, minus_one, plus, scaled, val,
-    split, cancel); for a != 0, val(a) = w is p^v as an integer, split(a, w)
-    = (u, p^(k-v)) for a unit u with u*a = p^v, and cancel(a, w) is the c
-    making a + c*p^v the least residue of a modulo p^v.
+    residues, iff t is decodable; a target left nonzero at a message column
+    stays so, and the elimination stops there.  ops = (zero, minus_one, plus,
+    scaled, val, split, cancel); for a != 0, val(a) = w is p^v as an integer,
+    split(a, w) = (u, p^(k-v)) for a unit u with u*a = p^v, and cancel(a, w)
+    is the c making a + c*p^v the least residue of a modulo p^v.
     """
     zero, minus_one, plus, scaled, val, split, cancel = ops
     order = range(len(rows))[::-1] if last_first else range(len(rows))  # most significant first
     todo = [row + tuple(minus_one if i == k else zero for k in order) for i, row in enumerate(rows)]
     done = [t + (zero,) * len(rows) for t in targets]
-    for j in range(len(todo[0]) if todo else 0):
+    for j in range(len(done[0]) if done else 0):
         live = [v for v in todo if v[j] != zero]
         if live:
             first = min(live, key=lambda v: val(v[j])) if len(live) > 1 else live[0]
@@ -374,8 +384,8 @@ def _first_decoders(rows, targets, last_first, ops):
             done = [plus(v, scaled(cancel(v[j], w), pivot)) if v[j] != zero else v for v in done]
             if f != zero:  # the feedback row, zero at column j
                 todo.append(scaled(f, pivot))
-    if any(v[:len(t)] != (zero,) * len(t) for t, v in zip(targets, done)):
-        return None
+        if j < len(targets[0]) and any(v[j] != zero for v in done):
+            return None  # todo is zero at column j now: no later pivot changes it
     return [v[len(t):][::-1] if last_first else v[len(t):] for t, v in zip(targets, done)]
 
 
@@ -550,6 +560,34 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
             decode_cache[key] = _first_decoders(rows, targets, field, ops)
         return decode_cache[key]
 
+    def first_of_orbits(inputs):
+        """(combo, vector) for the first combo in canonical order of each unit
+        orbit of the span of inputs: receiver spans ignore a unit, and later
+        edges absorb it, so a node tries only these."""
+        multiples = [[scaled(c, v) for c in range(q)] for v in inputs]
+        seen = set()
+        for combo in itertools.product(range(q), repeat=len(multiples)):
+            acc = multiples[0][combo[0]]
+            for mults, c in zip(multiples[1:], combo[1:]):
+                acc = plus(acc, mults[c])
+            if (key := orbit_key(acc)) not in seen:
+                seen.add(key)
+                yield combo, acc
+
+    # an edge fed by no searched edge has the same inputs at every node, so
+    # such edges share one list per input tuple; the others keep one per depth
+    fixed = [all(kind != "edge" for kind, _ in forms[e.tail]) for e in searched]
+    store: dict = {}  # key -> (inputs, a tee at the start of first_of_orbits(inputs))
+
+    def candidates(depth: int, inputs):
+        """A walk over first_of_orbits(inputs) from its start.  Copies of a tee
+        share its buffer: a walk reads what earlier walks made, extends it only
+        at its end, and never re-enters the generator."""
+        key = inputs if fixed[depth] else depth
+        if (entry := store.get(key)) is None or entry[0] != inputs:
+            entry = store[key] = (inputs, itertools.tee(first_of_orbits(inputs), 1)[0])
+        return copy.copy(entry[1])
+
     chosen: dict[str, tuple[int, ...]] = {}
 
     def descend(depth: int) -> bool:  # first checks the receivers edge depth - 1 completed
@@ -558,16 +596,8 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         if depth == len(searched):
             return True
         e = searched[depth]
-        multiples = [[scaled(c, vec_of[f]) for c in range(q)] for f in forms[e.tail]]
-        failed = set()  # unit orbits: receiver spans ignore a unit, later edges absorb it
-        for combo in itertools.product(range(q), repeat=len(multiples)):
-            acc = multiples[0][combo[0]]
-            for mults, c in zip(multiples[1:], combo[1:]):
-                acc = plus(acc, mults[c])
-            if (key := orbit_key(acc)) in failed:
-                continue
-            failed.add(key)
-            vec_of[("edge", e.id)] = acc
+        for combo, vec in candidates(depth, tuple(map(vec_of.__getitem__, forms[e.tail]))):
+            vec_of[("edge", e.id)] = vec
             if descend(depth + 1):
                 chosen[e.id] = combo
                 return True

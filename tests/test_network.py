@@ -247,6 +247,17 @@ class TestDecodeSearch:
         assert decode_search(rows, ["y", "x"], GF2) == ((zero(GF2), one(GF2)), (one(GF2), zero(GF2)))
         assert decode_search([], [], GF2) == () and decode_search([], ["x"], GF2) is None
 
+    def test_rejects_unknown_demand_and_rows_over_other_messages(self):
+        rows = [TransferVector({"x": one(GF3), "y": zero(GF3)})]
+        for demands in (["z"], ["x", "z"]):
+            with pytest.raises(ValueError, match="unknown demand z"):
+                decode_search(rows, demands, GF3)
+        for other in ({"x": one(GF3), "z": zero(GF3)}, {"x": one(GF3)}):
+            with pytest.raises(ValueError, match="row 1"):
+                decode_search(rows + [TransferVector(other)], ["x"], GF3)
+        with pytest.raises(ValueError, match="unknown demand z"):
+            decode_search([TransferVector({"x": one(Z4)})], ["z"], Z4)
+
     def test_gf3_example(self):
         rows = [
             TransferVector({"x": RingElement(GF3, 1), "y": RingElement(GF3, 1)}),
@@ -345,6 +356,27 @@ class TestDecodeSearch:
                 assert got == oracle_decode(rows, target, spec), (ring, rows, target)
                 found += got is not None
             assert 0 < found < 60, ring
+        # targets unreachable at a message column: every row is zero there,
+        # or a non-unit over Z(p^k), so elimination stops at that column
+        for ring in ("GF(4)", "Z(8)", "Z(9)"):
+            spec = parse_ring(ring)
+            els = elements(spec)
+            short = [zero(spec)] if ring == "GF(4)" else [a for a in els if math.gcd(a.payload, len(els)) > 1]
+            outcomes = set()
+            for _ in range(40):
+                msgs = ["x", "y", "z"][: rng.randint(2, 3)]
+                cut = rng.choice(msgs)
+                rows = [
+                    TransferVector({m: rng.choice(short if m == cut else els) for m in msgs})
+                    for _ in range(rng.randint(1, 3))
+                ]
+                demands = rng.sample(msgs, rng.randint(1, len(msgs)))
+                want = [oracle_decode(rows, d, spec) for d in demands]
+                want = None if None in want else tuple(want)
+                assert decode_search(rows, demands, spec) == want, (ring, rows, demands)
+                assert cut not in demands or want is None
+                outcomes.add((cut in demands, want is None))
+            assert outcomes == {(True, True), (False, True), (False, False)}, ring
 
     def test_one_call_per_receiver(self, monkeypatch):
         # a receiver's demands share one elimination of its rows
@@ -735,6 +767,79 @@ class TestIndexKernel:
                     assert code_to_json(got) == code_to_json(want), (net, spec)
                 compared += 1
 
+    @staticmethod
+    def _same_as_oracle(net, spec):
+        layout = network_mod._layout(net)
+        got = network_mod._search(net, spec, layout)
+        want = plain_search(net, spec, layout)
+        assert (got is None) == (want is None), (net, spec)
+        if got is not None:
+            assert code_to_json(got) == code_to_json(want), (net, spec)
+        return got is not None
+
+    @staticmethod
+    def _relabelled(net, rng):
+        """net with node, edge and message ids renamed at random, which
+        reorders its searched edges and its messages."""
+
+        def fresh(prefix, old):
+            return dict(zip(old, (f"{prefix}{i:02d}" for i in rng.sample(range(100), len(old)))))
+
+        nodes, edges = fresh("v", net.nodes), fresh("e", [e.id for e in net.edges])
+        msgs = fresh("m", [m.id for m in net.messages])
+        return Network(
+            tuple(nodes[v] for v in net.nodes),
+            tuple(Edge(edges[e.id], nodes[e.tail], nodes[e.head]) for e in net.edges),
+            tuple(Message(msgs[m.id], nodes[m.source]) for m in net.messages),
+            tuple(Receiver(nodes[r.node], tuple(msgs[d] for d in r.demands)) for r in net.receivers),
+        )
+
+    def test_same_code_on_relabelled_choose_two(self):
+        # every edge out of the source shares one candidate list, which a
+        # deeper node extends while an outer node is still walking it; left
+        # out as too slow for the oracle: n = 6 over GF(4), n >= 4 over Z(8),
+        # n >= 5 over Z(9) (15 s to minutes each)
+        rng = random.Random(12)
+        verdicts = set()
+        for ring in ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "Z(4)", "Z(8)", "Z(9)"):
+            spec = parse_ring(ring)
+            top = {"GF(4)": 5, "Z(8)": 3, "Z(9)": 4}.get(ring, 6)
+            for n in range(2, top + 1):
+                verdicts.add(self._same_as_oracle(self._relabelled(choose_two(n), rng), spec))
+        assert verdicts == {True, False}
+
+    @staticmethod
+    def _fan_network(rng, sources):
+        """Two messages at each of `sources` nodes s and t.  Two to four edges
+        leave s, to middle nodes that may get several of them; the edges out
+        of a middle node combine those, so their inputs repeat across sibling
+        branches.  t's edges combine its own messages: the same arity as s's
+        edges, other input vectors."""
+        mids, sinks = ["m0", "m1", "m2"][: rng.randint(1, 3)], ["r0", "r1", "r2"][: rng.randint(1, 3)]
+        srcs = ["s", "t"][:sources]
+        msgs = [Message(m, src) for src, pair in zip(srcs, ("xy", "zw")) for m in pair]
+        edges = [Edge(f"a{k}", "s", rng.choice(mids)) for k in range(rng.randint(2, 4))]
+        edges += [Edge(f"b{k}", "t", rng.choice(mids + sinks)) for k in range(rng.randint(1, 2) * (sources - 1))]
+        edges += [Edge(f"c{k}", rng.choice(mids), rng.choice(sinks)) for k in range(rng.randint(1, 4))]
+        receivers = [Receiver(r, tuple(rng.sample([m.id for m in msgs], rng.randint(1, 2)))) for r in sinks]
+        return Network(tuple(srcs + mids + sinks), tuple(edges), tuple(msgs), tuple(receivers))
+
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_same_code_on_fan_networks(self, sources):
+        rng = random.Random(20 + sources)
+        verdicts, compared = [], 0
+        while compared < 300:
+            net = self._fan_network(rng, sources)
+            edges, inputs_of = network_mod._layout(net)
+            exponent = sum(a for a in (len(inputs_of[e.tail]) for e in edges) if a >= 2)
+            widest = max(len(inputs_of[r.node]) for r in net.receivers)
+            for spec in (GF2, GF3, GF4, Z4, GF5, Z8, Z9):
+                # the oracle decodes by trying all q**widest decoders
+                if len(elements(spec)) ** exponent <= 4096 and len(elements(spec)) ** widest <= 128:
+                    verdicts.append(self._same_as_oracle(net, spec))
+                    compared += 1
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_receiver_without_inputs_or_demands(self):
         # it decodes its (no) demands, as verify and the oracle agree
         net = Network(
@@ -761,6 +866,29 @@ class TestIndexKernel:
             # equal across the orbit, and a member of it: distinct orbits
             # are disjoint, so they cannot share a key
             assert {key(w) for w in orbit} == {key(v)} and key(v) in orbit
+
+    def test_candidates_are_made_once_per_input_tuple(self, monkeypatch):
+        # one orbit key per candidate made: the choose_two edges are fed by the
+        # messages only, so they share one list of at most q*q candidates
+        calls = []
+        real = network_mod._orbit_key
+
+        def counted(tables):
+            key = real(tables)
+            return lambda v: calls.append(v) or key(v)
+
+        monkeypatch.setattr(network_mod, "_orbit_key", counted)
+        for net, ring, solvable, most in (
+            (choose_two(8), "GF(5)", False, 25),
+            (choose_two(12), "GF(3)", False, 9),
+            (choose_two(12), "GF(16)", True, 256),
+            # an early success makes no more than it tries: (1, 0) is combo 3
+            # over the residue field Z(2), searched first, and 1,025 over Z(1024)
+            (self.ONE_COMBINING_EDGE, "Z(1024)", True, 3 + 1025),
+        ):
+            calls.clear()
+            assert (solve_brute(net, parse_ring(ring), budget=2**200) is not None) == solvable
+            assert len(calls) <= most, (ring, len(calls))
 
     @pytest.mark.parametrize("n, ring, seconds", [(6, "GF(4)", 1.0), (7, "GF(5)", 3.0)])
     def test_unit_orbit_pruning_refutes_fast(self, n, ring, seconds):
