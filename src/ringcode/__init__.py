@@ -16,7 +16,6 @@ from .dominance import (
     field_product_dominates,
     is_maximal_ring,
     maximal_rings,
-    partition_dominance_bridge,
     partition_ring_of,
     smallest_field_refuge,
     square_free_fields,
@@ -46,7 +45,6 @@ from .partitions import (
     has_unique_maximal,
     is_len2_maximal,
     is_maximal,
-    is_maximal_naive,
     maximal_partitions,
     parse_partition,
 )

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import IO
 
 from . import dominance, network, partitions, rings
-from .errors import BudgetExceeded, GuardExceeded, ParseError
+from .errors import GuardExceeded
 
 TABLE1_MAX_K = 30
 BUDGET_BITS = 1024  # refuse --budget base^exp if exp < 0 or exp * (bits of base - 1) >= this
@@ -48,7 +48,7 @@ def _parse_factored_size(text: str) -> list[tuple[int, int]]:
         n = int(text)
         if n < 2:
             raise ValueError("size must be at least 2")
-        if n > 2**20:
+        if n > rings.ENUMERATION_GUARD:
             raise GuardExceeded(f"plain size {n} exceeds 2^20; pass a factored form")
         return rings.factorize(n)
     out = []
@@ -149,10 +149,7 @@ def run(argv: list[str], out: IO = sys.stdout) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _dispatch(args, out)
-    except (GuardExceeded, BudgetExceeded, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # GuardExceeded, BudgetExceeded and ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,9 +25,10 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import GuardExceeded
-from .partitions import Partition, divides, is_maximal, maximal_partitions
+from .partitions import MAXIMAL_MAX_K, Partition, is_maximal, maximal_partitions
 from .rings import (
     DualNumbers,
+    ENUMERATION_GUARD,
     GaloisField,
     IntegersMod,
     PrimeField,
@@ -41,8 +42,6 @@ from .rings import (
     is_prime,
     ring_size,
 )
-
-MAX_EXPONENT = 40
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +275,6 @@ def field_product_dominates(s: PartitionRing, r: PartitionRing) -> DominanceVerd
     return _dominates([FieldCriterion(tuple(assignments))])
 
 
-def partition_dominance_bridge(s: PartitionRing, r: PartitionRing) -> bool:
-    """Per-prime partition division; equivalent to field_product_dominates
-    for same-size rings (cross-checked in the test suite)."""
-    if s.primes() != r.primes():
-        raise ValueError("prime-support mismatch")
-    if s.size != r.size:
-        raise ValueError("sizes differ")
-    return all(
-        divides(s.partition_for(p), r.partition_for(p)) for p in s.primes()
-    )
-
-
 def zmod_dominates(n: int, m: int) -> DominanceVerdict:
     """Z(n) is dominated by Z(m) iff m divides n."""
     if n < 2 or m < 2:
@@ -492,10 +479,13 @@ def maximal_rings(m_factored: Sequence[tuple[int, int]]) -> list[PartitionRing]:
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     for p, k in m_factored:
+        # the bound first: trial division of a large base takes seconds
+        if p > ENUMERATION_GUARD:
+            raise GuardExceeded(f"prime {p} exceeds {ENUMERATION_GUARD}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if not 1 <= k <= MAX_EXPONENT:
-            raise GuardExceeded(f"exponent {k} outside 1..{MAX_EXPONENT}")
+        if not 1 <= k <= MAXIMAL_MAX_K:
+            raise GuardExceeded(f"exponent {k} outside 1..{MAXIMAL_MAX_K}")
     pairs = sorted(m_factored)
     choices = {p: maximal_partitions(k) for p, k in pairs}
     ordered_primes = [p for p, _ in pairs]

@@ -46,6 +46,7 @@ from typing import Sequence
 from .errors import BudgetExceeded, GuardExceeded
 from .rings import (
     DualNumbers,
+    FIELD_TABLE_LIMIT,
     GaloisField,
     IntegersMod,
     PrimeField,
@@ -469,12 +470,13 @@ def _tables(spec: RingSpec):
     indices, index i standing for elements(spec)[i]; inverse[i] is None for a
     non-unit, and val[i] is 1 for a unit, else gcd(i, n): p^v for i of
     valuation v in Z(p^k), and the ring size for 0."""
+    q = ring_size(spec)
+    if q > FIELD_TABLE_LIMIT:  # each table has q*q entries
+        raise GuardExceeded(f"{format_ring(spec)} is too large for index tables")
     if isinstance(spec, GaloisField):
         # an index's base-p digits are the payload coefficients, so addition
         # is digit by digit; multiplication adds logarithms
-        p, q = spec.p, ring_size(spec)
-        if (tables := _field_tables(p, spec.k)) is None:
-            raise GuardExceeded(f"{format_ring(spec)} is too large for index tables")
+        p, tables = spec.p, _field_tables(spec.p, spec.k)
         digit = [[(a + b) % p for b in range(p)] for a in range(p)]
         add_t = digit
         for _ in range(spec.k - 1):  # append the next less significant digit
@@ -485,7 +487,6 @@ def _tables(spec: RingSpec):
         mul_t = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, logs)] for a in range(1, q)]
         unit = q // p
     elif isinstance(spec, (PrimeField, IntegersMod)):
-        q = spec.p if isinstance(spec, PrimeField) else spec.n
         r = list(range(q))
         add_t = [r[a:] + r[:a] for a in r]
         mul_t = [[r[a * b % q] for b in r] for a in r]

@@ -3,13 +3,13 @@
 A partition of k is stored with non-increasing parts.  Partition B divides
 partition A when every part of A is a multiple of some part of B; this
 relation is reflexive and transitive but not anti-symmetric (for k >= 3 the
-partitions (k-1,1) and (k-2,1,1) divide each other).  A partition is maximal
-when it divides no other partition of the same total.
+partitions (k-1,1) and (k-2,1,1) divide each other).  A partition of k into
+n parts is maximal when it divides no other partition of k, which holds iff
+k is not a sum of fewer than n multiples of its parts (``is_maximal``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,17 +57,13 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"bad partition {text!r}: {exc}") from None
 
 
-def _iter_parts(k: int, max_part: int, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+def _iter_parts(k: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Partition tuples of k in reverse-lexicographic order, parts <= max_part."""
     if k == 0:
         yield ()
         return
-    if max_len is not None and max_len == 0:
-        return
-    top = min(k, max_part)
-    for first in range(top, 0, -1):
-        rest_len = None if max_len is None else max_len - 1
-        for rest in _iter_parts(k - first, first, rest_len):
+    for first in range(min(k, max_part), 0, -1):
+        for rest in _iter_parts(k - first, first):
             yield (first,) + rest
 
 
@@ -78,11 +74,6 @@ def enumerate_partitions(k: int) -> list[Partition]:
     return [Partition(t) for t in _iter_parts(k, k)]
 
 
-@functools.cache
-def _partition_tuples(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_iter_parts(k, k))
-
-
 def divides(b: Partition, a: Partition) -> bool:
     """True iff every part of a has a divisor among the parts of b."""
     if b.total != a.total:
@@ -91,33 +82,26 @@ def divides(b: Partition, a: Partition) -> bool:
     return all(any(a_part % d == 0 for d in divisors) for a_part in set(a.parts))
 
 
-def _tuple_divides(b_parts: frozenset[int], a_parts: tuple[int, ...]) -> bool:
-    return all(any(a % d == 0 for d in b_parts) for a in a_parts)
-
-
 def is_maximal(a: Partition) -> bool:
-    """True iff a divides no other partition of its total.
+    """True iff a divides no other partition of its total k.
 
-    Whenever a partition divides a different partition at least as long as
-    itself, it also divides a strictly shorter one, so it suffices to scan
-    the partitions with fewer parts.  ``is_maximal_naive`` keeps the full
-    scan as an independent oracle.
+    If a divides a different partition at least as long as itself, it also
+    divides a strictly shorter one, so a is maximal iff k is not a sum of
+    fewer than len(a) multiples of its parts.  After round j, bit s of
+    ``reach`` is set iff s is a sum of exactly j of them; round one, k itself
+    a multiple, is tested first because it settles most partitions.
     """
-    length = len(a)
-    if length == 1:
-        return True
-    bset = frozenset(a.parts)
-    for cand in _iter_parts(a.total, a.total, length - 1):
-        if _tuple_divides(bset, cand):
-            return False
-    return True
-
-
-def is_maximal_naive(a: Partition) -> bool:
-    """Full-scan maximality oracle: checks every other partition of the total."""
-    bset = frozenset(a.parts)
-    for cand in _partition_tuples(a.total):
-        if cand != a.parts and _tuple_divides(bset, cand):
+    k, parts = a.total, set(a.parts)
+    if len(a) > 1 and any(k % d == 0 for d in parts):
+        return False
+    multiples = {m for d in parts for m in range(d, k + 1, d)}
+    reach, below = 1, (2 << k) - 1
+    for _ in range(len(a) - 1):
+        shifted = 0
+        for m in multiples:
+            shifted |= reach << m
+        reach = shifted & below
+        if reach >> k & 1:
             return False
     return True
 
@@ -138,6 +122,4 @@ def is_len2_maximal(k: int, m: int) -> bool:
 
 def has_unique_maximal(k: int) -> bool:
     """True iff (k) is the only maximal partition of k; holds exactly for 1,2,3,4,6."""
-    if not 1 <= k <= MAXIMAL_MAX_K:
-        raise GuardExceeded(f"k must be in 1..{MAXIMAL_MAX_K}, got {k}")
     return maximal_partitions(k) == [Partition((k,))]

@@ -97,6 +97,13 @@ class TestRingsCommands:
         assert code == 2
         assert "exceeds the size guard" in capsys.readouterr().err
 
+    def test_maximal_size_guard_before_primality(self, capsys):
+        start = time.perf_counter()
+        code, _ = run_cli("rings", "maximal", "--size", "10000000000000061^1")
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestDominanceCommands:
     def test_fields_no_with_reason(self):

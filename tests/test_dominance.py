@@ -1,9 +1,11 @@
 """Dominance verdicts, partition rings, and maximal-ring enumeration."""
 
 import itertools
+import time
 
 import pytest
 
+from partition_oracle import partition_dominance_bridge
 from ringcode.dominance import (
     CharacteristicObstruction,
     DominanceVerdict,
@@ -21,7 +23,6 @@ from ringcode.dominance import (
     field_product_dominates,
     is_maximal_ring,
     maximal_rings,
-    partition_dominance_bridge,
     partition_ring_of,
     smallest_field_refuge,
     square_free_fields,
@@ -433,6 +434,13 @@ class TestMaximalRings:
             maximal_rings([(4, 2)])
         with pytest.raises(GuardExceeded):
             maximal_rings([(2, 41)])
+
+    def test_guards_before_primality(self):
+        # trial division of this prime takes seconds
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            maximal_rings([(10000000000000061, 1)])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsMaximalRing:

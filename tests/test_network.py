@@ -714,12 +714,27 @@ class TestIndexKernel:
                 assert els[add_t[i][j]] == add(a, b)
                 assert els[mul_t[i][j]] == mul(a, b)
 
-    def test_tables_refuse_fields_without_log_tables(self):
-        # q*q entries per table: GF(2^13) would need about 67 million each
+    @pytest.mark.parametrize("ring", ["GF(2^13)", "GF(8191)", "Z(8192)"])
+    def test_tables_refuse_rings_above_the_table_limit(self, ring):
+        # q*q entries per table: each of these would need about 67 million
         start = time.perf_counter()
         with pytest.raises(GuardExceeded):
-            network_mod._tables(parse_ring("GF(2^13)"))
+            network_mod._tables(parse_ring(ring))
         assert time.perf_counter() - start < 0.5
+
+    def test_search_over_a_large_ring_is_refused_quickly(self):
+        # one combining edge over Z(8192) needs 8192**2 = 2**26 assignments,
+        # within the default budget; the kernel's tables are what refuse it
+        net = Network(
+            ("s", "r"),
+            (Edge("e", "s", "r"),),
+            (Message("x", "s"), Message("y", "s")),
+            (Receiver("r", ("x",)),),
+        )
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            solve_brute(net, IntegersMod(8192))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "ring", ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)",

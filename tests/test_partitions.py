@@ -2,6 +2,7 @@
 
 import pytest
 
+from partition_oracle import is_maximal_naive
 from ringcode.errors import GuardExceeded
 from ringcode.partitions import (
     Partition,
@@ -10,7 +11,6 @@ from ringcode.partitions import (
     has_unique_maximal,
     is_len2_maximal,
     is_maximal,
-    is_maximal_naive,
     maximal_partitions,
     parse_partition,
 )
