@@ -7,7 +7,11 @@ tail node (a node's inputs are its own messages, sorted by id, followed by
 its in-edges, sorted by id), and each (receiver, demand) a decoding
 coefficient list over the receiver's inputs.  The symbol an edge carries is
 the corresponding linear combination, so each edge has an exact transfer
-vector of per-message coefficients, computed in topological order.
+vector of per-message coefficients, computed in topological order.  verify
+carries these vectors as tuples in message_ids() order, checks each
+coefficient's ring once, and passes an input vector through unmultiplied where
+its coefficient is one (a relay edge); transfer and decode_search take and
+give TransferVector.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
 through their residue field, so it only searches fields and Z(p^k).
@@ -21,8 +25,9 @@ checked as soon as the edges they depend on are assigned, which prunes most
 of the space.
 
 The search runs on integers: each element is its index in elements(spec),
-and transfer vectors are int tuples combined through add and mul tables
-built once per search, and only when some edge combines.  A node tries, in
+mapped back through the ring's shared element tuple, and transfer vectors
+are int tuples combined through add and mul tables built once per search,
+and only when some edge combines.  A node tries, in
 canonical order, the first coefficient tuple of each unit orbit of its
 edge's span; that list depends only on the edge's input vectors, so it is
 made once per input tuple and extended lazily.  Only failing subtrees go and
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import heapq
 import itertools
 import json
 import math
@@ -58,11 +64,11 @@ from .rings import (
     _check_owner,
     _field_tables,
     _iter_elements,
+    _shared,
     add,
     apply_hom,
     arithmetic,
     crt,
-    elements,
     factorize,
     format_element,
     format_ring,
@@ -140,7 +146,8 @@ def _defects(net: Network, order: list[str] | None) -> list[str]:
     if len(set(edge_ids)) != len(edge_ids):
         defects.append("duplicate edge ids")
     msg_ids = [m.id for m in net.messages]
-    if len(set(msg_ids)) != len(msg_ids):
+    known = set(msg_ids)
+    if len(known) != len(msg_ids):
         defects.append("duplicate message ids")
     for e in net.edges:
         if e.tail not in nodes:
@@ -154,7 +161,7 @@ def _defects(net: Network, order: list[str] | None) -> list[str]:
         if r.node not in nodes:
             defects.append(f"receiver at unknown node {r.node}")
         for d in r.demands:
-            if d not in set(msg_ids):
+            if d not in known:
                 defects.append(f"receiver {r.node}: unknown demand {d}")
     if order is None:
         defects.append("graph has a directed cycle")
@@ -162,22 +169,22 @@ def _defects(net: Network, order: list[str] | None) -> list[str]:
 
 
 def _topological_order(net: Network) -> list[str] | None:
+    """Kahn's order taking the smallest ready node id first; None on a cycle."""
     indeg = {n: 0 for n in net.nodes}
     heads: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for e in sorted(net.edges, key=lambda e: e.id):
+    for e in net.edges:
         if e.head in indeg and e.tail in indeg:
             indeg[e.head] += 1
             heads[e.tail].append(e.head)
-    ready = sorted(n for n, d in indeg.items() if d == 0)
+    ready = sorted(n for n, d in indeg.items() if d == 0)  # a sorted list is a heap
     order = []
     while ready:
-        n = ready.pop(0)
+        n = heapq.heappop(ready)
         order.append(n)
         for head in heads[n]:
             indeg[head] -= 1
             if indeg[head] == 0:
-                ready.append(head)
-        ready.sort()
+                heapq.heappush(ready, head)
     return order if len(order) == len(net.nodes) else None
 
 
@@ -249,37 +256,46 @@ def _unit(target: str, msg_ids: Sequence[str], spec: RingSpec) -> TransferVector
     return TransferVector({m: one(spec) if m == target else zero(spec) for m in msg_ids})
 
 
-def _combine(coeffs, vecs, msg_ids, spec) -> TransferVector:
-    """The transfer vector sum(c_i * vec_i) over spec; ValueError if a c_i is not."""
-    add, mul, _ = arithmetic(spec)
-    acc = None
-    for c, vec in zip(coeffs, vecs):
-        _check_owner(c, spec)
-        if acc is None:  # the first term itself, not zero plus it
-            acc = {m: mul(c, vec.coefficients[m]) for m in msg_ids}
-        else:
-            for m in msg_ids:
-                acc[m] = add(acc[m], mul(c, vec.coefficients[m]))
-    return TransferVector(acc or dict.fromkeys(msg_ids, zero(spec)))
+def _combiner(spec: RingSpec, width: int):
+    """combine(coeffs, vecs): sum(c_i * vec_i) over spec of vectors of width
+    entries; ValueError if a c_i is not over spec.  A c_i equal to one passes
+    vec_i through unmultiplied."""
+    add, mul, *_ = arithmetic(spec)
+    uno, zeros = one(spec), (zero(spec),) * width
+
+    def combine(coeffs, vecs):
+        acc = None
+        for c, vec in zip(coeffs, vecs):
+            _check_owner(c, spec)
+            if c is not uno and c.payload != uno.payload:
+                vec = tuple(map(mul, itertools.repeat(c, width), vec))
+            acc = vec if acc is None else tuple(map(add, acc, vec))  # the first term itself, not zero plus it
+        return zeros if acc is None else acc
+
+    return combine
 
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    return {ref: v for (kind, ref), v in _transfer(net, code, _layout(net)).items() if kind == "edge"}
+    msg_ids = net.message_ids()
+    vectors = _transfer(net, code, _layout(net))
+    return {ref: TransferVector(dict(zip(msg_ids, v))) for (kind, ref), v in vectors.items() if kind == "edge"}
 
 
 def _transfer(net: Network, code: ScalarLinearCode, layout):
-    """The vector of every node input on the network's _layout: ("msg", m) is
-    the unit vector of m, built once per call, ("edge", e) the transfer vector of e."""
+    """The vector of every node input on the network's _layout, a tuple in
+    message_ids() order: ("msg", m) is the unit vector of m, built once per
+    call, ("edge", e) the transfer vector of e."""
     edges, inputs_of = layout
     msg_ids = net.message_ids()
-    vectors = {("msg", m): _unit(m, msg_ids, code.ring) for m in msg_ids}
+    combine = _combiner(code.ring, len(msg_ids))
+    vectors = {("msg", m): tuple(_unit(m, msg_ids, code.ring).coefficients.values()) for m in msg_ids}
     for e in edges:
         coeffs = code.edge_coeffs.get(e.id)
         inputs = inputs_of[e.tail]
         if coeffs is None or len(coeffs) != len(inputs):
             raise ValueError(f"edge {e.id}: coefficient arity mismatch")
-        vectors[("edge", e.id)] = _combine(coeffs, [vectors[i] for i in inputs], msg_ids, code.ring)
+        vectors[("edge", e.id)] = combine(coeffs, [vectors[i] for i in inputs])
     return vectors
 
 
@@ -290,7 +306,8 @@ def verify(net: Network, code: ScalarLinearCode) -> bool:
 
 def _verify(net: Network, code: ScalarLinearCode, layout) -> bool:
     """verify on the network's _layout."""
-    vectors, msg_ids = _transfer(net, code, layout), net.message_ids()
+    vectors = _transfer(net, code, layout)
+    combine = _combiner(code.ring, len(net.messages))
     for recv in net.receivers:
         rows = [vectors[i] for i in layout[1][recv.node]]
         for demand in recv.demands:
@@ -301,7 +318,7 @@ def _verify(net: Network, code: ScalarLinearCode, layout) -> bool:
                 raise ValueError(
                     f"receiver {recv.node}: decoder arity mismatch for {demand}"
                 )
-            if _combine(coeffs, rows, msg_ids, code.ring) != vectors[("msg", demand)]:
+            if combine(coeffs, rows) != vectors[("msg", demand)]:
                 return False
     return True
 
@@ -346,7 +363,7 @@ def decode_search(
     if isinstance(spec, GaloisField):  # every nonzero element is a unit
         arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
     else:  # payloads are the integer values
-        el = functools.partial(RingElement, spec)
+        el = arithmetic(spec).element
         arith = (lambda a: math.gcd(a.payload, q), lambda a, w: (el(pow(a.payload // w, -1, q)), el(q // w % q)),
                  lambda a, w: el(-(a.payload // w) % q))
     plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
@@ -453,7 +470,7 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
     chosen, decoders = _index_search(net, spec, inputs_of, searched) if searched else ({}, None)
     if chosen is None:
         return None
-    domain = elements(spec) if chosen else []
+    domain = _shared(spec)
     edge_coeffs = {
         e.id: tuple(domain[c] for c in chosen.get(e.id, ()))
         or (one(spec),) * len(inputs_of[e.tail])
@@ -617,9 +634,9 @@ def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode |
     exact transfer vectors, checked.  A receiver that cannot decode gives None
     when no edge combines, else RuntimeError: the search or construction
     ensured it."""
-    vectors, inputs_of = _transfer(net, code, layout), layout[1]
+    vectors, inputs_of, msg_ids = _transfer(net, code, layout), layout[1], net.message_ids()
     for recv in net.receivers:
-        rows = [vectors[i] for i in inputs_of[recv.node]]
+        rows = [TransferVector(dict(zip(msg_ids, vectors[i]))) for i in inputs_of[recv.node]]
         found = decode_search(rows, recv.demands, code.ring)
         if found is None:
             if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):

@@ -14,18 +14,24 @@ order, which keeps outputs reproducible byte for byte.
 GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes by table
 lookup over its smallest generator g: exp[i] is the payload of g^i, log maps a
 nonzero payload back to i, and the Zech logarithm zech[n] = log(1 + g^n) turns
-a sum into g^i + g^j = g^(i + zech[j - i]).  The tables also hold the elements
-g^i themselves, built over the spec galois_field returns, so add, neg, mul and
-inverse return shared elements and build none.  They are built once per field,
-on first use: exp by schoolbook polynomial multiplication, which larger fields
-keep using for every product, and zech from exp in O(q).  zero(spec) and
-one(spec) are likewise one shared constant per spec.
+a sum into g^i + g^j = g^(i + zech[j - i]).  The tables are built once per
+field, on first use: exp by schoolbook polynomial multiplication, which larger
+fields keep using for every product, and zech from exp in O(q).
 
-Each ring's add, mul and neg are defined once, in arithmetic(spec): closures
-over the ring's state (its modulus, field tables or factors' records), built on
-first use and kept on the spec outside its equality, hash and repr.  add and
-mul check both operands' ring, then call them; network's transfer and verify
-fetch them once per call and check each coefficient's ring once.
+Every non-product ring of at most FIELD_TABLE_LIMIT elements (GF(p), Z(n),
+D(p) and the table fields) has one tuple of its elements in lexicographic
+order, built on first use and cached by ring value; a field's are over the
+spec galois_field returns.  Arithmetic, zero, one, inverse, element,
+parse_element and apply_hom return those shared elements and build none, and
+the field tables' g^i are the same objects.  Products and larger rings build
+their results.
+
+Each ring's add, mul, neg and element(payload) are defined once, in
+arithmetic(spec): closures over the ring's state (its modulus, shared
+elements, field tables or factors' records), built on first use and kept on
+the spec outside its equality, hash and repr.  add and mul check both
+operands' ring, then call them; network's transfer and verify fetch them once
+per call and check each coefficient's ring once.
 """
 
 from __future__ import annotations
@@ -371,30 +377,28 @@ def element(spec: RingSpec, payload: Payload) -> RingElement:
                 comps.append(c)
             else:
                 comps.append(element(f, c))
-        payload = tuple(comps)
-    return RingElement(spec, payload)
+        return RingElement(spec, tuple(comps))
+    return arithmetic(spec).element(payload)
 
 
-@functools.cache  # one shared constant per spec, here and in one
+@functools.cache  # one shared constant per spec value, here and in one
 def zero(spec: RingSpec) -> RingElement:
-    if isinstance(spec, (PrimeField, IntegersMod)):
-        return RingElement(spec, 0)
-    if isinstance(spec, GaloisField):
-        return RingElement(spec, (0,) * spec.k)
-    if isinstance(spec, DualNumbers):
-        return RingElement(spec, (0, 0))
-    return RingElement(spec, tuple(zero(f) for f in spec.factors))
+    if isinstance(spec, Product):
+        return RingElement(spec, tuple(map(zero, spec.factors)))
+    return next(_iter_elements(spec))  # the first in lexicographic order
 
 
 @functools.cache
 def one(spec: RingSpec) -> RingElement:
+    if isinstance(spec, Product):
+        return RingElement(spec, tuple(map(one, spec.factors)))
     if isinstance(spec, (PrimeField, IntegersMod)):
-        return RingElement(spec, 1)
-    if isinstance(spec, GaloisField):
-        return RingElement(spec, (1,) + (0,) * (spec.k - 1))
-    if isinstance(spec, DualNumbers):
-        return RingElement(spec, (1, 0))
-    return RingElement(spec, tuple(one(f) for f in spec.factors))
+        payload, index = 1, 1
+    else:  # 1 + 0x + ...: the constant term is the most significant digit
+        k = spec.k if isinstance(spec, GaloisField) else 2
+        payload, index = (1,) + (0,) * (k - 1), spec.p ** (k - 1)
+    els = _shared(spec)
+    return RingElement(spec, payload) if els is None else els[index]
 
 
 def elements(spec: RingSpec) -> list[RingElement]:
@@ -405,20 +409,34 @@ def elements(spec: RingSpec) -> list[RingElement]:
     return list(_iter_elements(spec))
 
 
-def _iter_elements(spec: RingSpec) -> Iterator[RingElement]:
+def _payloads(spec: RingSpec) -> Iterator[Payload]:
+    """The payloads of a non-product spec in lexicographic order."""
     if isinstance(spec, (PrimeField, IntegersMod)):
-        n = spec.p if isinstance(spec, PrimeField) else spec.n
-        for v in range(n):
-            yield RingElement(spec, v)
-    elif isinstance(spec, GaloisField):
-        for t in itertools.product(range(spec.p), repeat=spec.k):
-            yield RingElement(spec, t)
-    elif isinstance(spec, DualNumbers):
-        for t in itertools.product(range(spec.p), repeat=2):
-            yield RingElement(spec, t)
+        return iter(range(ring_size(spec)))
+    return itertools.product(range(spec.p), repeat=spec.k if isinstance(spec, GaloisField) else 2)
+
+
+def _iter_elements(spec: RingSpec) -> Iterator[RingElement]:
+    if isinstance(spec, Product):
+        combos = itertools.product(*map(_iter_elements, spec.factors))
+    elif (els := _shared(spec)) is not None:
+        return iter(els)
     else:
-        for combo in itertools.product(*(_iter_elements(f) for f in spec.factors)):
-            yield RingElement(spec, combo)
+        combos = _payloads(spec)
+    return map(functools.partial(RingElement, spec), combos)
+
+
+@functools.cache  # by ring value: solves and homs build fresh equal specs
+def _shared(spec: RingSpec) -> tuple[RingElement, ...] | None:
+    """The elements of a non-product spec of at most FIELD_TABLE_LIMIT
+    elements, in lexicographic payload order, built once and shared by every
+    operation that returns one; None for products and larger rings.  A
+    field's are over galois_field(p, k)."""
+    if isinstance(spec, Product) or ring_size(spec) > FIELD_TABLE_LIMIT:
+        return None
+    if isinstance(spec, (PrimeField, GaloisField)):
+        spec = galois_field(spec.p, getattr(spec, "k", 1))
+    return tuple(map(functools.partial(RingElement, spec), _payloads(spec)))
 
 
 def _check_owner(a: RingElement, spec: RingSpec):
@@ -441,11 +459,14 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
 
 
 class Arithmetic(NamedTuple):
-    """One ring's add, mul and neg, closed over its state; they check no ownership."""
+    """One ring's add, mul and neg, closed over its state; they check no
+    ownership.  element(payload) is the element of a canonical payload: the
+    shared one where the ring has them (see _shared), else a new one."""
 
     add: Callable[[RingElement, RingElement], RingElement]
     mul: Callable[[RingElement, RingElement], RingElement]
     neg: Callable[[RingElement], RingElement]
+    element: Callable[[Payload], RingElement]
 
 
 def arithmetic(spec: RingSpec) -> Arithmetic:
@@ -458,32 +479,37 @@ def arithmetic(spec: RingSpec) -> Arithmetic:
 
 
 def _build_arithmetic(spec: RingSpec) -> Arithmetic:
-    new = functools.partial(RingElement, spec)
+    new, shared = functools.partial(RingElement, spec), _shared(spec)
     if isinstance(spec, (PrimeField, IntegersMod)):
         n = spec.p if isinstance(spec, PrimeField) else spec.n
+        at = new if shared is None else shared.__getitem__  # a residue is its own index
         return Arithmetic(
-            lambda a, b: new((a.payload + b.payload) % n),
-            lambda a, b: new(a.payload * b.payload % n),
-            lambda a: new(-a.payload % n),
+            lambda a, b: at((a.payload + b.payload) % n),
+            lambda a, b: at(a.payload * b.payload % n),
+            lambda a: at(-a.payload % n),
+            at,
         )
     if isinstance(spec, DualNumbers):
         p = spec.p
+        at = new if shared is None else (lambda x: shared[x[0] * p + x[1]])
 
         def dual_mul(a, b):
             (a0, a1), (b0, b1) = a.payload, b.payload
-            return new((a0 * b0 % p, (a0 * b1 + a1 * b0) % p))
+            return at((a0 * b0 % p, (a0 * b1 + a1 * b0) % p))
 
         return Arithmetic(
-            lambda a, b: new(((a.payload[0] + b.payload[0]) % p, (a.payload[1] + b.payload[1]) % p)),
+            lambda a, b: at(((a.payload[0] + b.payload[0]) % p, (a.payload[1] + b.payload[1]) % p)),
             dual_mul,
-            lambda a: new((-a.payload[0] % p, -a.payload[1] % p)),
+            lambda a: at((-a.payload[0] % p, -a.payload[1] % p)),
+            at,
         )
     if isinstance(spec, Product):  # factor by factor
-        adds, muls, negs = zip(*map(arithmetic, spec.factors))
+        adds, muls, negs, _ = zip(*map(arithmetic, spec.factors))
         return Arithmetic(
             lambda a, b: new(tuple(f(x, y) for f, x, y in zip(adds, a.payload, b.payload))),
             lambda a, b: new(tuple(f(x, y) for f, x, y in zip(muls, a.payload, b.payload))),
             lambda a: new(tuple(f(x) for f, x in zip(negs, a.payload))),
+            new,
         )
     p, t = spec.p, _field_tables(spec.p, spec.k)
     if t is None:  # GF(p^k) above FIELD_TABLE_LIMIT: coefficient vectors
@@ -491,6 +517,7 @@ def _build_arithmetic(spec: RingSpec) -> Arithmetic:
             lambda a, b: new(tuple((x + y) % p for x, y in zip(a.payload, b.payload))),
             lambda a, b: new(_field_mul(a.payload, b.payload, spec)),
             lambda a: new(tuple(-x % p for x in a.payload)),
+            new,
         )
     log, zech, els, zero_, neg_one = t.log.get, t.zech, t.els, t.zero, t.neg_one
 
@@ -505,7 +532,12 @@ def _build_arithmetic(spec: RingSpec) -> Arithmetic:
         i, j = log(a.payload), log(b.payload)
         return zero_ if i is None or j is None else els[i + j]
 
-    return Arithmetic(field_add, field_mul, lambda a: a if (i := log(a.payload)) is None else els[i + neg_one])
+    return Arithmetic(
+        field_add,
+        field_mul,
+        lambda a: a if (i := log(a.payload)) is None else els[i + neg_one],
+        lambda x: zero_ if (i := log(x)) is None else els[i],
+    )
 
 
 def is_zero(a: RingElement) -> bool:
@@ -518,7 +550,7 @@ def inverse(a: RingElement) -> RingElement | None:
     if isinstance(spec, (PrimeField, IntegersMod)):
         n = spec.p if isinstance(spec, PrimeField) else spec.n
         try:
-            return RingElement(spec, pow(a.payload, -1, n))
+            return arithmetic(spec).element(pow(a.payload, -1, n))
         except ValueError:
             return None
     if isinstance(spec, GaloisField):
@@ -533,7 +565,7 @@ def inverse(a: RingElement) -> RingElement | None:
         if a0 == 0:
             return None
         i0 = pow(a0, -1, spec.p)
-        return RingElement(spec, (i0, (-a1 * i0 * i0) % spec.p))
+        return arithmetic(spec).element((i0, (-a1 * i0 * i0) % spec.p))
     comps = []
     for x in a.payload:
         ix = inverse(x)
@@ -558,8 +590,8 @@ class _FieldTables(NamedTuple):
     log: dict  # nonzero payload -> i
     zech: tuple  # zech[n] = log(1 + g^n), None where g^n = -1
     neg_one: int  # log(-1): 0 for p = 2, else (q - 1) / 2
-    els: tuple  # the elements g^i over galois_field(p, k)
-    zero: RingElement
+    els: tuple  # the shared elements g^i, see _shared
+    zero: RingElement  # zero(galois_field(p, k))
 
 
 @functools.cache
@@ -573,8 +605,9 @@ def _field_tables(p: int, k: int) -> _FieldTables | None:
         exp.append(_field_mul(exp[-1], g, spec))
     log = {a: i for i, a in enumerate(exp)}
     zech = tuple(log.get(((x[0] + 1) % p, *x[1:])) for x in exp)  # None only at 1 + x = 0
-    els = tuple(RingElement(spec, x) for x in exp)
-    return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, RingElement(spec, (0,) * k))
+    by_payload = {a.payload: a for a in _shared(spec)}
+    els = tuple(map(by_payload.__getitem__, exp))
+    return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, zero(spec))
 
 
 def _pow(base, e: int, times, out):
@@ -680,7 +713,7 @@ def _verify_hom_table(source: RingSpec, target: RingSpec, table: dict):
         raise ValueError("inclusion does not preserve zero")
     if table[one(source).payload] != one(target).payload:
         raise ValueError("inclusion does not preserve one")
-    imgs = {a.payload: RingElement(target, table[a.payload]) for a in src}
+    imgs = {a.payload: arithmetic(target).element(table[a.payload]) for a in src}
     for a in src:
         fa = imgs[a.payload]
         for b in src:
@@ -778,17 +811,17 @@ def apply_hom(h: RingHom, a: RingElement) -> RingElement:
     if a.ring != h.source:
         raise ValueError("element is not owned by the hom's source ring")
     if h.kind == MOD_REDUCTION:
-        return RingElement(h.target, a.payload % _modulus_of(h.target))
+        return arithmetic(h.target).element(a.payload % _modulus_of(h.target))
     if h.kind == DUAL_AUGMENTATION:
-        return RingElement(h.target, a.payload[0])
+        return arithmetic(h.target).element(a.payload[0])
     if h.kind == PROJECTION:
         return a.payload[h.index]
     if h.kind == CRT:  # sum of c_i * e_i, e_i = 1 mod m_i and 0 mod the others
         n, total = h.target.n, 0
         for c, m in zip(a.payload, map(_modulus_of, h.source.factors)):
             total += c.payload * (n // m) * pow(n // m, -1, m)
-        return RingElement(h.target, total % n)
-    return RingElement(h.target, h.table[a.payload])
+        return arithmetic(h.target).element(total % n)
+    return arithmetic(h.target).element(h.table[a.payload])
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +992,7 @@ def parse_element(text: str, spec: RingSpec) -> RingElement:
             raise ValueError(f"expected an integer residue, got {text!r}") from None
         if not 0 <= v < n:
             raise ValueError(f"residue {v} out of range for modulus {n}")
-        return RingElement(spec, v)
+        return arithmetic(spec).element(v)
     if isinstance(spec, (GaloisField, DualNumbers)):
         k = spec.k if isinstance(spec, GaloisField) else 2
         coeffs = [0] * k
@@ -970,7 +1003,7 @@ def parse_element(text: str, spec: RingSpec) -> RingElement:
             if deg >= k:
                 raise ValueError(f"degree {deg} too large in {text!r}")
             coeffs[deg] = (coeffs[deg] + c) % spec.p
-        return RingElement(spec, tuple(coeffs))
+        return arithmetic(spec).element(tuple(coeffs))
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"expected a parenthesized tuple, got {text!r}")
     parts = _split_components(text[1:-1])

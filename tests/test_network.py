@@ -75,7 +75,58 @@ def _inputs(net, node):
     return network_mod._layout(net)[1][node]
 
 
+def sorted_kahn_order(net):
+    """network._topological_order as it was before the heap: Kahn's order,
+    re-sorting the ready list after every pop."""
+    indeg = {n: 0 for n in net.nodes}
+    heads = {n: [] for n in net.nodes}
+    for e in sorted(net.edges, key=lambda e: e.id):
+        if e.head in indeg and e.tail in indeg:
+            indeg[e.head] += 1
+            heads[e.tail].append(e.head)
+    ready = sorted(n for n, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        for head in heads[n]:
+            indeg[head] -= 1
+            if indeg[head] == 0:
+                ready.append(head)
+        ready.sort()
+    return order if len(order) == len(net.nodes) else None
+
+
 class TestValidate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_topological_order_matches_the_sorted_kahn_oracle(self, seed):
+        """Random DAGs with parallel edges, and cyclic graphs (self-loops and
+        back edges), some with unknown endpoints or a repeated node id."""
+        rng = random.Random(seed)
+        outcomes = []
+        for _ in range(300):
+            names = rng.sample([f"n{i:02d}" for i in range(40)], rng.randrange(1, 12))
+            rank = {v: i for i, v in enumerate(rng.sample(names, len(names)))}
+            back = rng.random() < 0.3  # else every edge runs forward in rank
+            edges = []
+            for i in range(rng.randrange(3 * len(names))):
+                a, b = rng.choice(names), rng.choice(names)
+                if not back and rank[a] >= rank[b]:
+                    a, b = b, a
+                    if a == b:
+                        continue
+                edges.append(Edge(f"e{i:02d}", a, b))
+            edges += [Edge(f"p{i}", e.tail, e.head) for i, e in enumerate(edges[: rng.randrange(3)])]
+            if rng.random() < 0.1:
+                edges.append(Edge("u", names[0], "unknown"))
+            if rng.random() < 0.05:
+                names.append(names[0])
+            net = Network(tuple(names), tuple(rng.sample(edges, len(edges))), (), ())
+            want = sorted_kahn_order(net)
+            assert network_mod._topological_order(net) == want
+            outcomes.append(want is None)
+        assert any(outcomes) and not all(outcomes)
+
     def test_generators_are_valid(self):
         for n in (2, 3, 4, 5):
             assert validate(choose_two(n)) == []
@@ -498,6 +549,24 @@ class TestCoefficientOwnership:
             mixed = ScalarLinearCode(ring, edges, decs)
             assert transfer(net, mixed) == transfer(net, code)
             assert verify(net, mixed)
+
+
+    @pytest.mark.parametrize("spec", [GF3, GF4, Z4, D2, Product((GF2, GF3))], ids=str)
+    def test_relay_coefficient_built_outside_rings(self, spec):
+        """verify passes a relay's input through when its coefficient equals
+        one; a coefficient equal to one(spec) but built apart from it gives the
+        same answers, on a code that decodes and on one that does not."""
+        net, code = self._code(spec)
+        fresh = RingElement(spec, one(spec).payload)
+        assert fresh == one(spec) and fresh is not one(spec)
+        relays = {e: (fresh,) if cs == (one(spec),) else cs for e, cs in code.edge_coeffs.items()}
+        assert sum(cs[0] is fresh for cs in relays.values()) == 6  # the a and b edges of choose_two(3)
+        key = next(iter(code.decoders))
+        broken = {**code.decoders, key: (zero(spec),) * len(code.decoders[key])}
+        for decoders, want in ((code.decoders, True), (broken, False)):
+            shared, built = (ScalarLinearCode(spec, edges, decoders) for edges in (code.edge_coeffs, relays))
+            assert transfer(net, built) == transfer(net, shared)
+            assert verify(net, built) is verify(net, shared) is want
 
 
 class TestSolveBrute:

@@ -687,6 +687,91 @@ def random_element(spec, rng):
     return RingElement(spec, tuple(rng.randrange(spec.p) for _ in range(k)))
 
 
+class TestSharedElements:
+    """Every non-product ring of at most FIELD_TABLE_LIMIT elements has one
+    element object per value, which every operation returns."""
+
+    RINGS = ["GF(2)", "GF(13)", "Z(12)", "Z(4096)", "D(13)", "GF(4)", "GF(2^8)", "GF(3^5)"]
+
+    @staticmethod
+    def _sample(spec):
+        els = elements(spec)
+        return els if len(els) <= 64 else random.Random(ring_size(spec)).sample(els, 40)
+
+    @pytest.mark.parametrize("text", RINGS)
+    def test_results_are_the_shared_elements(self, text):
+        spec = parse_ring(text)
+        shared = {a.payload: a for a in elements(spec)}
+        ops = arithmetic(spec)
+        sample = self._sample(spec)
+        got = [zero(spec), one(spec)]
+        for a in sample:
+            got += [neg(a), ops.neg(a), inverse(a), element(spec, a.payload),
+                    parse_element(format_element(a), spec), ops.element(a.payload)]
+            for b in sample:
+                got += [add(a, b), mul(a, b), a - b, ops.add(a, b), ops.mul(a, b)]
+        for r in got:
+            assert r is None or r is shared[r.payload]
+
+    @pytest.mark.parametrize("hom, pick", [
+        (mod_reduction(IntegersMod(26), IntegersMod(13)), None),
+        (mod_reduction(IntegersMod(13), PrimeField(13)), None),
+        (dual_augmentation(13), None),
+        (crt(Product((Z4, GF3)), Z12), None),
+        (None, ("GF(2^5)", "GF(2^10)")),
+    ], ids=["Z(26)->Z(13)", "Z(13)->GF(13)", "D(13)->GF(13)", "crt->Z(12)", "GF(2^5)->GF(2^10)"])
+    def test_hom_images_are_the_shared_elements(self, hom, pick):
+        hom = hom or subring_inclusion(*map(parse_ring, pick))
+        shared = {a.payload: a for a in elements(hom.target)}
+        for a in elements(hom.source):
+            image = apply_hom(hom, a)
+            assert image is shared[image.payload]
+
+    @pytest.mark.parametrize("text", RINGS)
+    def test_elements_is_a_new_list_each_call(self, text):
+        spec = parse_ring(text)
+        first, second = elements(spec), elements(spec)
+        assert first is not second and first == second
+        first.reverse()
+        first[0] = None
+        assert elements(spec) == second and elements(spec)[0] is zero(spec)
+
+    @pytest.mark.parametrize("text, twin", [
+        ("GF(13)", PrimeField(13)), ("Z(12)", IntegersMod(12)), ("D(13)", DualNumbers(13)),
+        ("GF(2^8)", GaloisField(2, 8)),
+    ])
+    def test_an_equal_spec_of_another_object_gives_equal_results(self, text, twin):
+        spec = parse_ring(text)
+        assert twin == spec and twin is not spec
+        assert all(a is b for a, b in zip(elements(twin), elements(spec)))
+        for a in self._sample(spec):
+            x = RingElement(twin, a.payload)
+            assert add(x, x) == add(a, a) and mul(x, x) == mul(a, a) and neg(x) == neg(a)
+            assert inverse(x) == inverse(a) and element(twin, a.payload) is element(spec, a.payload)
+
+    @pytest.mark.parametrize("text", RINGS)
+    def test_a_sum_with_the_negation_is_zero(self, text):
+        spec = parse_ring(text)
+        assert all(add(a, neg(a)) is zero(spec) for a in self._sample(spec))
+
+    @pytest.mark.parametrize("text", ["GF(4)", "GF(2^8)", "GF(3^5)"])
+    def test_field_tables_hold_the_shared_elements(self, text):
+        spec = parse_ring(text)
+        t = rings_mod._field_tables(spec.p, spec.k)
+        shared = {a.payload: a for a in elements(spec)}
+        assert all(a is shared[a.payload] for a in t.els)
+        assert t.zero is zero(spec) and t.els[0] is one(spec)
+
+    @pytest.mark.parametrize("text", ["Z(4097)", "GF(2^13)"])
+    def test_larger_rings_still_construct_their_elements(self, text):
+        spec = parse_ring(text)
+        a, b = random_element(spec, random.Random(1)), random_element(spec, random.Random(2))
+        assert add(a, b) == add(a, b) and add(a, b) is not add(a, b)
+        assert mul(a, b) is not mul(a, b) and element(spec, a.payload) is not element(spec, a.payload)
+        assert elements(spec)[5] == elements(spec)[5] and elements(spec)[5] is not elements(spec)[5]
+        assert flat(add(a, b)) == oracle_ops(spec)[0](a.payload, b.payload)
+
+
 def test_reimport_frees_old_classes():
     """Nothing outside the package keeps an earlier import's classes alive
     (typing.Union's cache did), so re-importing ringcode does not leak; the
