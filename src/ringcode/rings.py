@@ -15,8 +15,9 @@ GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes by table
 lookup over its smallest generator g: exp[i] is the payload of g^i, log maps a
 nonzero payload back to i, and the Zech logarithm zech[n] = log(1 + g^n) turns
 a sum into g^i + g^j = g^(i + zech[j - i]).  The tables are built once per
-field, on first use: exp by schoolbook polynomial multiplication, which larger
-fields keep using for every product, and zech from exp in O(q).
+field, on first use: exp from g times each half-width digit block (multiplying
+by g is GF(p)-linear), zech from exp in O(q).  Larger fields multiply by
+schoolbook polynomial products.
 
 Every non-product ring of at most FIELD_TABLE_LIMIT elements (GF(p), Z(n),
 D(p) and the table fields) has one tuple of its elements in lexicographic
@@ -219,8 +220,10 @@ class GaloisField(_Spec):
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"GF({self.p}^{self.k}): {self.p} is not prime")
-        if self.k < 2:
-            raise ValueError(f"GF({self.p}^{self.k}): use galois_field(p, k) or PrimeField(p) for k = 1")
+        if self.k < 1:
+            raise ValueError(f"GF({self.p}^{self.k}): degree must be positive")
+        if self.k == 1:
+            raise ValueError(f"GF({self.p}^1): use galois_field(p, k) or PrimeField(p) for k = 1")
         object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
 
 
@@ -584,7 +587,8 @@ def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tup
 class _FieldTables(NamedTuple):
     """Tables of GF(p^k) over g = smallest_generator, shared by every caller
     and so read only.  exp and els list g^i for i < q - 1 twice, so an index
-    i + j needs no wrap."""
+    i + j needs no wrap.  exp is exact by construction: each g^(i+1) is
+    g * g^i, summed from two products by g (see _field_tables)."""
 
     exp: tuple  # payloads of g^i
     log: dict  # nonzero payload -> i
@@ -596,13 +600,21 @@ class _FieldTables(NamedTuple):
 
 @functools.cache
 def _field_tables(p: int, k: int) -> _FieldTables | None:
-    """The tables of GF(p^k), or None above FIELD_TABLE_LIMIT."""
+    """The tables of GF(p^k), or None above FIELD_TABLE_LIMIT.
+
+    Multiplying by g is GF(p)-linear, so g * x is g * (x's first h = k // 2
+    digits, the rest zero) plus g * (x with those digits zeroed).  Both
+    halves are looked up among p^h + p^(k-h) products by _field_mul, and each
+    next power is one digitwise sum mod p."""
     if p**k > FIELD_TABLE_LIMIT:
         return None
-    spec = galois_field(p, k)
+    spec, h = galois_field(p, k), k // 2
     g, exp = smallest_generator(spec).payload, [one(spec).payload]
+    low = {d: _field_mul(d + (0,) * (k - h), g, spec) for d in itertools.product(range(p), repeat=h)}
+    high = {d: _field_mul((0,) * h + d, g, spec) for d in itertools.product(range(p), repeat=k - h)}
     for _ in range(p**k - 2):
-        exp.append(_field_mul(exp[-1], g, spec))
+        x = exp[-1]
+        exp.append(tuple((u + v) % p for u, v in zip(low[x[:h]], high[x[h:]])))
     log = {a: i for i, a in enumerate(exp)}
     zech = tuple(log.get(((x[0] + 1) % p, *x[1:])) for x in exp)  # None only at 1 + x = 0
     by_payload = {a.payload: a for a in _shared(spec)}
@@ -639,7 +651,9 @@ class RingHom:
 
     ``mod_reduction``, ``dual_augmentation``, ``projection`` and the bijective
     ``crt`` are surjective; ``subring_inclusion`` is injective and carries an
-    explicit payload table built (and exhaustively verified) at construction.
+    explicit payload table, built at construction and checked there on the
+    source's additive generators, which implies the laws on all pairs (see
+    _verify_hom_table).
     """
 
     kind: str
@@ -689,6 +703,7 @@ def _multiplicative_order_checks(q: int) -> list[int]:
     return [(q - 1) // ell for ell, _ in factorize(q - 1)] if q > 2 else []
 
 
+@functools.cache  # by field value: the tables and every subring_inclusion share one scan
 def smallest_generator(spec: PrimeField | GaloisField) -> RingElement:
     """Lexicographically smallest generator of the multiplicative group,
     found on payloads so that the field tables it seeds are not needed."""
@@ -707,19 +722,31 @@ def smallest_generator(spec: PrimeField | GaloisField) -> RingElement:
     raise RuntimeError("unreachable: finite field groups are cyclic")
 
 
-def _verify_hom_table(source: RingSpec, target: RingSpec, table: dict):
-    src = elements(source)
+def _verify_hom_table(source: PrimeField | GaloisField, target: RingSpec, table: dict):
+    """Raise ValueError unless table (source payload -> target payload) is an
+    injective map f that keeps 0 and 1 and obeys the ring laws.
+
+    The laws are checked as f(a + e) = f(a) + f(e) and f(a e) = f(a) f(e)
+    for every source element a and every additive generator e: x^j for
+    j < m in GF(p^m), 1 in GF(p).  That implies them on all pairs.  Every b
+    is a sum of copies of generators, so f(a + b) = f(a) + f(b) follows from
+    f(0) = 0 by induction on the number of summands.  With additivity,
+    b = sum c_j x^j gives f(a b) = sum c_j f(a x^j) = sum c_j f(a) f(x^j)
+    = f(a) f(b).  So q_src * m pairs are checked, not q_src^2.
+    """
+    src, tgt = arithmetic(source), arithmetic(target)
     if table[zero(source).payload] != zero(target).payload:
         raise ValueError("inclusion does not preserve zero")
     if table[one(source).payload] != one(target).payload:
         raise ValueError("inclusion does not preserve one")
-    imgs = {a.payload: arithmetic(target).element(table[a.payload]) for a in src}
-    for a in src:
-        fa = imgs[a.payload]
-        for b in src:
-            if table[add(a, b).payload] != add(fa, imgs[b.payload]).payload:
+    els = elements(source)
+    imgs = [tgt.element(table[a.payload]) for a in els]
+    for i in (source.p**j for j in range(getattr(source, "k", 1))):  # x^(m-1-j) is at index p^j
+        e, fe = els[i], imgs[i]
+        for a, fa in zip(els, imgs):
+            if table[src.add(a, e).payload] != tgt.add(fa, fe).payload:
                 raise ValueError("inclusion is not additive")
-            if table[mul(a, b).payload] != mul(fa, imgs[b.payload]).payload:
+            if table[src.mul(a, e).payload] != tgt.mul(fa, fe).payload:
                 raise ValueError("inclusion is not multiplicative")
     if len(set(table.values())) != len(table):
         raise ValueError("inclusion is not injective")
@@ -732,52 +759,36 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
     lexicographically smallest root of the source modulus inside the unique
     subfield of the target of the right size (the subgroup generated by
     g^((p^k-1)/(p^m-1)) for g the smallest generator of the target).  The map
-    sends a generator of the source onto that subgroup generator, and the
-    whole table is verified to satisfy the homomorphism laws before use.
+    sends a generator of the source onto that subgroup generator.  Before
+    use the table is checked to be injective, to keep 0 and 1, and to obey
+    the ring laws on the source's additive generators, which implies them on
+    all pairs (see _verify_hom_table).  Targets above FIELD_TABLE_LIMIT go
+    through the same steps on coefficient arithmetic.
     """
-    table: dict = {}
     if isinstance(source, PrimeField) and isinstance(target, DualNumbers):
         if source.p != target.p:
             raise ValueError("characteristic mismatch")
-        for v in range(source.p):
-            table[v] = (v, 0)
+    elif not isinstance(source, (PrimeField, GaloisField)) or not isinstance(target, GaloisField):
+        raise ValueError("unsupported inclusion pair")
+    elif target.p != source.p or target.k % getattr(source, "k", 1) != 0:
+        raise ValueError("source degree must divide target degree")
+    if isinstance(source, PrimeField):  # the prime subfield: a -> a * 1, the constant a
+        pad = (0,) * (len(one(target).payload) - 1)
+        table = {v: (v, *pad) for v in range(source.p)}
     else:
-        if not isinstance(source, (PrimeField, GaloisField)) or not isinstance(
-            target, GaloisField
-        ):
-            raise ValueError("unsupported inclusion pair")
-        p = source.p
-        m = 1 if isinstance(source, PrimeField) else source.k
-        if target.p != p or target.k % m != 0:
-            raise ValueError("source degree must divide target degree")
-        if m == 1:
-            # prime subfield: a -> a * 1
-            uno = one(target)
-            acc = zero(target)
-            for v in range(p):
-                table[v] = acc.payload
-                acc = add(acc, uno)
-        else:
-            g = smallest_generator(target)
-            t = _pow(g, (ring_size(target) - 1) // (p**m - 1), mul, one(target))
-            root = None
-            cur = one(target)
-            for _ in range(p**m - 1):
-                if _eval_source_modulus(source, cur) and (
-                    root is None or cur.payload < root.payload
-                ):
-                    root = cur
-                cur = mul(cur, t)
-            if root is None:
-                raise RuntimeError("unreachable: subfield contains the roots")
-            powers = [one(target)]
-            for _ in range(m - 1):
-                powers.append(mul(powers[-1], root))
-            for a in _iter_elements(source):
-                img = zero(target)
-                for c, rp in zip(a.payload, powers):
-                    img = add(img, _scale_int(rp, c))
-                table[a.payload] = img.payload
+        p, m, table = source.p, source.k, {}
+        t = _pow(smallest_generator(target), (ring_size(target) - 1) // (p**m - 1), mul, one(target))
+        subfield = itertools.accumulate(range(p**m - 2), lambda x, _: mul(x, t), initial=one(target))
+        is_root = functools.partial(_eval_source_modulus, source)
+        root = min(filter(is_root, subfield), key=lambda x: x.payload)  # the smallest of the m roots
+        powers = [one(target)]
+        for _ in range(m - 1):
+            powers.append(mul(powers[-1], root))
+        for a in _iter_elements(source):
+            img = zero(target)
+            for c, rp in zip(a.payload, powers):
+                img = add(img, _scale_int(rp, c))
+            table[a.payload] = img.payload
     _verify_hom_table(source, target, table)
     return RingHom(SUBRING_INCLUSION, source, target, table=MappingProxyType(table))
 
@@ -877,6 +888,8 @@ class _ExprParser:
                 # already exceeds the guard once exp reaches its bit length
                 if base > ENUMERATION_GUARD or exp >= ENUMERATION_GUARD.bit_length():
                     self.error(f"GF({base}^{exp}) exceeds the size guard", start)
+                if exp < 1:
+                    self.error(f"GF({base}^{exp}): degree must be positive", start)
                 if not is_prime(base):
                     self.error(f"{base} is not prime", start)
                 if base**exp > ENUMERATION_GUARD:

@@ -83,6 +83,10 @@ class TestRingsCommands:
         code, _ = run_cli("rings", "parse", "--ring", "GF(6)")
         assert code == 2
 
+    def test_degree_zero(self, capsys):
+        assert run_cli("rings", "parse", "--ring", "GF(2^0)") == (2, "")
+        assert capsys.readouterr().err == "error: GF(2^0): degree must be positive (at offset 0)\n"
+
     def test_elements_guard(self):
         code, _ = run_cli("rings", "elements", "--ring", "Z(2000000)")
         assert code == 2

@@ -8,6 +8,7 @@ import sys
 import weakref
 
 import pytest
+from hom_oracle import verify_hom_table_all_pairs
 
 from ringcode import rings as rings_mod
 from ringcode.errors import GuardExceeded, ParseError
@@ -390,6 +391,9 @@ class TestExpressionGrammar:
         with pytest.raises(ParseError) as err:
             parse_ring("GF(4) junk")
         assert err.value.offset == 6
+        with pytest.raises(ParseError, match="degree must be positive") as err:
+            parse_ring("Z(4) x GF(2^0)")
+        assert err.value.offset == 7
 
     def test_whitespace_insensitive(self):
         assert parse_ring("GF( 8 ) x GF( 4 )") == parse_ring("GF(8)xGF(4)")
@@ -452,8 +456,9 @@ class TestSpecValidation:
                 GaloisField(p, 1)
             assert galois_field(p, 1) == PrimeField(p)
             assert parse_ring(format_ring(galois_field(p, 1))) == PrimeField(p)
-        with pytest.raises(ValueError):
-            GaloisField(2, 0)
+        for make in (GaloisField, galois_field):
+            with pytest.raises(ValueError, match=r"GF\(2\^0\): degree must be positive"):
+                make(2, 0)
 
     def test_prime_checks(self):
         with pytest.raises(ValueError):
@@ -618,6 +623,153 @@ class TestFieldAddition:
             a, b = (RingElement(spec, tuple(rng.randrange(spec.p) for _ in range(spec.k))) for _ in "ab")
             for got in (add(a, b), a - b, neg(a), mul(a, b), a - a, mul(a, zero(spec)), inverse(a)):
                 assert got is None or got.ring is spec
+
+
+HOM_CHECKS = [rings_mod._verify_hom_table, verify_hom_table_all_pairs]
+HOM_CHECK_IDS = ["generators", "all_pairs"]
+FORGED_PAIRS = [("GF(2^3)", "GF(2^6)"), ("GF(2^2)", "GF(2^4)"), ("GF(3)", "D(3)")]
+
+
+def inclusion_table(src_text, dst_text):
+    source, target = parse_ring(src_text), parse_ring(dst_text)
+    return source, target, dict(subring_inclusion(source, target).table)
+
+
+def shifted_coset(source, table):
+    """table with the coset x^(m-1) + GF(p) moved by one: a -> f(a + 1) on it.
+    f(a + 1) = f(a) + 1 still holds everywhere, but additivity over x fails."""
+    p, m = source.p, source.k
+    coset = [(c,) + (0,) * (m - 2) + (1,) for c in range(p)]
+    out = dict(table)
+    for a in coset:
+        out[a] = table[((a[0] + 1) % p,) + a[1:]]
+    return out
+
+
+class TestHomTableCheck:
+    """rings._verify_hom_table checks the laws on the source's additive
+    generators; the all-pairs oracle checks them on every pair.  Both must
+    reject every forgery and accept every true inclusion."""
+
+    @pytest.mark.parametrize("check", HOM_CHECKS, ids=HOM_CHECK_IDS)
+    @pytest.mark.parametrize("pair", FORGED_PAIRS, ids="->".join)
+    def test_hom_table_rejects_every_single_entry_forgery(self, pair, check):
+        source, target, table = inclusion_table(*pair)
+        check(source, target, table)
+        payloads = [b.payload for b in elements(target)]
+        forged = 0
+        for a, fa in table.items():
+            for v in payloads:
+                if v != fa:
+                    with pytest.raises(ValueError):
+                        check(source, target, {**table, a: v})
+                    forged += 1
+        assert forged == len(table) * (len(payloads) - 1)
+
+    @pytest.mark.parametrize("check", HOM_CHECKS, ids=HOM_CHECK_IDS)
+    @pytest.mark.parametrize("pair", FORGED_PAIRS, ids="->".join)
+    def test_hom_table_rejects_moving_zero_or_one(self, pair, check):
+        source, target, table = inclusion_table(*pair)
+        z, u = zero(source).payload, one(source).payload
+        swapped = {**table, z: table[u], u: table[z]}
+        with pytest.raises(ValueError, match="preserve zero"):
+            check(source, target, swapped)
+        x = next(a for a in table if a not in (z, u))
+        with pytest.raises(ValueError, match="preserve one"):
+            check(source, target, {**table, u: table[x], x: table[u]})
+
+    @pytest.mark.parametrize("check", HOM_CHECKS, ids=HOM_CHECK_IDS)
+    @pytest.mark.parametrize("pair", FORGED_PAIRS + [("GF(3^2)", "GF(3^4)")], ids="->".join)
+    def test_hom_table_accepts_the_frobenius_twist(self, pair, check):
+        source, target, table = inclusion_table(*pair)
+        ops = arithmetic(target)
+        twisted = {}
+        for a, fa in table.items():
+            y = power = ops.element(fa)
+            for _ in range(source.p - 1):
+                power = ops.mul(power, y)
+            twisted[a] = power.payload
+        assert isinstance(source, PrimeField) or twisted != table
+        check(source, target, twisted)
+
+    @pytest.mark.parametrize("check", HOM_CHECKS, ids=HOM_CHECK_IDS)
+    @pytest.mark.parametrize("pair", [("GF(2^3)", "GF(2^6)"), ("GF(3^3)", "GF(3^6)")], ids="->".join)
+    def test_hom_table_rejects_a_linear_map_that_is_not_multiplicative(self, pair, check):
+        # L(x^2) = f(x^2) + f(x) keeps L additive, injective and unital
+        source, target, table = inclusion_table(*pair)
+        basis = [table[(0,) * j + (1,) + (0,) * (2 - j)] for j in range(3)]
+        basis[2] = oracle_add(basis[2], basis[1], target)
+        linear = {}
+        for a in table:
+            img = (0,) * target.k
+            for c, b in zip(a, basis):
+                for _ in range(c):
+                    img = oracle_add(img, b, target)
+            linear[a] = img
+        assert len(set(linear.values())) == len(linear)
+        with pytest.raises(ValueError, match="not multiplicative"):
+            check(source, target, linear)
+
+    @pytest.mark.parametrize("check", HOM_CHECKS, ids=HOM_CHECK_IDS)
+    @pytest.mark.parametrize("pair", [("GF(2^3)", "GF(2^6)"), ("GF(3^2)", "GF(3^4)")], ids="->".join)
+    def test_hom_table_rejects_a_map_additive_only_over_one(self, pair, check):
+        source, target, table = inclusion_table(*pair)
+        with pytest.raises(ValueError, match="not (additive|multiplicative)"):
+            check(source, target, shifted_coset(source, table))
+
+    @pytest.mark.parametrize("pair", [("GF(2)", "GF(2^5)"), ("GF(2^5)", "GF(2^10)"), ("GF(5^2)", "GF(5^4)"),
+                                      ("GF(3)", "GF(3^5)"), ("GF(13)", "D(13)")], ids="->".join)
+    def test_hom_table_checks_agree_on_the_built_inclusions(self, pair):
+        source, target, table = inclusion_table(*pair)
+        for check in HOM_CHECKS:
+            check(source, target, table)
+
+    def test_inclusion_above_the_table_limit_against_the_oracle(self):
+        source, target = parse_ring("GF(2^7)"), parse_ring("GF(2^14)")
+        assert rings_mod._field_tables(2, 14) is None
+        table = subring_inclusion(source, target).table
+        assert len(set(table.values())) == len(table) == 128
+        assert table[one(source).payload] == one(target).payload
+        rng = random.Random(14)
+        payloads = list(table)
+        for _ in range(500):
+            a, b = rng.choice(payloads), rng.choice(payloads)
+            assert table[oracle_add(a, b, source)] == oracle_add(table[a], table[b], target)
+            assert table[oracle_mul(a, b, source)] == oracle_mul(table[a], table[b], target)
+
+
+class TestCountedWork:
+    """Products by schoolbook multiplication, counted through rings._field_mul."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = [0]
+        field_mul = rings_mod._field_mul
+
+        def counted(*args, **kwargs):
+            counter[0] += 1
+            return field_mul(*args, **kwargs)
+
+        monkeypatch.setattr(rings_mod, "_field_mul", counted)
+        return counter
+
+    @pytest.fixture
+    def uncached_generator(self, monkeypatch):
+        monkeypatch.setattr(rings_mod, "smallest_generator", rings_mod.smallest_generator.__wrapped__)
+
+    def test_field_tables_of_gf_2_10(self, calls, uncached_generator):
+        tables = rings_mod._field_tables.__wrapped__(2, 10)
+        assert 0 < calls[0] <= 150
+        assert tables.exp == rings_mod._field_tables(2, 10).exp
+
+    def test_smallest_generator_is_found_once_per_field_value(self, calls):
+        first = smallest_generator(GaloisField(2, 11))
+        calls[0] = 0
+        assert smallest_generator(GaloisField(2, 11)) == first and calls[0] == 0
+
+    def test_inclusion_above_the_table_limit(self, calls, uncached_generator):
+        subring_inclusion(galois_field(2, 7), galois_field(2, 14))
+        assert 0 < calls[0] <= 3000
 
 
 def oracle_ops(spec):
