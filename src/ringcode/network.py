@@ -10,8 +10,12 @@ the corresponding linear combination, so each edge has an exact transfer
 vector of per-message coefficients, computed in topological order.  verify
 carries these vectors as tuples in message_ids() order, checks each
 coefficient's ring once, and passes an input vector through unmultiplied where
-its coefficient is one (a relay edge); transfer and decode_search take and
-give TransferVector.
+its coefficient is one (a relay edge).  Over a table field (GF(p^k), k >= 2,
+at most FIELD_TABLE_LIMIT elements) the tuples hold discrete logarithms, None
+for zero, and verify and decode_search compute with the field's log add and
+mul; over every other ring they hold RingElements (see _domain).  transfer
+and decode_search take and give TransferVector of RingElements, so logs
+become the field's shared elements again only on the way out.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
 through their residue field, so it only searches fields and Z(p^k).
@@ -64,6 +68,7 @@ from .rings import (
     _check_owner,
     _field_tables,
     _iter_elements,
+    _log_ops,
     _shared,
     add,
     apply_hom,
@@ -251,24 +256,36 @@ def two_six() -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _unit(target: str, msg_ids: Sequence[str], spec: RingSpec) -> TransferVector:
-    """The transfer vector of message target on its own."""
-    return TransferVector({m: one(spec) if m == target else zero(spec) for m in msg_ids})
+def _itself(a):
+    return a
+
+
+def _domain(spec: RingSpec):
+    """(encode, decode, zero, one, add, mul) of the values that verify and
+    decode_search compute on over spec.  A table field computes on discrete
+    logs with rings._log_ops: encode(a) is log a, None for zero, and decode(i)
+    the shared element g^i.  Every other ring computes on its RingElements
+    with its arithmetic(spec) closures, and encode and decode are _itself."""
+    if not isinstance(spec, GaloisField) or (t := _field_tables(spec.p, spec.k)) is None:
+        add, mul, *_ = arithmetic(spec)
+        return _itself, _itself, zero(spec), one(spec), add, mul
+    log, els, z = t.log.get, t.els, t.zero
+    return (lambda a: log(a.payload)), (lambda i: z if i is None else els[i]), None, 0, *_log_ops(spec.p, spec.k)
 
 
 def _combiner(spec: RingSpec, width: int):
     """combine(coeffs, vecs): sum(c_i * vec_i) over spec of vectors of width
-    entries; ValueError if a c_i is not over spec.  A c_i equal to one passes
-    vec_i through unmultiplied."""
-    add, mul, *_ = arithmetic(spec)
-    uno, zeros = one(spec), (zero(spec),) * width
+    entries in _domain(spec), for RingElements c_i; ValueError if a c_i is
+    not over spec.  A c_i equal to one passes vec_i through unmultiplied."""
+    encode, _, zero_, _, add, mul = _domain(spec)
+    uno, zeros = one(spec), (zero_,) * width
 
     def combine(coeffs, vecs):
         acc = None
         for c, vec in zip(coeffs, vecs):
             _check_owner(c, spec)
             if c is not uno and c.payload != uno.payload:
-                vec = tuple(map(mul, itertools.repeat(c, width), vec))
+                vec = tuple(map(mul, itertools.repeat(encode(c), width), vec))
             acc = vec if acc is None else tuple(map(add, acc, vec))  # the first term itself, not zero plus it
         return zeros if acc is None else acc
 
@@ -277,19 +294,24 @@ def _combiner(spec: RingSpec, width: int):
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    msg_ids = net.message_ids()
-    vectors = _transfer(net, code, _layout(net))
-    return {ref: TransferVector(dict(zip(msg_ids, v))) for (kind, ref), v in vectors.items() if kind == "edge"}
+    return {ref: v for (kind, ref), v in _transfer_vectors(net, code, _layout(net)).items() if kind == "edge"}
+
+
+def _transfer_vectors(net: Network, code: ScalarLinearCode, layout) -> dict:
+    """_transfer's vectors as TransferVectors of elements."""
+    msg_ids, decode = net.message_ids(), _domain(code.ring)[1]
+    return {i: TransferVector(dict(zip(msg_ids, map(decode, v)))) for i, v in _transfer(net, code, layout).items()}
 
 
 def _transfer(net: Network, code: ScalarLinearCode, layout):
     """The vector of every node input on the network's _layout, a tuple in
-    message_ids() order: ("msg", m) is the unit vector of m, built once per
-    call, ("edge", e) the transfer vector of e."""
+    message_ids() order in _domain(code.ring): ("msg", m) is the unit vector
+    of m, built once per call, ("edge", e) the transfer vector of e."""
     edges, inputs_of = layout
     msg_ids = net.message_ids()
     combine = _combiner(code.ring, len(msg_ids))
-    vectors = {("msg", m): tuple(_unit(m, msg_ids, code.ring).coefficients.values()) for m in msg_ids}
+    _, _, zero_, one_, *_ = _domain(code.ring)
+    vectors = {("msg", m): tuple(one_ if j == m else zero_ for j in msg_ids) for m in msg_ids}
     for e in edges:
         coeffs = code.edge_coeffs.get(e.id)
         inputs = inputs_of[e.tail]
@@ -344,8 +366,10 @@ def decode_search(
     every demand one of them, else ValueError.  Each c is the
     lexicographically first in canonical element order, with the last input
     most significant over a field and the first over Z(p^k).  One
-    _first_decoders call on rings arithmetic serves every demand of the
-    receiver, so no element tables are built.
+    _first_decoders call serves every demand of the receiver, so no element
+    tables are built: over a table field on discrete logs (see _domain), the
+    row entries owner-checked and encoded once, and over any other ring on
+    the public, checked rings.add and rings.mul.
     """
     if not (_is_field(spec) or isinstance(spec, IntegersMod) and len(factorize(spec.n)) == 1):
         raise ValueError(f"decode_search needs a field or Z(p^k), not {format_ring(spec)}")
@@ -353,22 +377,30 @@ def decode_search(
         return ()
     if not rows:
         return None
-    msg_ids, q, z = sorted(rows[0].coefficients), ring_size(spec), zero(spec)
+    msg_ids, q = sorted(rows[0].coefficients), ring_size(spec)
     if bad := [i for i, row in enumerate(rows) if row.coefficients.keys() != rows[0].coefficients.keys()]:
         raise ValueError(f"row {bad[0]} is over other messages than row 0, which is over {', '.join(msg_ids)}")
     if bad := [d for d in demands if d not in msg_ids]:
         raise ValueError(f"unknown demand {bad[0]}: the rows are over {', '.join(msg_ids)}")
+    encode, decode, z, uno, log_add, log_mul = _domain(spec)
     vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
-    units = [tuple(_unit(d, msg_ids, spec).coefficients.values()) for d in demands]
-    if isinstance(spec, GaloisField):  # every nonzero element is a unit
+    units = [tuple(uno if m == d else z for m in msg_ids) for d in demands]
+    minus = neg(decode(uno))
+    plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
+    if z is None:  # a table field, on logs: every nonzero element is a unit
+        for x in itertools.chain.from_iterable(vecs):
+            _check_owner(x, spec)
+        vecs, minus = [tuple(map(encode, v)) for v in vecs], encode(minus)
+        arith = (lambda a: 1), (lambda a, w: (-a % (q - 1), None)), (lambda a, w: log_mul(a, minus))
+        plus, scaled = (lambda u, v: tuple(map(log_add, u, v))), (lambda c, v: tuple(map(log_mul, itertools.repeat(c), v)))
+    elif isinstance(spec, GaloisField):  # every nonzero element is a unit
         arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
     else:  # payloads are the integer values
         el = arithmetic(spec).element
         arith = (lambda a: math.gcd(a.payload, q), lambda a, w: (el(pow(a.payload // w, -1, q)), el(q // w % q)),
                  lambda a, w: el(-(a.payload // w) % q))
-    plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
-    found = _first_decoders(vecs, units, _is_field(spec), (z, neg(one(spec)), plus, scaled, *arith))
-    return None if found is None else tuple(found)
+    found = _first_decoders(vecs, units, _is_field(spec), (z, minus, plus, scaled, *arith))
+    return None if found is None else tuple(tuple(map(decode, cs)) for cs in found)
 
 
 def _first_decoders(rows, targets, last_first, ops):
@@ -634,9 +666,9 @@ def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode |
     exact transfer vectors, checked.  A receiver that cannot decode gives None
     when no edge combines, else RuntimeError: the search or construction
     ensured it."""
-    vectors, inputs_of, msg_ids = _transfer(net, code, layout), layout[1], net.message_ids()
+    vectors, inputs_of = _transfer_vectors(net, code, layout), layout[1]
     for recv in net.receivers:
-        rows = [TransferVector(dict(zip(msg_ids, vectors[i]))) for i in inputs_of[recv.node]]
+        rows = [vectors[i] for i in inputs_of[recv.node]]
         found = decode_search(rows, recv.demands, code.ring)
         if found is None:
             if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):

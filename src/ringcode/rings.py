@@ -14,10 +14,12 @@ order, which keeps outputs reproducible byte for byte.
 GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes by table
 lookup over its smallest generator g: exp[i] is the payload of g^i, log maps a
 nonzero payload back to i, and the Zech logarithm zech[n] = log(1 + g^n) turns
-a sum into g^i + g^j = g^(i + zech[j - i]).  The tables are built once per
-field, on first use: exp from g times each half-width digit block (multiplying
-by g is GF(p)-linear), zech from exp in O(q).  Larger fields multiply by
-schoolbook polynomial products.
+a sum into g^i + g^j = g^(i + zech[j - i]); both operations on logs are
+defined once, in _log_ops, which the field's arithmetic and network's verify
+and decode_search share.  The tables are built once per field, on first use:
+exp from g times each half-width digit block (multiplying by g is
+GF(p)-linear), zech from exp in O(q).  Larger fields multiply by schoolbook
+polynomial products.
 
 Every non-product ring of at most FIELD_TABLE_LIMIT elements (GF(p), Z(n),
 D(p) and the table fields) has one tuple of its elements in lexicographic
@@ -40,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
@@ -91,9 +93,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p^k if q is a prime power, else None."""
     fac = factorize(q) if q >= 2 else []
-    if len(fac) == 1:
-        return fac[0]
-    return None
+    return fac[0] if len(fac) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +179,10 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise GuardExceeded(f"p^k = {p**k} exceeds {ENUMERATION_GUARD}")
     if k == 1:
         return (0, 1)
-    # the constant term of an irreducible of degree >= 2 is nonzero, so skip
-    # the whole c0 = 0 block of the lexicographic scan
-    for idx in range(p ** (k - 1), p**k):
-        digits = []
-        v = idx
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
-        coeffs = tuple(reversed(digits)) + (1,)
-        if poly_is_irreducible(coeffs, p):
+    # the constant term of an irreducible of degree >= 2 is nonzero, so the
+    # lexicographic scan skips the whole c0 = 0 block
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+        if poly_is_irreducible(coeffs := low + (1,), p):
             return coeffs
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
@@ -281,21 +275,12 @@ def ring_size(spec: RingSpec) -> int:
         return spec.n
     if isinstance(spec, DualNumbers):
         return spec.p**2
-    return _prod(ring_size(f) for f in spec.factors)
-
-
-def _prod(it) -> int:
-    out = 1
-    for v in it:
-        out *= v
-    return out
+    return prod(ring_size(f) for f in spec.factors)
 
 
 def characteristic(spec: RingSpec) -> int:
     """Smallest c >= 1 with c * 1 = 0."""
-    if isinstance(spec, (PrimeField, DualNumbers)):
-        return spec.p
-    if isinstance(spec, GaloisField):
+    if isinstance(spec, (PrimeField, GaloisField, DualNumbers)):
         return spec.p
     if isinstance(spec, IntegersMod):
         return spec.n
@@ -522,23 +507,11 @@ def _build_arithmetic(spec: RingSpec) -> Arithmetic:
             lambda a: new(tuple(-x % p for x in a.payload)),
             new,
         )
-    log, zech, els, zero_, neg_one = t.log.get, t.zech, t.els, t.zero, t.neg_one
-
-    def field_add(a, b):
-        i, j = log(a.payload), log(b.payload)
-        if i is None or j is None:
-            return b if i is None else a
-        z = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
-        return zero_ if z is None else els[i + z]
-
-    def field_mul(a, b):
-        i, j = log(a.payload), log(b.payload)
-        return zero_ if i is None or j is None else els[i + j]
-
-    return Arithmetic(
-        field_add,
-        field_mul,
-        lambda a: a if (i := log(a.payload)) is None else els[i + neg_one],
+    (log_add, log_mul), log, els, zero_ = _log_ops(p, spec.k), t.log.get, t.els, t.zero
+    return Arithmetic(  # on logs (see _log_ops), the elements back as els[i]
+        lambda a, b: zero_ if (i := log_add(log(a.payload), log(b.payload))) is None else els[i],
+        lambda a, b: zero_ if (i := log_mul(log(a.payload), log(b.payload))) is None else els[i],
+        lambda a: a if (i := log(a.payload)) is None else els[i + t.neg_one],
         lambda x: zero_ if (i := log(x)) is None else els[i],
     )
 
@@ -587,8 +560,14 @@ def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tup
 class _FieldTables(NamedTuple):
     """Tables of GF(p^k) over g = smallest_generator, shared by every caller
     and so read only.  exp and els list g^i for i < q - 1 twice, so an index
-    i + j needs no wrap.  exp is exact by construction: each g^(i+1) is
-    g * g^i, summed from two products by g (see _field_tables)."""
+    i + n for n < q - 1 needs no wrap.  exp is exact by construction: each
+    g^(i+1) is g * g^i, summed from two products by g (see _field_tables).
+
+    On these tables a field element is its log i, None for zero, and
+    _log_ops adds and multiplies logs.  The field's arithmetic(spec) maps
+    payloads to logs and back for each operation; network's verify and
+    decode_search stay on logs throughout and take els[i] back only for
+    what they return."""
 
     exp: tuple  # payloads of g^i
     log: dict  # nonzero payload -> i
@@ -620,6 +599,21 @@ def _field_tables(p: int, k: int) -> _FieldTables | None:
     by_payload = {a.payload: a for a in _shared(spec)}
     els = tuple(map(by_payload.__getitem__, exp))
     return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, zero(spec))
+
+
+@functools.cache
+def _log_ops(p: int, k: int):
+    """(add, mul) of GF(p^k) on discrete logs over its tables: an element is
+    its log i < q - 1, None for zero, and the tables' els[i] is its element."""
+    zech, m = _field_tables(p, k).zech, p**k - 1
+
+    def log_add(i, j):
+        if i is None or j is None:
+            return j if i is None else i
+        z = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
+        return None if z is None else (i + z) % m
+
+    return log_add, lambda i, j: None if i is None or j is None else (i + j) % m
 
 
 def _pow(base, e: int, times, out):
@@ -759,7 +753,10 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
     lexicographically smallest root of the source modulus inside the unique
     subfield of the target of the right size (the subgroup generated by
     g^((p^k-1)/(p^m-1)) for g the smallest generator of the target).  The map
-    sends a generator of the source onto that subgroup generator.  Before
+    sends a generator of the source onto that subgroup generator.  The
+    subfield is scanned in the order of that generator's powers only up to
+    the first root r: the m roots are its Frobenius conjugates r, r^p, ...,
+    r^(p^(m-1)), and the smallest of them is taken.  Before
     use the table is checked to be injective, to keep 0 and 1, and to obey
     the ring laws on the source's additive generators, which implies them on
     all pairs (see _verify_hom_table).  Targets above FIELD_TABLE_LIMIT go
@@ -779,8 +776,9 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
         p, m, table = source.p, source.k, {}
         t = _pow(smallest_generator(target), (ring_size(target) - 1) // (p**m - 1), mul, one(target))
         subfield = itertools.accumulate(range(p**m - 2), lambda x, _: mul(x, t), initial=one(target))
-        is_root = functools.partial(_eval_source_modulus, source)
-        root = min(filter(is_root, subfield), key=lambda x: x.payload)  # the smallest of the m roots
+        root = next(filter(functools.partial(_eval_source_modulus, source), subfield))
+        roots = itertools.accumulate(range(m - 1), lambda x, _: _pow(x, p, mul, one(target)), initial=root)
+        root = min(roots, key=lambda x: x.payload)  # the m roots are r^(p^i), i < m
         powers = [one(target)]
         for _ in range(m - 1):
             powers.append(mul(powers[-1], root))
@@ -799,7 +797,7 @@ def crt(product: Product, target: IntegersMod) -> RingHom:
     if not isinstance(product, Product) or not isinstance(target, IntegersMod):
         raise ValueError("crt maps a product of Z(m) rings onto Z(n)")
     moduli = [_modulus_of(f) for f in product.factors]
-    if None in moduli or _prod(moduli) != target.n or lcm(*moduli) != target.n:
+    if None in moduli or prod(moduli) != target.n or lcm(*moduli) != target.n:
         raise ValueError(f"{format_ring(product)} does not split Z({target.n})")
     return RingHom(CRT, product, target)
 
@@ -856,6 +854,7 @@ class _ExprParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, ch: str):
+        self.skip_ws()
         if self.peek() != ch:
             self.error(f"expected {ch!r}")
         self.pos += 1
@@ -877,7 +876,6 @@ class _ExprParser:
             if self.text[self.pos : self.pos + 2].upper() != "GF":
                 self.error("expected GF")
             self.pos += 2
-            self.skip_ws()
             self.expect("(")
             base = self.integer()
             self.skip_ws()
@@ -902,31 +900,26 @@ class _ExprParser:
                 if pk is None:
                     self.error(f"{base} is not a prime power", start)
                 spec = galois_field(*pk)
-            self.skip_ws()
             self.expect(")")
             return spec
         if head == "Z":
             self.pos += 1
-            self.skip_ws()
             self.expect("(")
             n = self.integer()
             if n < 2:
                 self.error("Z(n) needs n >= 2", start)
             if n > ENUMERATION_GUARD:
                 self.error(f"Z({n}) exceeds the size guard", start)
-            self.skip_ws()
             self.expect(")")
             return IntegersMod(n)
         if head == "D":
             self.pos += 1
-            self.skip_ws()
             self.expect("(")
             p = self.integer()
             if p * p > ENUMERATION_GUARD:
                 self.error(f"D({p}) exceeds the size guard", start)
             if not is_prime(p):
                 self.error(f"{p} is not prime", start)
-            self.skip_ws()
             self.expect(")")
             return DualNumbers(p)
         self.error("expected GF(, Z( or D(")

@@ -1,11 +1,15 @@
-"""The solver's search and decoding on RingElement values, kept as oracles.
+"""The solver's search, decoding and verification on RingElement values,
+kept as oracles.
 
 ``network._search`` runs on element indices; ``search`` is the same
 depth-first search in the same canonical coefficient order, without the
 kernel's unit-orbit pruning, written on ``RingElement`` arithmetic and the
 exhaustive ``decode``.  Both accept any catalog ring, products and D(p)
 included, so ``search`` also serves as the plain search on rings that
-``solve_brute`` splits or reduces.
+``solve_brute`` splits or reduces.  ``transfer`` and ``verify`` recompute
+every transfer vector and decoder sum through ``fold``, and ``decode_on_elements`` is
+``decode_search``'s elimination over GF(p^k) on ``RingElement`` values, as it
+ran before table fields moved to discrete logarithms.
 """
 
 import itertools
@@ -15,10 +19,16 @@ from ringcode.network import (
     ScalarLinearCode,
     TransferVector,
     _checked,
+    _first_decoders,
     _is_field,
-    _unit,
+    _layout,
 )
-from ringcode.rings import add, elements, mul, one, zero
+from ringcode.rings import add, elements, inverse, mul, neg, one, zero
+
+
+def unit(target, msg_ids, spec):
+    """The transfer vector of message target on its own."""
+    return TransferVector({m: one(spec) if m == target else zero(spec) for m in msg_ids})
 
 
 def fold(coeffs, vecs, m, spec):
@@ -38,12 +48,52 @@ def decode(rows, target, spec):
     if not rows:
         return None
     last_first = _is_field(spec)
-    unit = _unit(target, sorted(rows[0].coefficients), spec)
+    goal = unit(target, sorted(rows[0].coefficients), spec)
     for combo in itertools.product(elements(spec), repeat=len(rows)):
         combo = combo[::-1] if last_first else combo
-        if all(fold(combo, rows, m, spec) == want for m, want in unit.coefficients.items()):
+        if all(fold(combo, rows, m, spec) == want for m, want in goal.coefficients.items()):
             return combo
     return None
+
+
+def transfer(net, code):
+    """The TransferVector of every node input, keyed ("msg", m) or
+    ("edge", e), each entry a fold."""
+    spec, msg_ids = code.ring, net.message_ids()
+    edges, inputs_of = _layout(net)
+    vec_of = {("msg", m): unit(m, msg_ids, spec) for m in msg_ids}
+    for e in edges:
+        vecs = [vec_of[i] for i in inputs_of[e.tail]]
+        vec_of[("edge", e.id)] = TransferVector({m: fold(code.edge_coeffs[e.id], vecs, m, spec) for m in msg_ids})
+    return vec_of
+
+
+def verify(net, code):
+    """network.verify recomputed through fold: every transfer vector and
+    every decoder sum on the public, checked add and mul."""
+    spec, msg_ids = code.ring, net.message_ids()
+    vec_of, inputs_of = transfer(net, code), _layout(net)[1]
+    for recv in net.receivers:
+        rows = [vec_of[i] for i in inputs_of[recv.node]]
+        for demand in recv.demands:
+            coeffs = code.decoders.get((recv.node, demand))
+            goal = unit(demand, msg_ids, spec).coefficients
+            if coeffs is None or any(fold(coeffs, rows, m, spec) != goal[m] for m in msg_ids):
+                return False
+    return True
+
+
+def decode_on_elements(rows, demands, spec):
+    """decode_search over GF(p^k) for rows and demands it accepts, with the
+    elimination on RingElement values through the public add, mul, neg and
+    inverse."""
+    msg_ids, z = sorted(rows[0].coefficients), zero(spec)
+    vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
+    units = [tuple(unit(d, msg_ids, spec).coefficients.values()) for d in demands]
+    arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
+    plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
+    found = _first_decoders(vecs, units, True, (z, neg(one(spec)), plus, scaled, *arith))
+    return None if found is None else tuple(found)
 
 
 def search(net, spec, layout):
@@ -66,7 +116,7 @@ def search(net, spec, layout):
         return resolve(ins[0])
 
     forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
-    vec_of = {("msg", m): _unit(m, msg_ids, spec) for m in msg_ids}
+    vec_of = {("msg", m): unit(m, msg_ids, spec) for m in msg_ids}
     vec_of[("zero", "")] = TransferVector(dict.fromkeys(msg_ids, zero(spec)))
 
     depth_of = {("edge", e.id): i for i, e in enumerate(searched)}

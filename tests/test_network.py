@@ -10,8 +10,13 @@ import pytest
 
 from netcorpus import corpus, relay_chain
 from search_oracle import decode as oracle_decode
+from search_oracle import decode_on_elements
+from search_oracle import transfer as oracle_transfer
+from search_oracle import unit as oracle_unit
+from search_oracle import verify as oracle_verify
 from search_oracle import search as plain_search
 from ringcode import network as network_mod
+from ringcode import rings as rings_mod
 from ringcode.errors import BudgetExceeded, GuardExceeded
 from ringcode.network import (
     Edge,
@@ -460,7 +465,7 @@ class TestDecodeSearch:
                     {},
                 )
                 vectors = transfer(net, code)
-                units = {m: network_mod._unit(m, net.message_ids(), spec) for m in net.message_ids()}
+                units = {m: oracle_unit(m, net.message_ids(), spec) for m in net.message_ids()}
                 for recv in net.receivers:
                     rows = [units[ref] if kind == "msg" else vectors[ref] for kind, ref in inputs_of[recv.node]]
                     want = [oracle_decode(rows, d, spec) for d in recv.demands]
@@ -567,6 +572,164 @@ class TestCoefficientOwnership:
             shared, built = (ScalarLinearCode(spec, edges, decoders) for edges in (code.edge_coeffs, relays))
             assert transfer(net, built) == transfer(net, shared)
             assert verify(net, built) is verify(net, shared) is want
+
+
+class TestLogDomain:
+    """Table fields verify and decode on discrete logarithms (network._domain
+    over rings._log_ops), checked against oracles on RingElement values: the
+    public, checked add and mul (search_oracle.verify, search_oracle.decode)
+    and the element kernel decode_search ran before (decode_on_elements)."""
+
+    FIELDS = ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(2^8)", "GF(3^5)"]
+
+    @staticmethod
+    def _values(spec):
+        """Every element for q <= 16, else zero, one, -1 and 29 seeded others."""
+        els = elements(spec)
+        if len(els) <= 16:
+            return els
+        return [zero(spec), one(spec), neg(one(spec))] + random.Random(len(els)).sample(els[1:], 29)
+
+    @staticmethod
+    def _other(spec):
+        """A ring other than spec whose payloads have the same shape."""
+        return GaloisField(3 if spec.p == 2 else 2, spec.k)
+
+    @staticmethod
+    def _positions(code):
+        """(kind, key, index) of every coefficient of code."""
+        return [("edge", e, i) for e, cs in code.edge_coeffs.items() for i in range(len(cs))] + [
+            ("decoder", k, i) for k, cs in code.decoders.items() for i in range(len(cs))
+        ]
+
+    @staticmethod
+    def _forged(code, position, value):
+        kind, key, i = position
+        edges, decoders = dict(code.edge_coeffs), dict(code.decoders)
+        table = edges if kind == "edge" else decoders
+        table[key] = table[key][:i] + (value,) + table[key][i + 1:]
+        return ScalarLinearCode(code.ring, edges, decoders)
+
+    @pytest.mark.parametrize("text", FIELDS)
+    def test_log_ops_against_the_element_arithmetic(self, text):
+        spec = parse_ring(text)
+        encode, decode, z, u, log_add, log_mul = network_mod._domain(spec)
+        assert z is None and u == 0 and decode(None) is zero(spec) and decode(0) is one(spec)
+        assert encode(zero(spec)) is None and encode(one(spec)) == 0
+        assert encode(RingElement(spec, one(spec).payload)) == 0
+        values = self._values(spec)
+        assert [encode(decode(encode(a))) for a in values] == [encode(a) for a in values]
+        for a, b in itertools.product(values, repeat=2):
+            i, j = encode(a), encode(b)
+            assert decode(log_add(i, j)) == add(a, b) and decode(log_mul(i, j)) == mul(a, b), (a, b)
+            assert log_add(i, j) is None or 0 <= log_add(i, j) < len(elements(spec)) - 1
+
+    @pytest.mark.parametrize("text", FIELDS)
+    def test_constructions_verify_as_on_elements(self, text):
+        spec = parse_ring(text)
+        for n in range(2, min(len(elements(spec)) + 1, 7) + 1):
+            net, code = choose_two(n), choose_two_field_solution(n, spec)
+            assert verify(net, code) and oracle_verify(net, code)
+            got = transfer(net, code)
+            assert got == {ref: v for (kind, ref), v in oracle_transfer(net, code).items() if kind == "edge"}
+            shared = {a.payload: a for a in elements(spec)}  # the entries come back as the shared elements
+            assert all(a is shared[a.payload] for vec in got.values() for a in vec.coefficients.values())
+
+    @pytest.mark.parametrize("text", FIELDS)
+    def test_every_single_coefficient_forgery(self, text):
+        """Each coefficient of choose_two(3)'s field solution, swapped for each
+        value (a fresh RingElement, not the shared one), with the relays also
+        fresh: _verify decides as the oracle does, and both verdicts occur."""
+        spec = parse_ring(text)
+        net, code = choose_two(3), choose_two_field_solution(3, spec)
+        fresh_one = RingElement(spec, one(spec).payload)
+        relays = {e: (fresh_one,) if cs == (one(spec),) else cs for e, cs in code.edge_coeffs.items()}
+        verdicts = []
+        for base in (code, ScalarLinearCode(spec, relays, code.decoders)):
+            for position in self._positions(base):
+                for value in self._values(spec):
+                    forged = self._forged(base, position, RingElement(spec, value.payload))
+                    got = network_mod._verify(net, forged, network_mod._layout(net))
+                    assert got is oracle_verify(net, forged), (position, value)
+                    verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("text", FIELDS)
+    def test_a_coefficient_over_another_ring_raises(self, text):
+        spec = parse_ring(text)
+        other = self._other(spec)
+        net, code = choose_two(3), choose_two_field_solution(3, spec)
+        for position in self._positions(code):
+            kind, key, i = position
+            a = (code.edge_coeffs if kind == "edge" else code.decoders)[key][i]
+            forged = self._forged(code, position, RingElement(other, a.payload))
+            with pytest.raises(ValueError, match="different rings"):
+                verify(net, forged)
+            if kind == "edge":
+                with pytest.raises(ValueError, match="different rings"):
+                    transfer(net, forged)
+        vecs = transfer(net, code)
+        rows = [vecs["a01x02"], vecs["b01x02"]]
+        for i, m in itertools.product(range(2), "xy"):
+            moved = [TransferVector(dict(r.coefficients)) for r in rows]
+            moved[i].coefficients[m] = RingElement(other, rows[i].coefficients[m].payload)
+            with pytest.raises(ValueError, match="different rings"):
+                decode_search(moved, ["x", "y"], spec)
+
+    @pytest.mark.parametrize("text", FIELDS)
+    def test_each_coefficient_and_row_entry_is_owner_checked_once(self, text, monkeypatch):
+        spec = parse_ring(text)
+        net, code = choose_two(4), choose_two_field_solution(4, spec)
+        vecs = transfer(net, code)
+        rows = [vecs["a01x02"], vecs["b01x02"], vecs["a01x03"]]
+        checked = []
+        real = network_mod._check_owner
+        monkeypatch.setattr(network_mod, "_check_owner", lambda a, s: checked.append(a) or real(a, s))
+        assert verify(net, code)
+        assert len(checked) == len(self._positions(code))
+        checked.clear()
+        assert decode_search(rows, ["y", "x"], spec) is not None
+        assert len(checked) == 6
+
+    @pytest.mark.parametrize("text", FIELDS[:4])
+    def test_decode_search_matches_the_exhaustive_oracle(self, text):
+        spec = parse_ring(text)
+        els, rng = elements(spec), random.Random(len(elements(spec)))
+        outcomes = set()
+        for _ in range(40):
+            msgs = ["x", "y", "z"][: rng.randint(1, 3)]
+            rows = []
+            for _ in range(rng.randint(1, 2 if len(els) > 9 else 3)):
+                kind = rng.random()
+                if kind < 0.15 and rows:
+                    rows.append(rng.choice(rows))
+                elif kind < 0.3:
+                    rows.append(TransferVector(dict.fromkeys(msgs, RingElement(spec, zero(spec).payload))))
+                else:
+                    rows.append(TransferVector({m: RingElement(spec, rng.choice(els).payload) for m in msgs}))
+            demands = rng.sample(msgs, rng.randint(1, len(msgs)))
+            want = [oracle_decode(rows, d, spec) for d in demands]
+            want = None if None in want else tuple(want)
+            assert decode_search(rows, demands, spec) == want, (rows, demands)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("text", FIELDS[4:])
+    def test_decode_search_matches_the_element_kernel(self, text):
+        spec = parse_ring(text)
+        els, rng = elements(spec), random.Random(len(elements(spec)))
+        outcomes = set()
+        for _ in range(300):
+            msgs = ["x", "y", "z"][: rng.randint(1, 3)]
+            rows = [
+                TransferVector({m: rng.choice(els) if rng.random() < 0.8 else zero(spec) for m in msgs})
+                for _ in range(rng.randint(1, 5))
+            ]
+            demands = rng.sample(msgs, rng.randint(1, len(msgs)))
+            want = decode_on_elements(rows, demands, spec)
+            assert decode_search(rows, demands, spec) == want, (rows, demands)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestSolveBrute:

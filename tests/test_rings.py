@@ -724,6 +724,22 @@ class TestHomTableCheck:
         for check in HOM_CHECKS:
             check(source, target, table)
 
+    @pytest.mark.parametrize("pair", [("GF(2^2)", "GF(2^4)"), ("GF(2^2)", "GF(2^6)"), ("GF(2^3)", "GF(2^6)"),
+                                      ("GF(2^4)", "GF(2^8)"), ("GF(3^2)", "GF(3^4)"), ("GF(5^2)", "GF(5^2)")],
+                             ids="->".join)
+    def test_inclusion_sends_x_to_the_smallest_root_of_the_modulus(self, pair):
+        source, target = parse_ring(pair[0]), parse_ring(pair[1])
+        roots = []
+        for a in itertools.product(range(target.p), repeat=target.k):
+            acc = (0,) * target.k
+            for c in reversed(source.modulus):  # Horner on the coefficient oracles
+                acc = oracle_add(oracle_mul(acc, a, target), (c,) + (0,) * (target.k - 1), target)
+            if not any(acc):
+                roots.append(a)
+        assert len(roots) == source.k
+        x = (0, 1) + (0,) * (source.k - 2)
+        assert subring_inclusion(source, target).table[x] == min(roots)
+
     def test_inclusion_above_the_table_limit_against_the_oracle(self):
         source, target = parse_ring("GF(2^7)"), parse_ring("GF(2^14)")
         assert rings_mod._field_tables(2, 14) is None
@@ -770,6 +786,14 @@ class TestCountedWork:
     def test_inclusion_above_the_table_limit(self, calls, uncached_generator):
         subring_inclusion(galois_field(2, 7), galois_field(2, 14))
         assert 0 < calls[0] <= 3000
+
+    def test_inclusion_evaluates_the_modulus_up_to_its_first_root(self, calls, uncached_generator):
+        # the hom-table check makes q_src * m = 10,240 products; the root
+        # search stops at the first root and takes the smallest of its m
+        # Frobenius conjugates (13,505 calls in all here, 22,666 when the
+        # modulus was evaluated at all 1,023 nonzero subfield elements)
+        subring_inclusion(galois_field(2, 10), galois_field(2, 20))
+        assert 0 < calls[0] <= 15_000
 
 
 def oracle_ops(spec):
