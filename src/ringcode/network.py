@@ -10,12 +10,11 @@ the corresponding linear combination, so each edge has an exact transfer
 vector of per-message coefficients, computed in topological order.  verify
 carries these vectors as tuples in message_ids() order, checks each
 coefficient's ring once, and passes an input vector through unmultiplied where
-its coefficient is one (a relay edge).  Over a table field (GF(p^k), k >= 2,
-at most FIELD_TABLE_LIMIT elements) the tuples hold discrete logarithms, None
-for zero, and verify and decode_search compute with the field's log add and
-mul; over every other ring they hold RingElements (see _domain).  transfer
-and decode_search take and give TransferVector of RingElements, so logs
-become the field's shared elements again only on the way out.
+its coefficient is one (a relay edge).  The tuples hold the values of the
+ring's record _domain(spec), whose operations verify, decode_search and the
+search share and the tests check against the public ring arithmetic.
+transfer and decode_search take and give TransferVector of RingElements, so
+values become elements again only on the way out.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
 through their residue field, so it only searches fields and Z(p^k).
@@ -28,18 +27,17 @@ search space collapses to the genuinely combining edges.  Receivers are
 checked as soon as the edges they depend on are assigned, which prunes most
 of the space.
 
-The search runs on integers: each element is its index in elements(spec),
-mapped back through the ring's shared element tuple, and transfer vectors
-are int tuples combined through add and mul tables built once per search,
-and only when some edge combines.  A node tries, in
-canonical order, the first coefficient tuple of each unit orbit of its
-edge's span; that list depends only on the edge's input vectors, so it is
-made once per input tuple and extended lazily.  Only failing subtrees go and
-the first solution in canonical order stays.  One Howell-form elimination
-per receiver decides all of its demands and gives a decoder for each: the
-lexicographically first, with the last input most significant over a field
-and the first over Z(p^k).  It stops at the first message column that a
-demand's unit vector cannot reach.
+The search runs on those values, in canonical order of element indices.  A
+node tries the first coefficient tuple of each unit orbit of its edge's span.
+Only a tuple whose first nonzero entry is the least index of its unit orbit
+(1 over a field, p^t over Z(p^k)) can be first, so only those are made: q + 2
+for two inputs over GF(q).  That list depends only on the edge's input
+vectors, so it is made once per input tuple and extended lazily.  Only
+failing subtrees go and the first solution in canonical order stays.  One
+Howell-form elimination per receiver decides all of its demands and gives a
+decoder for each: the lexicographically first, with the last input most
+significant over a field and the first over Z(p^k).  It stops at the first
+message column that a demand's unit vector cannot reach.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, GuardExceeded
 from .rings import (
@@ -69,7 +67,6 @@ from .rings import (
     _field_tables,
     _iter_elements,
     _log_ops,
-    _shared,
     add,
     apply_hom,
     arithmetic,
@@ -80,7 +77,6 @@ from .rings import (
     inverse,
     is_prime,
     mul,
-    neg,
     one,
     parse_element,
     parse_ring,
@@ -260,33 +256,92 @@ def _itself(a):
     return a
 
 
-def _domain(spec: RingSpec):
-    """(encode, decode, zero, one, add, mul) of the values that verify and
-    decode_search compute on over spec.  A table field computes on discrete
-    logs with rings._log_ops: encode(a) is log a, None for zero, and decode(i)
-    the shared element g^i.  Every other ring computes on its RingElements
-    with its arithmetic(spec) closures, and encode and decode are _itself."""
-    if not isinstance(spec, GaloisField) or (t := _field_tables(spec.p, spec.k)) is None:
-        add, mul, *_ = arithmetic(spec)
-        return _itself, _itself, zero(spec), one(spec), add, mul
-    log, els, z = t.log.get, t.els, t.zero
-    return (lambda a: log(a.payload)), (lambda i: z if i is None else els[i]), None, 0, *_log_ops(spec.p, spec.k)
+def _entrywise(add, mul):
+    """(plus, scaled) of vectors from the add and mul of their entries."""
+    return (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(map(mul, itertools.repeat(c), v)))
+
+
+class _Domain(NamedTuple):
+    """The values that verify, decode_search and the search compute on over
+    one ring (see _domain); a vector is a tuple of values.  val, split and
+    cancel are the elimination's (see _first_decoders), with val(zero) the
+    ring size, and exist over fields and Z(p^k) only."""
+
+    encode: Callable  # RingElement -> value
+    decode: Callable  # value -> RingElement, the shared one where the ring has them
+    values: Sequence | None  # the value of each index in elements(spec); None if never searched
+    zero: object
+    one: object
+    plus: Callable  # plus(u, v): the vector u + v
+    scaled: Callable  # scaled(c, v): the vector c * v
+    val: Callable | None = None
+    split: Callable | None = None
+    cancel: Callable | None = None
+    field: bool = False
+
+    def orbit_key(self, v):
+        """Names the unit orbit {u*v} of a vector over a field or Z(p^k): v
+        scaled so its first entry of least valuation t becomes p^t (1 over a
+        field); the units fixing p^t fix every entry of valuation >= t."""
+        least = min(v, key=self.val, default=self.zero)
+        return v if least == self.zero else self.scaled(self.split(least, self.val(least))[0], v)
+
+
+@functools.cache  # by ring value, like rings._shared
+def _domain(spec: RingSpec) -> _Domain:
+    """spec's value record.  GF(p) and Z(n) compute on residues, each its own
+    index.  A table field computes on discrete logs with rings._log_ops:
+    encode(a) is log a, None for zero, and decode(i) the shared element g^i.
+    A product's values are tuples of its factors' values, on their records.
+    D(p) and GF(p^k) above FIELD_TABLE_LIMIT compute on RingElements with
+    their arithmetic(spec) closures."""
+    q = ring_size(spec)
+    if isinstance(spec, Product):  # each vector op runs per factor on the transposed vector
+        parts = tuple(map(_domain, spec.factors))
+        return _Domain(
+            lambda a: tuple(f.encode(x) for f, x in zip(parts, a.payload)),
+            lambda v: RingElement(spec, tuple(f.decode(x) for f, x in zip(parts, v))),
+            None, tuple(f.zero for f in parts), tuple(f.one for f in parts),
+            lambda u, v: tuple(zip(*[f.plus(a, b) for f, a, b in zip(parts, zip(*u), zip(*v))])),
+            lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))])),
+        )
+    if isinstance(spec, (PrimeField, IntegersMod)):
+        d = _Domain(lambda a: a.payload, arithmetic(spec).element, range(q), 0, 1,
+                    *_entrywise(lambda x, y: (x + y) % q, lambda x, y: x * y % q))
+        return d if len(factorize(q)) > 1 else d._replace(  # no elimination over composite Z(n)
+            val=lambda a: math.gcd(a, q), split=lambda a, w: (pow(a // w, -1, q), q // w % q),
+            cancel=lambda a, w: -(a // w) % q, field=is_prime(q))
+    if isinstance(spec, GaloisField) and (t := _field_tables(spec.p, spec.k)) is not None:
+        log_add, log_mul = _log_ops(spec.p, spec.k)
+        log, els, z = t.log.get, t.els, t.zero
+        return _Domain(
+            lambda a: log(a.payload), lambda i: z if i is None else els[i],
+            tuple(log(a.payload) for a in _iter_elements(spec)), None, 0, *_entrywise(log_add, log_mul),
+            lambda a: q if a is None else 1, lambda a, w: (-a % (q - 1), None),
+            lambda a, w: log_mul(a, t.neg_one), True,
+        )
+    add_, mul_, neg_, _ = arithmetic(spec)
+    d = _Domain(_itself, _itself, None, zero(spec), one(spec), *_entrywise(add_, mul_))
+    return d if isinstance(spec, DualNumbers) else d._replace(
+        val=lambda a: q if a == d.zero else 1, split=lambda a, w: (inverse(a), d.zero),
+        cancel=lambda a, w: neg_(a), field=True)
 
 
 def _combiner(spec: RingSpec, width: int):
     """combine(coeffs, vecs): sum(c_i * vec_i) over spec of vectors of width
     entries in _domain(spec), for RingElements c_i; ValueError if a c_i is
     not over spec.  A c_i equal to one passes vec_i through unmultiplied."""
-    encode, _, zero_, _, add, mul = _domain(spec)
-    uno, zeros = one(spec), (zero_,) * width
+    d = _domain(spec)
+    encode, plus, scaled = d.encode, d.plus, d.scaled
+    uno, zeros = one(spec), (d.zero,) * width
 
     def combine(coeffs, vecs):
         acc = None
         for c, vec in zip(coeffs, vecs):
             _check_owner(c, spec)
             if c is not uno and c.payload != uno.payload:
-                vec = tuple(map(mul, itertools.repeat(encode(c), width), vec))
-            acc = vec if acc is None else tuple(map(add, acc, vec))  # the first term itself, not zero plus it
+                vec = scaled(encode(c), vec)
+            acc = vec if acc is None else plus(acc, vec)  # the first term itself, not zero plus it
         return zeros if acc is None else acc
 
     return combine
@@ -299,7 +354,7 @@ def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
 
 def _transfer_vectors(net: Network, code: ScalarLinearCode, layout) -> dict:
     """_transfer's vectors as TransferVectors of elements."""
-    msg_ids, decode = net.message_ids(), _domain(code.ring)[1]
+    msg_ids, decode = net.message_ids(), _domain(code.ring).decode
     return {i: TransferVector(dict(zip(msg_ids, map(decode, v)))) for i, v in _transfer(net, code, layout).items()}
 
 
@@ -309,9 +364,8 @@ def _transfer(net: Network, code: ScalarLinearCode, layout):
     of m, built once per call, ("edge", e) the transfer vector of e."""
     edges, inputs_of = layout
     msg_ids = net.message_ids()
-    combine = _combiner(code.ring, len(msg_ids))
-    _, _, zero_, one_, *_ = _domain(code.ring)
-    vectors = {("msg", m): tuple(one_ if j == m else zero_ for j in msg_ids) for m in msg_ids}
+    combine, d = _combiner(code.ring, len(msg_ids)), _domain(code.ring)
+    vectors = {("msg", m): tuple(d.one if j == m else d.zero for j in msg_ids) for m in msg_ids}
     for e in edges:
         coeffs = code.edge_coeffs.get(e.id)
         inputs = inputs_of[e.tail]
@@ -350,12 +404,6 @@ def _verify(net: Network, code: ScalarLinearCode, layout) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _is_field(spec: RingSpec) -> bool:
-    if isinstance(spec, (PrimeField, GaloisField)):
-        return True
-    return isinstance(spec, IntegersMod) and is_prime(spec.n)
-
-
 def decode_search(
     rows: Sequence[TransferVector], demands: Sequence[str], spec: RingSpec
 ) -> tuple[tuple[RingElement, ...], ...] | None:
@@ -366,46 +414,44 @@ def decode_search(
     every demand one of them, else ValueError.  Each c is the
     lexicographically first in canonical element order, with the last input
     most significant over a field and the first over Z(p^k).  One
-    _first_decoders call serves every demand of the receiver, so no element
-    tables are built: over a table field on discrete logs (see _domain), the
-    row entries owner-checked and encoded once, and over any other ring on
-    the public, checked rings.add and rings.mul.
+    _first_decoders call serves every demand of the receiver: on the record's
+    logs over a table field (see _domain), each row entry owner-checked and
+    encoded once, else on the public, checked rings.add and rings.mul, with
+    the record's val, split and cancel read through encode and decode.
     """
-    if not (_is_field(spec) or isinstance(spec, IntegersMod) and len(factorize(spec.n)) == 1):
+    d = _domain(spec)
+    if d.val is None:
         raise ValueError(f"decode_search needs a field or Z(p^k), not {format_ring(spec)}")
     if not demands:
         return ()
     if not rows:
         return None
-    msg_ids, q = sorted(rows[0].coefficients), ring_size(spec)
+    msg_ids = sorted(rows[0].coefficients)
     if bad := [i for i, row in enumerate(rows) if row.coefficients.keys() != rows[0].coefficients.keys()]:
         raise ValueError(f"row {bad[0]} is over other messages than row 0, which is over {', '.join(msg_ids)}")
-    if bad := [d for d in demands if d not in msg_ids]:
+    if bad := [m for m in demands if m not in msg_ids]:
         raise ValueError(f"unknown demand {bad[0]}: the rows are over {', '.join(msg_ids)}")
-    encode, decode, z, uno, log_add, log_mul = _domain(spec)
     vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
-    units = [tuple(uno if m == d else z for m in msg_ids) for d in demands]
-    minus = neg(decode(uno))
-    plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
-    if z is None:  # a table field, on logs: every nonzero element is a unit
+    if d.zero is None:  # a table field, on logs
         for x in itertools.chain.from_iterable(vecs):
             _check_owner(x, spec)
-        vecs, minus = [tuple(map(encode, v)) for v in vecs], encode(minus)
-        arith = (lambda a: 1), (lambda a, w: (-a % (q - 1), None)), (lambda a, w: log_mul(a, minus))
-        plus, scaled = (lambda u, v: tuple(map(log_add, u, v))), (lambda c, v: tuple(map(log_mul, itertools.repeat(c), v)))
-    elif isinstance(spec, GaloisField):  # every nonzero element is a unit
-        arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
-    else:  # payloads are the integer values
-        el = arithmetic(spec).element
-        arith = (lambda a: math.gcd(a.payload, q), lambda a, w: (el(pow(a.payload // w, -1, q)), el(q // w % q)),
-                 lambda a, w: el(-(a.payload // w) % q))
-    found = _first_decoders(vecs, units, _is_field(spec), (z, minus, plus, scaled, *arith))
-    return None if found is None else tuple(tuple(map(decode, cs)) for cs in found)
+        ops, vecs = d, [tuple(map(d.encode, v)) for v in vecs]
+    else:
+        encode, decode, z = d.encode, d.decode, zero(spec)
+        ops = _Domain(
+            _itself, _itself, None, z, one(spec),
+            plus=lambda u, v: tuple(map(add, u, v)), scaled=lambda c, v: tuple(x if x == z else mul(c, x) for x in v),
+            val=lambda a: d.val(encode(a)), split=lambda a, w: tuple(map(decode, d.split(encode(a), w))),
+            cancel=lambda a, w: decode(d.cancel(encode(a), w)), field=d.field,
+        )
+    units = [tuple(ops.one if m == demand else ops.zero for m in msg_ids) for demand in demands]
+    found = _first_decoders(vecs, units, ops)
+    return None if found is None else tuple(tuple(map(ops.decode, cs)) for cs in found)
 
 
-def _first_decoders(rows, targets, last_first, ops):
+def _first_decoders(rows, targets, ops):
     """Per target t, the lexicographically first c with sum(c_i * rows[i]) = t,
-    with the last input most significant if last_first, else the first; None
+    with the last input most significant over a field, else the first; None
     if a target has none.
 
     Howell-form elimination on [rows | -I] over a field or Z(p^k) (Howell
@@ -413,13 +459,14 @@ def _first_decoders(rows, targets, last_first, ops):
     valuation v, scaled to p^v, and p^(k-v) times the pivot row is fed back.
     Each (t | 0), reduced along but never a pivot, ends as (0 | c), c in least
     residues, iff t is decodable; a target left nonzero at a message column
-    stays so, and the elimination stops there.  ops = (zero, minus_one, plus,
-    scaled, val, split, cancel); for a != 0, val(a) = w is p^v as an integer,
-    split(a, w) = (u, p^(k-v)) for a unit u with u*a = p^v, and cancel(a, w)
-    is the c making a + c*p^v the least residue of a modulo p^v.
+    stays so, and the elimination stops there.  ops has a _Domain's fields:
+    for a != 0, val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v))
+    for a unit u with u*a = p^v, and cancel(a, w) is the c making a + c*p^v
+    the least residue of a modulo p^v.
     """
-    zero, minus_one, plus, scaled, val, split, cancel = ops
-    order = range(len(rows))[::-1] if last_first else range(len(rows))  # most significant first
+    zero, plus, scaled, val, split, cancel = ops.zero, ops.plus, ops.scaled, ops.val, ops.split, ops.cancel
+    minus_one = cancel(ops.one, 1)  # 1 + (-1)*1 = 0, the least residue of 1 modulo 1
+    order = range(len(rows))[::-1] if ops.field else range(len(rows))  # most significant first
     todo = [row + tuple(minus_one if i == k else zero for k in order) for i, row in enumerate(rows)]
     done = [t + (zero,) * len(rows) for t in targets]
     for j in range(len(done[0]) if done else 0):
@@ -436,7 +483,7 @@ def _first_decoders(rows, targets, last_first, ops):
                 todo.append(scaled(f, pivot))
         if j < len(targets[0]) and any(v[j] != zero for v in done):
             return None  # todo is zero at column j now: no later pivot changes it
-    return [v[len(t):][::-1] if last_first else v[len(t):] for t, v in zip(targets, done)]
+    return [v[len(t):][::-1] if ops.field else v[len(t):] for t, v in zip(targets, done)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,74 +549,27 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
     chosen, decoders = _index_search(net, spec, inputs_of, searched) if searched else ({}, None)
     if chosen is None:
         return None
-    domain = _shared(spec)
+    decode = _domain(spec).decode
     edge_coeffs = {
-        e.id: tuple(domain[c] for c in chosen.get(e.id, ()))
+        e.id: tuple(map(decode, chosen.get(e.id, ())))
         or (one(spec),) * len(inputs_of[e.tail])
         for e in net.edges
     }
     if decoders is None:  # Z(p^k), or nothing searched
         return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), layout)
-    decoders = {k: tuple(domain[c] for c in cs) for k, cs in decoders.items()}
+    decoders = {k: tuple(map(decode, cs)) for k, cs in decoders.items()}
     return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), layout)
 
 
-def _tables(spec: RingSpec):
-    """(add, mul, neg, inverse, one, val) of a field or Z(n) on element
-    indices, index i standing for elements(spec)[i]; inverse[i] is None for a
-    non-unit, and val[i] is 1 for a unit, else gcd(i, n): p^v for i of
-    valuation v in Z(p^k), and the ring size for 0."""
-    q = ring_size(spec)
-    if q > FIELD_TABLE_LIMIT:  # each table has q*q entries
-        raise GuardExceeded(f"{format_ring(spec)} is too large for index tables")
-    if isinstance(spec, GaloisField):
-        # an index's base-p digits are the payload coefficients, so addition
-        # is digit by digit; multiplication adds logarithms
-        p, tables = spec.p, _field_tables(spec.p, spec.k)
-        digit = [[(a + b) % p for b in range(p)] for a in range(p)]
-        add_t = digit
-        for _ in range(spec.k - 1):  # append the next less significant digit
-            add_t = [[x * p + d for x in row for d in ds] for row in add_t for ds in digit]
-        exp = [functools.reduce(lambda acc, c: acc * p + c, x, 0) for x in tables[0]]
-        log = dict(zip(exp, range(q - 1)))
-        logs = [log[b] for b in range(1, q)]
-        mul_t = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, logs)] for a in range(1, q)]
-        unit = q // p
-    elif isinstance(spec, (PrimeField, IntegersMod)):
-        r = list(range(q))
-        add_t = [r[a:] + r[:a] for a in r]
-        mul_t = [[r[a * b % q] for b in r] for a in r]
-        unit = 1
-    else:
-        raise ValueError(f"no index tables for {format_ring(spec)}")
-    neg_t = [row.index(0) for row in add_t]
-    inv_t = [row.index(unit) if unit in row else None for row in mul_t]
-    val = [1 if inv_t[a] is not None else math.gcd(a, q) for a in range(q)]
-    return add_t, mul_t, neg_t, inv_t, unit, val
-
-
-def _orbit_key(tables):
-    """orbit_key(v) names the unit orbit {u*v} of an index vector over a field or
-    Z(p^k) in O(len(v)): v scaled so its first entry of least valuation t becomes
-    p^t (1 over a field); the units fixing p^t fix every entry of valuation >= t."""
-    _, mul_t, _, inv_t, unit, val = tables
-    # for a != 0, a // val[a] is a unit (a non-unit index of Z(p^k) is its integer)
-    scaler = [inv_t[a // w] or unit for a, w in enumerate(val)]  # scaler[a] * a = p^t
-
-    def orbit_key(v):
-        least = min(v, key=val.__getitem__, default=0)
-        return tuple(map(mul_t[scaler[least]].__getitem__, v))
-
-    return orbit_key
-
-
 def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
-    """(chosen, decoders): index tuples per searched edge of the first choice
-    under which every receiver decodes its demands, and over a field those of
-    decode_search per (receiver, demand); (None, None) if there is none."""
-    tables = add_t, mul_t, neg_t, inv_t, unit, val = _tables(spec)
-    orbit_key = _orbit_key(tables)
-    q = len(add_t)
+    """(chosen, decoders): value tuples (see _domain) per searched edge of the
+    first choice under which every receiver decodes its demands, and over a
+    field those of decode_search per (receiver, demand); (None, None) if there
+    is none.  GuardExceeded, before any work, above FIELD_TABLE_LIMIT elements."""
+    if ring_size(spec) > FIELD_TABLE_LIMIT:
+        raise GuardExceeded(f"{format_ring(spec)} is too large to search")
+    d = _domain(spec)
+    values, plus, scaled = d.values, d.plus, d.scaled
     msg_ids = net.message_ids()
     edge_by_id = {e.id: e for e in net.edges}
 
@@ -582,8 +582,8 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         return resolve(ins[0]) if ins else ("zero", "")
 
     forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
-    vec_of = {("msg", m): tuple(unit if j == m else 0 for j in msg_ids) for m in msg_ids}
-    vec_of[("zero", "")] = (0,) * len(msg_ids)
+    vec_of = {("msg", m): tuple(d.one if j == m else d.zero for j in msg_ids) for m in msg_ids}
+    vec_of[("zero", "")] = (d.zero,) * len(msg_ids)
 
     # receiver readiness: the depth of the last searched edge its inputs depend on
     depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
@@ -592,37 +592,36 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
         recv_ready.setdefault(last, []).append(recv)
 
-    def scaled(c, vec):
-        return tuple(map(mul_t[c].__getitem__, vec))
-
-    def plus(u, v):  # add_t[a][b] for a, b in zip(u, v)
-        return tuple(map(list.__getitem__, map(add_t.__getitem__, u), v))
-
-    ops = (0, neg_t[unit], plus, scaled, val.__getitem__, lambda a, w: (inv_t[a // w], q // w % q), lambda a, w: neg_t[a // w])
-    field = _is_field(spec)
     decode_cache: dict = {}
 
     def decoders_of(recv: Receiver):  # None if recv cannot decode its demands
         rows = tuple(map(vec_of.__getitem__, forms[recv.node]))
         key = (recv.demands, rows)
         if key not in decode_cache:
-            targets = [vec_of[("msg", d)] for d in recv.demands]
-            decode_cache[key] = _first_decoders(rows, targets, field, ops)
+            targets = [vec_of[("msg", m)] for m in recv.demands]
+            decode_cache[key] = _first_decoders(rows, targets, d)
         return decode_cache[key]
+
+    # val gives each nonzero scalar the least index of its unit orbit: 1 over a
+    # field, whose nonzero elements are one orbit, and p^t over Z(p^k)
+    reps = sorted({d.val(x) for x in values[1:]})
 
     def first_of_orbits(inputs):
         """(combo, vector) for the first combo in canonical order of each unit
         orbit of the span of inputs: receiver spans ignore a unit, and later
-        edges absorb it, so a node tries only these."""
-        multiples = [[scaled(c, v) for c in range(q)] for v in inputs]
+        edges absorb it, so a node tries only these.  A combo whose first
+        nonzero entry is not in reps is never first: a unit takes that entry
+        into reps, and the multiple, earlier, spans the same orbit."""
+        multiples, n = [[scaled(x, v) for x in values] for v in inputs], len(inputs)
+        combos = itertools.chain([(0,) * n], (  # canonical order: the last first nonzero entry first
+            (0,) * i + (r,) + rest for i in reversed(range(n)) for r in reps
+            for rest in itertools.product(range(len(values)), repeat=n - 1 - i)))
         seen = set()
-        for combo in itertools.product(range(q), repeat=len(multiples)):
-            acc = multiples[0][combo[0]]
-            for mults, c in zip(multiples[1:], combo[1:]):
-                acc = plus(acc, mults[c])
-            if (key := orbit_key(acc)) not in seen:
+        for combo in combos:
+            acc = functools.reduce(plus, map(list.__getitem__, multiples, combo))
+            if (key := d.orbit_key(acc)) not in seen:
                 seen.add(key)
-                yield combo, acc
+                yield tuple(map(values.__getitem__, combo)), acc
 
     # an edge fed by no searched edge has the same inputs at every node, so
     # such edges share one list per input tuple; the others keep one per depth
@@ -638,7 +637,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
             entry = store[key] = (inputs, itertools.tee(first_of_orbits(inputs), 1)[0])
         return copy.copy(entry[1])
 
-    chosen: dict[str, tuple[int, ...]] = {}
+    chosen: dict[str, tuple] = {}
 
     def descend(depth: int) -> bool:  # first checks the receivers edge depth - 1 completed
         if any(decoders_of(r) is None for r in recv_ready.get(depth - 1, ())):
@@ -655,10 +654,10 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
 
     if not descend(0):
         return None, None
-    if not field:
+    if not d.field:
         return chosen, None
     recvs = net.receivers
-    return chosen, {(r.node, d): cs for r in recvs for d, cs in zip(r.demands, decoders_of(r))}
+    return chosen, {(r.node, m): cs for r in recvs for m, cs in zip(r.demands, decoders_of(r))}
 
 
 def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode | None:

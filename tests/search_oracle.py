@@ -13,6 +13,7 @@ ran before table fields moved to discrete logarithms.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from ringcode.network import (
     Receiver,
@@ -20,7 +21,6 @@ from ringcode.network import (
     TransferVector,
     _checked,
     _first_decoders,
-    _is_field,
     _layout,
 )
 from ringcode.rings import add, elements, inverse, mul, neg, one, zero
@@ -47,7 +47,7 @@ def decode(rows, target, spec):
     over fields and Z(p^k), the normal form of decode_search."""
     if not rows:
         return None
-    last_first = _is_field(spec)
+    last_first = all(inverse(a) is not None for a in elements(spec)[1:])  # a field
     goal = unit(target, sorted(rows[0].coefficients), spec)
     for combo in itertools.product(elements(spec), repeat=len(rows)):
         combo = combo[::-1] if last_first else combo
@@ -90,9 +90,13 @@ def decode_on_elements(rows, demands, spec):
     msg_ids, z = sorted(rows[0].coefficients), zero(spec)
     vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
     units = [tuple(unit(d, msg_ids, spec).coefficients.values()) for d in demands]
-    arith = (lambda a: 1), (lambda a, w: (inverse(a), z)), (lambda a, w: neg(a))
-    plus, scaled = (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(x if x == z else mul(c, x) for x in v))
-    found = _first_decoders(vecs, units, True, (z, neg(one(spec)), plus, scaled, *arith))
+    ops = SimpleNamespace(
+        zero=z, one=one(spec), field=True,
+        plus=lambda u, v: tuple(map(add, u, v)),
+        scaled=lambda c, v: tuple(x if x == z else mul(c, x) for x in v),
+        val=lambda a: 1, split=lambda a, w: (inverse(a), z), cancel=lambda a, w: neg(a),
+    )
+    found = _first_decoders(vecs, units, ops)
     return None if found is None else tuple(found)
 
 

@@ -613,7 +613,9 @@ class TestLogDomain:
     @pytest.mark.parametrize("text", FIELDS)
     def test_log_ops_against_the_element_arithmetic(self, text):
         spec = parse_ring(text)
-        encode, decode, z, u, log_add, log_mul = network_mod._domain(spec)
+        d = network_mod._domain(spec)
+        encode, decode, z, u = d.encode, d.decode, d.zero, d.one
+        log_add, log_mul = (lambda i, j: d.plus((i,), (j,))[0]), (lambda i, j: d.scaled(i, (j,))[0])
         assert z is None and u == 0 and decode(None) is zero(spec) and decode(0) is one(spec)
         assert encode(zero(spec)) is None and encode(one(spec)) == 0
         assert encode(RingElement(spec, one(spec).payload)) == 0
@@ -730,6 +732,106 @@ class TestLogDomain:
             assert decode_search(rows, demands, spec) == want, (rows, demands)
             outcomes.add(want is None)
         assert outcomes == {True, False}
+
+
+class TestValueDomain:
+    """network._domain, the one value record verify, decode_search and the
+    search compute on: products on their factors' values, decode_search
+    above the table limit, and the search's candidates, one per unit orbit."""
+
+    PRODUCTS = ["GF(4)xGF(3)", "Z(4)xD(2)", "GF(2^8)xZ(9)"]
+
+    @pytest.mark.parametrize("text", PRODUCTS)
+    def test_product_values_are_factor_values(self, text):
+        spec = parse_ring(text)
+        d, parts = network_mod._domain(spec), [network_mod._domain(f) for f in spec.factors]
+        els = elements(spec)
+        if len(els) > 64:
+            els = [zero(spec), one(spec)] + random.Random(3).sample(els, 30)
+        assert (d.zero, d.one) == (d.encode(zero(spec)), d.encode(one(spec)))
+        for a in els:
+            assert d.encode(a) == tuple(f.encode(x) for f, x in zip(parts, a.payload))
+            assert d.decode(d.encode(a)) == a
+            for b in els:
+                x, y = d.encode(a), d.encode(b)
+                assert d.plus((x, y), (y, y)) == (d.encode(add(a, b)), d.encode(add(b, b)))
+                assert d.scaled(x, (y, x)) == (d.encode(mul(a, b)), d.encode(mul(a, a)))
+
+    @pytest.mark.parametrize("text", PRODUCTS)
+    def test_product_code_forgeries(self, text):
+        """Each coefficient of a product code of choose_two(3), swapped for
+        other values: _verify decides as the oracle verify, and both
+        verdicts occur."""
+        spec, net = parse_ring(text), choose_two(3)
+        code = product_code(net, [(f, solve_brute(net, f, budget=2**200)) for f in spec.factors])
+        values = [zero(spec), one(spec)] + random.Random(4).sample(elements(spec), 4)
+        verdicts = []
+        for position in TestLogDomain._positions(code):
+            for value in values:
+                forged = TestLogDomain._forged(code, position, RingElement(spec, value.payload))
+                got = network_mod._verify(net, forged, network_mod._layout(net))
+                assert got is oracle_verify(net, forged), (position, value)
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    def test_decode_search_above_the_table_limit(self):
+        # GF(2^13) computes on RingElements through the public add and mul
+        spec = parse_ring("GF(2^13)")
+        els, rng, d = elements(spec), random.Random(13), network_mod._domain(spec)
+        assert d.values is None and d.field and [d.val(a) for a in els[:3]] == [len(els), 1, 1]
+        outcomes = set()
+        for _ in range(60):
+            msgs = ["x", "y", "z"][: rng.randint(1, 3)]
+            rows = [
+                TransferVector({m: rng.choice(els) if rng.random() < 0.8 else zero(spec) for m in msgs})
+                for _ in range(rng.randint(1, 4))
+            ]
+            demands = rng.sample(msgs, rng.randint(1, len(msgs)))
+            want = decode_on_elements(rows, demands, spec)
+            assert decode_search(rows, demands, spec) == want, (rows, demands)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("ring, width", [
+        ("GF(4)", 2), ("GF(5)", 2), ("GF(9)", 2), ("Z(4)", 2), ("Z(8)", 2), ("Z(9)", 2), ("Z(27)", 2),
+        ("GF(4)", 3), ("Z(4)", 3), ("Z(8)", 3), ("Z(9)", 3),
+    ])
+    def test_candidates_are_the_first_combo_of_each_unit_orbit(self, ring, width, monkeypatch):
+        """One edge combines `width` messages for a receiver demanding all of
+        them, so no candidate decodes and the search tries the whole list.
+        On unit vectors a combo is its own vector: the list is the first
+        combo, in canonical order, of each unit orbit of all combos."""
+        spec, msgs = parse_ring(ring), "xyz"[:width]
+        net = Network(("s", "r"), (Edge("e", "s", "r"),), tuple(Message(m, "s") for m in msgs),
+                      (Receiver("r", tuple(msgs)),))
+        tried, real = [], network_mod._first_decoders
+        monkeypatch.setattr(network_mod, "_first_decoders", lambda rows, t, ops: tried.append(rows[0]) or real(rows, t, ops))
+        assert network_mod._search(net, spec, network_mod._layout(net)) is None
+        els = elements(spec)
+        units, seen, want = [u for u in els if inverse(u) is not None], set(), []
+        for combo in itertools.product(els, repeat=width):
+            if (orbit := frozenset(tuple(mul(u, c) for c in combo) for u in units)) not in seen:
+                seen.add(orbit)
+                want.append(combo)
+        d = network_mod._domain(spec)
+        assert [tuple(map(d.decode, v)) for v in tried] == want
+
+    @pytest.mark.parametrize("q", [16, 64, 256, 1024])
+    def test_choose_two_makes_one_candidate_per_unit_orbit(self, q, monkeypatch):
+        # the three source edges share one list: (0, 0), (0, 1) and (1, c)
+        calls = []
+        real = network_mod._Domain.orbit_key
+        monkeypatch.setattr(network_mod._Domain, "orbit_key", lambda d, v: calls.append(v) or real(d, v))
+        code = solve_brute(choose_two(3), parse_ring(f"GF({q})"), budget=2**200)
+        assert code is not None and verify(choose_two(3), code)
+        assert len(calls) <= 2 * q + 4
+
+    def test_choose_two_over_gf_2_10_is_fast(self):
+        # about 1,000 candidates; making all q*q coefficient pairs took 3.8 s
+        start = time.perf_counter()
+        code = solve_brute(choose_two(3), parse_ring("GF(2^10)"), budget=2**200)
+        assert time.perf_counter() - start < 0.5
+        assert code is not None and verify(choose_two(3), code)
 
 
 class TestSolveBrute:
@@ -933,30 +1035,44 @@ class TestIndexKernel:
          "GF(25)", "GF(27)", "GF(32)", "Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)"],
     )
     def test_tables_match_ring_arithmetic(self, ring):
+        # the value record the search runs on (network._domain), every
+        # operation on every value against the public add, mul, neg, inverse
         spec = parse_ring(ring)
-        els = elements(spec)
-        add_t, mul_t, neg_t, inv_t, unit, val = network_mod._tables(spec)
-        assert els[unit] == one(spec)
-        for i, a in enumerate(els):
-            assert els[neg_t[i]] == neg(a)
-            assert (inv_t[i] and els[inv_t[i]]) == inverse(a)
-            assert (val[i] == 1) == (inv_t[i] is not None)
-            assert (val[i] == len(els)) == (a == zero(spec))
-            for j, b in enumerate(els):
-                assert els[add_t[i][j]] == add(a, b)
-                assert els[mul_t[i][j]] == mul(a, b)
+        els, d = elements(spec), network_mod._domain(spec)
+        q, values, enc = len(els), d.values, d.encode
+        assert [enc(a) for a in els] == list(values) and [d.decode(x) for x in values] == els
+        assert (d.zero, d.one) == (enc(zero(spec)), enc(one(spec)))
+        powers = {d.val(x): one(spec) if d.field else els[d.val(x)] for x in values[1:]}  # w -> p^v
+        assert sorted(powers) == ([1] if d.field else [w for w in range(1, q) if q % w == 0])
+        for i, (a, x) in enumerate(zip(els, values)):
+            assert d.val(x) == (math.gcd(i, q) if not d.field else 1 if i else q)
+            assert (d.val(x) == 1) == (inverse(a) is not None)
+            assert d.decode(d.cancel(x, 1)) == neg(a)
+            if i:
+                u, f = d.split(x, d.val(x))
+                assert inverse(d.decode(u)) is not None and mul(d.decode(u), a) == powers[d.val(x)]
+                assert d.decode(f) == (zero(spec) if d.field else els[q // d.val(x) % q])
+            for w, power in powers.items():  # a + c*p^v is a's least residue modulo p^v
+                assert add(a, mul(d.decode(d.cancel(x, w)), power)) == els[i % w]
+            for b, y in zip(els, values):
+                assert d.plus((x, y), (y, y)) == (enc(add(a, b)), enc(add(b, b)))
+                assert d.scaled(x, (y, x)) == (enc(mul(a, b)), enc(mul(a, a)))
 
     @pytest.mark.parametrize("ring", ["GF(2^13)", "GF(8191)", "Z(8192)"])
-    def test_tables_refuse_rings_above_the_table_limit(self, ring):
-        # q*q entries per table: each of these would need about 67 million
+    def test_tables_refuse_rings_above_the_table_limit(self, ring, monkeypatch):
+        # the search refuses a ring of more than FIELD_TABLE_LIMIT elements
+        # before it builds the ring's value record, or does anything else
+        net = self.ONE_COMBINING_EDGE
+        edges, inputs_of = network_mod._layout(net)
+        monkeypatch.setattr(network_mod, "_domain", None)
         start = time.perf_counter()
         with pytest.raises(GuardExceeded):
-            network_mod._tables(parse_ring(ring))
+            network_mod._index_search(net, parse_ring(ring), inputs_of, edges)
         assert time.perf_counter() - start < 0.5
 
     def test_search_over_a_large_ring_is_refused_quickly(self):
         # one combining edge over Z(8192) needs 8192**2 = 2**26 assignments,
-        # within the default budget; the kernel's tables are what refuse it
+        # within the default budget; the search's size guard refuses it
         net = Network(
             ("s", "r"),
             (Edge("e", "s", "r"),),
@@ -1103,35 +1219,29 @@ class TestIndexKernel:
 
     @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
     def test_orbit_key_names_unit_orbits(self, ring):
-        spec = parse_ring(ring)
-        tables = network_mod._tables(spec)
-        _, mul_t, _, inv_t, _, _ = tables
-        key = network_mod._orbit_key(tables)
-        units = [u for u in range(len(mul_t)) if inv_t[u] is not None]
-        for v in itertools.product(range(len(mul_t)), repeat=3):
-            orbit = {tuple(mul_t[u][x] for x in v) for u in units}
+        d = network_mod._domain(parse_ring(ring))
+        units = [u for u in d.values if inverse(d.decode(u)) is not None]
+        for v in itertools.product(d.values, repeat=3):
+            orbit = {d.scaled(u, v) for u in units}
             # equal across the orbit, and a member of it: distinct orbits
             # are disjoint, so they cannot share a key
-            assert {key(w) for w in orbit} == {key(v)} and key(v) in orbit
+            assert {d.orbit_key(w) for w in orbit} == {d.orbit_key(v)} and d.orbit_key(v) in orbit
 
     def test_candidates_are_made_once_per_input_tuple(self, monkeypatch):
         # one orbit key per candidate made: the choose_two edges are fed by the
-        # messages only, so they share one list of at most q*q candidates
+        # messages only, so they share one list of at most q + 2 candidates,
+        # (0, 0), (0, 1) and (1, c) for each c
         calls = []
-        real = network_mod._orbit_key
-
-        def counted(tables):
-            key = real(tables)
-            return lambda v: calls.append(v) or key(v)
-
-        monkeypatch.setattr(network_mod, "_orbit_key", counted)
+        real = network_mod._Domain.orbit_key
+        monkeypatch.setattr(network_mod._Domain, "orbit_key", lambda d, v: calls.append(v) or real(d, v))
         for net, ring, solvable, most in (
-            (choose_two(8), "GF(5)", False, 25),
-            (choose_two(12), "GF(3)", False, 9),
-            (choose_two(12), "GF(16)", True, 256),
+            (choose_two(8), "GF(5)", False, 7),
+            (choose_two(12), "GF(3)", False, 5),
+            (choose_two(12), "GF(16)", True, 18),
             # an early success makes no more than it tries: (1, 0) is combo 3
-            # over the residue field Z(2), searched first, and 1,025 over Z(1024)
-            (self.ONE_COMBINING_EDGE, "Z(1024)", True, 3 + 1025),
+            # over the residue field Z(2), searched first, and over Z(1024)
+            # combo 12, after (0, 0) and (0, 2^t) for t < 10
+            (self.ONE_COMBINING_EDGE, "Z(1024)", True, 3 + 12),
         ):
             calls.clear()
             assert (solve_brute(net, parse_ring(ring), budget=2**200) is not None) == solvable
@@ -1168,8 +1278,8 @@ class TestIndexKernel:
 
     @pytest.mark.parametrize("ring", ["GF(2^10)", "Z(1024)"])
     def test_large_ring_without_combining_edge(self, ring, monkeypatch):
-        # no table is built when nothing combines
-        monkeypatch.setattr(network_mod, "_tables", None)
+        # no search runs when nothing combines
+        monkeypatch.setattr(network_mod, "_index_search", None)
         start = time.perf_counter()
         code = solve_brute(relay_chain(), parse_ring(ring))
         assert code is not None and verify(relay_chain(), code)
