@@ -11,10 +11,10 @@ vector of per-message coefficients, computed in topological order.  verify
 carries these vectors as tuples in message_ids() order, checks each
 coefficient's ring once, and passes an input vector through unmultiplied where
 its coefficient is one (a relay edge).  The tuples hold the values of the
-ring's record _domain(spec), whose operations verify, decode_search and the
-search share and the tests check against the public ring arithmetic.
-transfer and decode_search take and give TransferVector of RingElements, so
-values become elements again only on the way out.
+ring's record rings.arithmetic(spec), and _domain(spec) builds on it the
+vector operations that verify, decode_search and the search share.  transfer
+and decode_search take and give TransferVector of RingElements, so values
+become elements again only on the way out.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
 through their residue field, so it only searches fields and Z(p^k).
@@ -64,9 +64,8 @@ from .rings import (
     RingSpec,
     SURJECTIVE_KINDS,
     _check_owner,
-    _field_tables,
     _iter_elements,
-    _log_ops,
+    _kept,
     add,
     apply_hom,
     arithmetic,
@@ -74,7 +73,6 @@ from .rings import (
     factorize,
     format_element,
     format_ring,
-    inverse,
     is_prime,
     mul,
     one,
@@ -262,14 +260,14 @@ def _entrywise(add, mul):
 
 
 class _Domain(NamedTuple):
-    """The values that verify, decode_search and the search compute on over
-    one ring (see _domain); a vector is a tuple of values.  val, split and
-    cancel are the elimination's (see _first_decoders), with val(zero) the
-    ring size, and exist over fields and Z(p^k) only."""
+    """The vectors that verify, decode_search and the search compute on over
+    one ring (see _domain): tuples of the values of its record
+    rings.arithmetic(spec).  val, split and cancel are the elimination's (see
+    _first_decoders), with val(zero) the ring size, and exist over fields and
+    Z(p^k) only."""
 
     encode: Callable  # RingElement -> value
     decode: Callable  # value -> RingElement, the shared one where the ring has them
-    values: Sequence | None  # the value of each index in elements(spec); None if never searched
     zero: object
     one: object
     plus: Callable  # plus(u, v): the vector u + v
@@ -287,44 +285,32 @@ class _Domain(NamedTuple):
         return v if least == self.zero else self.scaled(self.split(least, self.val(least))[0], v)
 
 
-@functools.cache  # by ring value, like rings._shared
 def _domain(spec: RingSpec) -> _Domain:
-    """spec's value record.  GF(p) and Z(n) compute on residues, each its own
-    index.  A table field computes on discrete logs with rings._log_ops:
-    encode(a) is log a, None for zero, and decode(i) the shared element g^i.
-    A product's values are tuples of its factors' values, on their records.
-    D(p) and GF(p^k) above FIELD_TABLE_LIMIT compute on RingElements with
-    their arithmetic(spec) closures."""
-    q = ring_size(spec)
-    if isinstance(spec, Product):  # each vector op runs per factor on the transposed vector
+    """spec's vectors over its record r = arithmetic(spec), built on first
+    use and kept on spec.  plus and scaled apply r.add and r.mul entry by
+    entry; a product's run once per factor on the transposed vector, so each
+    factor computes on its own values (logs for a table field).  Over a field
+    every nonzero entry is a unit: val(a) is 1, split(a, w) gives r.inv(a)
+    and cancel(a, w) is r.neg(a).  Z(p^k) eliminates by gcd valuations."""
+    return _kept(spec, "_domain", _build_domain)
+
+
+def _build_domain(spec: RingSpec) -> _Domain:
+    r, q = arithmetic(spec), ring_size(spec)
+    if isinstance(spec, Product):
         parts = tuple(map(_domain, spec.factors))
-        return _Domain(
-            lambda a: tuple(f.encode(x) for f, x in zip(parts, a.payload)),
-            lambda v: RingElement(spec, tuple(f.decode(x) for f, x in zip(parts, v))),
-            None, tuple(f.zero for f in parts), tuple(f.one for f in parts),
-            lambda u, v: tuple(zip(*[f.plus(a, b) for f, a, b in zip(parts, zip(*u), zip(*v))])),
-            lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))])),
-        )
-    if isinstance(spec, (PrimeField, IntegersMod)):
-        d = _Domain(lambda a: a.payload, arithmetic(spec).element, range(q), 0, 1,
-                    *_entrywise(lambda x, y: (x + y) % q, lambda x, y: x * y % q))
-        return d if len(factorize(q)) > 1 else d._replace(  # no elimination over composite Z(n)
-            val=lambda a: math.gcd(a, q), split=lambda a, w: (pow(a // w, -1, q), q // w % q),
-            cancel=lambda a, w: -(a // w) % q, field=is_prime(q))
-    if isinstance(spec, GaloisField) and (t := _field_tables(spec.p, spec.k)) is not None:
-        log_add, log_mul = _log_ops(spec.p, spec.k)
-        log, els, z = t.log.get, t.els, t.zero
-        return _Domain(
-            lambda a: log(a.payload), lambda i: z if i is None else els[i],
-            tuple(log(a.payload) for a in _iter_elements(spec)), None, 0, *_entrywise(log_add, log_mul),
-            lambda a: q if a is None else 1, lambda a, w: (-a % (q - 1), None),
-            lambda a, w: log_mul(a, t.neg_one), True,
-        )
-    add_, mul_, neg_, _ = arithmetic(spec)
-    d = _Domain(_itself, _itself, None, zero(spec), one(spec), *_entrywise(add_, mul_))
-    return d if isinstance(spec, DualNumbers) else d._replace(
-        val=lambda a: q if a == d.zero else 1, split=lambda a, w: (inverse(a), d.zero),
-        cancel=lambda a, w: neg_(a), field=True)
+        plus = lambda u, v: tuple(zip(*[f.plus(a, b) for f, a, b in zip(parts, zip(*u), zip(*v))]))
+        scaled = lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))]))
+    else:
+        plus, scaled = _entrywise(r.add, r.mul)
+    d, z = _Domain(r.encode, r.decode, r.zero, r.one, plus, scaled), r.zero
+    if isinstance(spec, (PrimeField, GaloisField)):
+        return d._replace(val=lambda a: q if a == z else 1, split=lambda a, w: (r.inv(a), z),
+                          cancel=lambda a, w: r.neg(a), field=True)
+    if isinstance(spec, IntegersMod) and len(factorize(q)) == 1:  # no elimination over composite Z(n)
+        return d._replace(val=lambda a: math.gcd(a, q), split=lambda a, w: (pow(a // w, -1, q), q // w % q),
+                          cancel=lambda a, w: -(a // w) % q, field=is_prime(q))
+    return d
 
 
 def _combiner(spec: RingSpec, width: int):
@@ -439,7 +425,7 @@ def decode_search(
     else:
         encode, decode, z = d.encode, d.decode, zero(spec)
         ops = _Domain(
-            _itself, _itself, None, z, one(spec),
+            _itself, _itself, z, one(spec),
             plus=lambda u, v: tuple(map(add, u, v)), scaled=lambda c, v: tuple(x if x == z else mul(c, x) for x in v),
             val=lambda a: d.val(encode(a)), split=lambda a, w: tuple(map(decode, d.split(encode(a), w))),
             cancel=lambda a, w: decode(d.cancel(encode(a), w)), field=d.field,
@@ -569,7 +555,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     if ring_size(spec) > FIELD_TABLE_LIMIT:
         raise GuardExceeded(f"{format_ring(spec)} is too large to search")
     d = _domain(spec)
-    values, plus, scaled = d.values, d.plus, d.scaled
+    values, plus, scaled = tuple(map(d.encode, _iter_elements(spec))), d.plus, d.scaled
     msg_ids = net.message_ids()
     edge_by_id = {e.id: e for e in net.edges}
 

@@ -14,12 +14,10 @@ order, which keeps outputs reproducible byte for byte.
 GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes by table
 lookup over its smallest generator g: exp[i] is the payload of g^i, log maps a
 nonzero payload back to i, and the Zech logarithm zech[n] = log(1 + g^n) turns
-a sum into g^i + g^j = g^(i + zech[j - i]); both operations on logs are
-defined once, in _log_ops, which the field's arithmetic and network's verify
-and decode_search share.  The tables are built once per field, on first use:
-exp from g times each half-width digit block (multiplying by g is
-GF(p)-linear), zech from exp in O(q).  Larger fields multiply by schoolbook
-polynomial products.
+a sum into g^i + g^j = g^(i + zech[j - i]).  The tables are built once per
+field, on first use: exp from g times each half-width digit block
+(multiplying by g is GF(p)-linear), zech from exp in O(q).  Larger fields
+multiply by schoolbook polynomial products.
 
 Every non-product ring of at most FIELD_TABLE_LIMIT elements (GF(p), Z(n),
 D(p) and the table fields) has one tuple of its elements in lexicographic
@@ -27,22 +25,26 @@ order, built on first use and cached by ring value; a field's are over the
 spec galois_field returns.  Arithmetic, zero, one, inverse, element,
 parse_element and apply_hom return those shared elements and build none, and
 the field tables' g^i are the same objects.  Products and larger rings build
-their results.
+their results, over the spec object they were given.
 
-Each ring's add, mul, neg and element(payload) are defined once, in
-arithmetic(spec): closures over the ring's state (its modulus, shared
-elements, field tables or factors' records), built on first use and kept on
-the spec outside its equality, hash and repr.  add and mul check both
-operands' ring, then call them; network's transfer and verify fetch them once
-per call and check each coefficient's ring once.
+Each ring kind is defined once, in arithmetic(spec), a record built on first
+use and kept on the spec outside its equality, hash and repr.  It holds the
+ring's values (residues for GF(p) and Z(n), logs with None for zero for the
+table fields, payloads for D(p) and larger GF(p^k), tuples of the factors'
+values for products), encode and decode between elements and values, zero,
+one, and add, mul, neg and inv on values.  The public add, mul, neg and
+inverse are decode(op(encode(a), ...)), add and mul after checking both
+operands' ring; zero and one decode the record's.  network's vectors
+(network._domain) are built on the same record.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from math import lcm, prod
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
@@ -193,7 +195,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class _Spec:
-    __slots__ = ("_arithmetic",)  # set by arithmetic(spec) on first use; not a dataclass field
+    __slots__ = ("_arithmetic", "_domain")  # kept by arithmetic(spec) and network._domain; not dataclass fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,7 +342,7 @@ class RingElement:
 def element(spec: RingSpec, payload: Payload) -> RingElement:
     """Validating constructor; arithmetic builds elements directly."""
     if isinstance(spec, (PrimeField, IntegersMod)):
-        n = spec.p if isinstance(spec, PrimeField) else spec.n
+        n = _modulus_of(spec)
         if not isinstance(payload, int) or not 0 <= payload < n:
             raise ValueError(f"residue {payload!r} out of range for modulus {n}")
     elif isinstance(spec, GaloisField):
@@ -369,24 +371,14 @@ def element(spec: RingSpec, payload: Payload) -> RingElement:
     return arithmetic(spec).element(payload)
 
 
-@functools.cache  # one shared constant per spec value, here and in one
 def zero(spec: RingSpec) -> RingElement:
-    if isinstance(spec, Product):
-        return RingElement(spec, tuple(map(zero, spec.factors)))
-    return next(_iter_elements(spec))  # the first in lexicographic order
+    r = arithmetic(spec)
+    return r.decode(r.zero)
 
 
-@functools.cache
 def one(spec: RingSpec) -> RingElement:
-    if isinstance(spec, Product):
-        return RingElement(spec, tuple(map(one, spec.factors)))
-    if isinstance(spec, (PrimeField, IntegersMod)):
-        payload, index = 1, 1
-    else:  # 1 + 0x + ...: the constant term is the most significant digit
-        k = spec.k if isinstance(spec, GaloisField) else 2
-        payload, index = (1,) + (0,) * (k - 1), spec.p ** (k - 1)
-    els = _shared(spec)
-    return RingElement(spec, payload) if els is None else els[index]
+    r = arithmetic(spec)
+    return r.decode(r.one)
 
 
 def elements(spec: RingSpec) -> list[RingElement]:
@@ -434,121 +426,121 @@ def _check_owner(a: RingElement, spec: RingSpec):
 
 def add(a: RingElement, b: RingElement) -> RingElement:
     _check_owner(b, a.ring)
-    return arithmetic(a.ring).add(a, b)
+    r = arithmetic(a.ring)
+    return r.decode(r.add(r.encode(a), r.encode(b)))
 
 
 def neg(a: RingElement) -> RingElement:
-    return arithmetic(a.ring).neg(a)
+    r = arithmetic(a.ring)
+    return r.decode(r.neg(r.encode(a)))
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
     _check_owner(b, a.ring)
-    return arithmetic(a.ring).mul(a, b)
+    r = arithmetic(a.ring)
+    return r.decode(r.mul(r.encode(a), r.encode(b)))
 
 
-class Arithmetic(NamedTuple):
-    """One ring's add, mul and neg, closed over its state; they check no
-    ownership.  element(payload) is the element of a canonical payload: the
-    shared one where the ring has them (see _shared), else a new one."""
-
-    add: Callable[[RingElement, RingElement], RingElement]
-    mul: Callable[[RingElement, RingElement], RingElement]
-    neg: Callable[[RingElement], RingElement]
-    element: Callable[[Payload], RingElement]
-
-
-def arithmetic(spec: RingSpec) -> Arithmetic:
-    """spec's Arithmetic, built on its first use and kept on spec."""
-    try:
-        return spec._arithmetic
-    except AttributeError:
-        object.__setattr__(spec, "_arithmetic", _build_arithmetic(spec))
-        return spec._arithmetic
-
-
-def _build_arithmetic(spec: RingSpec) -> Arithmetic:
-    new, shared = functools.partial(RingElement, spec), _shared(spec)
-    if isinstance(spec, (PrimeField, IntegersMod)):
-        n = spec.p if isinstance(spec, PrimeField) else spec.n
-        at = new if shared is None else shared.__getitem__  # a residue is its own index
-        return Arithmetic(
-            lambda a, b: at((a.payload + b.payload) % n),
-            lambda a, b: at(a.payload * b.payload % n),
-            lambda a: at(-a.payload % n),
-            at,
-        )
-    if isinstance(spec, DualNumbers):
-        p = spec.p
-        at = new if shared is None else (lambda x: shared[x[0] * p + x[1]])
-
-        def dual_mul(a, b):
-            (a0, a1), (b0, b1) = a.payload, b.payload
-            return at((a0 * b0 % p, (a0 * b1 + a1 * b0) % p))
-
-        return Arithmetic(
-            lambda a, b: at(((a.payload[0] + b.payload[0]) % p, (a.payload[1] + b.payload[1]) % p)),
-            dual_mul,
-            lambda a: at((-a.payload[0] % p, -a.payload[1] % p)),
-            at,
-        )
-    if isinstance(spec, Product):  # factor by factor
-        adds, muls, negs, _ = zip(*map(arithmetic, spec.factors))
-        return Arithmetic(
-            lambda a, b: new(tuple(f(x, y) for f, x, y in zip(adds, a.payload, b.payload))),
-            lambda a, b: new(tuple(f(x, y) for f, x, y in zip(muls, a.payload, b.payload))),
-            lambda a: new(tuple(f(x) for f, x in zip(negs, a.payload))),
-            new,
-        )
-    p, t = spec.p, _field_tables(spec.p, spec.k)
-    if t is None:  # GF(p^k) above FIELD_TABLE_LIMIT: coefficient vectors
-        return Arithmetic(
-            lambda a, b: new(tuple((x + y) % p for x, y in zip(a.payload, b.payload))),
-            lambda a, b: new(_field_mul(a.payload, b.payload, spec)),
-            lambda a: new(tuple(-x % p for x in a.payload)),
-            new,
-        )
-    (log_add, log_mul), log, els, zero_ = _log_ops(p, spec.k), t.log.get, t.els, t.zero
-    return Arithmetic(  # on logs (see _log_ops), the elements back as els[i]
-        lambda a, b: zero_ if (i := log_add(log(a.payload), log(b.payload))) is None else els[i],
-        lambda a, b: zero_ if (i := log_mul(log(a.payload), log(b.payload))) is None else els[i],
-        lambda a: a if (i := log(a.payload)) is None else els[i + t.neg_one],
-        lambda x: zero_ if (i := log(x)) is None else els[i],
-    )
+def inverse(a: RingElement) -> RingElement | None:
+    """Multiplicative inverse if a is a unit, else None."""
+    r = arithmetic(a.ring)
+    x = r.inv(r.encode(a))
+    return None if x is None else r.decode(x)
 
 
 def is_zero(a: RingElement) -> bool:
     return a.payload == zero(a.ring).payload
 
 
-def inverse(a: RingElement) -> RingElement | None:
-    """Multiplicative inverse if a is a unit, else None."""
-    spec = a.ring
-    if isinstance(spec, (PrimeField, IntegersMod)):
-        n = spec.p if isinstance(spec, PrimeField) else spec.n
-        try:
-            return arithmetic(spec).element(pow(a.payload, -1, n))
-        except ValueError:
-            return None
-    if isinstance(spec, GaloisField):
-        if (t := _field_tables(spec.p, spec.k)) is not None:
-            i = t.log.get(a.payload)
-            return None if i is None else t.els[len(t.log) - i]
-        if all(c == 0 for c in a.payload):
-            return None
-        return _pow(a, ring_size(spec) - 2, mul, one(spec))
-    if isinstance(spec, DualNumbers):
-        a0, a1 = a.payload
-        if a0 == 0:
-            return None
-        i0 = pow(a0, -1, spec.p)
-        return arithmetic(spec).element((i0, (-a1 * i0 * i0) % spec.p))
-    comps = []
-    for x in a.payload:
-        ix = inverse(x)
-        if ix is None:
-            return None
-        comps.append(ix)
-    return RingElement(spec, tuple(comps))
+class Arithmetic(NamedTuple):
+    """One ring's values and its operations on them, the only definition of
+    each ring kind.  encode(a) is an element's value, decode(v) and
+    element(payload) the element of a value or canonical payload: the shared
+    one where the ring has them (see _shared), else a new one over the spec.
+    add, mul, neg and inv (None for a non-unit) take and give values and
+    check no ownership."""
+
+    encode: Callable[[RingElement], object]
+    decode: Callable[[object], RingElement]
+    element: Callable[[Payload], RingElement]
+    zero: object
+    one: object
+    add: Callable
+    mul: Callable
+    neg: Callable
+    inv: Callable
+
+
+def _kept(spec: RingSpec, slot: str, build: Callable):
+    """build(spec), made on first use and kept in spec's slot, outside its
+    equality, hash and repr."""
+    if not hasattr(spec, slot):
+        object.__setattr__(spec, slot, build(spec))
+    return getattr(spec, slot)
+
+
+def arithmetic(spec: RingSpec) -> Arithmetic:
+    """spec's Arithmetic, built on its first use and kept on spec."""
+    try:
+        return spec._arithmetic  # every public operation reads it
+    except AttributeError:
+        return _kept(spec, "_arithmetic", _build_arithmetic)
+
+
+def _build_arithmetic(spec: RingSpec) -> Arithmetic:
+    new, shared, payload = functools.partial(RingElement, spec), _shared(spec), operator.attrgetter("payload")
+    if isinstance(spec, (PrimeField, IntegersMod)):  # residues
+        n = _modulus_of(spec)
+        at = new if shared is None else shared.__getitem__  # a residue is its own index
+        return Arithmetic(payload, at, at, 0, 1, lambda x, y: (x + y) % n, lambda x, y: x * y % n,
+                          lambda x: -x % n, lambda x: pow(x, -1, n) if gcd(x, n) == 1 else None)
+    if isinstance(spec, DualNumbers):  # payload pairs (a0, a1) meaning a0 + a1 x
+        p = spec.p
+        at = new if shared is None else (lambda x: shared[x[0] * p + x[1]])
+        return Arithmetic(
+            payload, at, at, (0, 0), (1, 0),
+            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
+            lambda x, y: (x[0] * y[0] % p, (x[0] * y[1] + x[1] * y[0]) % p),
+            lambda x: (-x[0] % p, -x[1] % p),
+            lambda x: None if x[0] == 0 else (i := pow(x[0], -1, p), -x[1] * i * i % p),
+        )
+    if isinstance(spec, Product):  # tuples of the factors' values, on their records
+        parts = tuple(map(arithmetic, spec.factors))
+
+        def inv(x):
+            out = tuple(f.inv(y) for f, y in zip(parts, x))
+            return None if None in out else out
+
+        return Arithmetic(
+            lambda a: tuple(f.encode(x) for f, x in zip(parts, a.payload)),
+            lambda v: new(tuple(f.decode(x) for f, x in zip(parts, v))), new,
+            tuple(f.zero for f in parts), tuple(f.one for f in parts),
+            lambda x, y: tuple(f.add(a, b) for f, a, b in zip(parts, x, y)),
+            lambda x, y: tuple(f.mul(a, b) for f, a, b in zip(parts, x, y)),
+            lambda x: tuple(f.neg(a) for f, a in zip(parts, x)), inv,
+        )
+    p, q, t = spec.p, ring_size(spec), _field_tables(spec.p, spec.k)
+    if t is None:  # GF(p^k) above FIELD_TABLE_LIMIT: coefficient payloads
+        z, u = (0,) * spec.k, (1,) + (0,) * (spec.k - 1)
+        times = lambda x, y: _field_mul(x, y, spec)
+        return Arithmetic(payload, new, new, z, u, lambda x, y: tuple((a + b) % p for a, b in zip(x, y)),
+                          times, lambda x: tuple(-a % p for a in x),
+                          lambda x: None if x == z else _pow(x, q - 2, times, u))
+    log, els, zech, m, z = t.log.get, t.els, t.zech, q - 1, t.zero  # a table field: logs i < q - 1, None for zero
+
+    def log_add(i, j):
+        if i is None or j is None:
+            return j if i is None else i
+        n = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
+        return None if n is None else (i + n) % m
+
+    decode = lambda i: z if i is None else els[i]
+    return Arithmetic(
+        lambda a: log(a.payload), decode, lambda x: decode(log(x)), None, 0, log_add,
+        lambda i, j: None if i is None or j is None else (i + j) % m,
+        lambda i: None if i is None else (i + t.neg_one) % m,
+        lambda i: None if i is None else -i % m,
+    )
 
 
 def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tuple[int, ...]:
@@ -562,12 +554,7 @@ class _FieldTables(NamedTuple):
     and so read only.  exp and els list g^i for i < q - 1 twice, so an index
     i + n for n < q - 1 needs no wrap.  exp is exact by construction: each
     g^(i+1) is g * g^i, summed from two products by g (see _field_tables).
-
-    On these tables a field element is its log i, None for zero, and
-    _log_ops adds and multiplies logs.  The field's arithmetic(spec) maps
-    payloads to logs and back for each operation; network's verify and
-    decode_search stay on logs throughout and take els[i] back only for
-    what they return."""
+    The field's arithmetic(spec) computes on the logs i, None for zero."""
 
     exp: tuple  # payloads of g^i
     log: dict  # nonzero payload -> i
@@ -588,7 +575,7 @@ def _field_tables(p: int, k: int) -> _FieldTables | None:
     if p**k > FIELD_TABLE_LIMIT:
         return None
     spec, h = galois_field(p, k), k // 2
-    g, exp = smallest_generator(spec).payload, [one(spec).payload]
+    g, exp = smallest_generator(spec).payload, [(1,) + (0,) * (k - 1)]
     low = {d: _field_mul(d + (0,) * (k - h), g, spec) for d in itertools.product(range(p), repeat=h)}
     high = {d: _field_mul((0,) * h + d, g, spec) for d in itertools.product(range(p), repeat=k - h)}
     for _ in range(p**k - 2):
@@ -598,22 +585,7 @@ def _field_tables(p: int, k: int) -> _FieldTables | None:
     zech = tuple(log.get(((x[0] + 1) % p, *x[1:])) for x in exp)  # None only at 1 + x = 0
     by_payload = {a.payload: a for a in _shared(spec)}
     els = tuple(map(by_payload.__getitem__, exp))
-    return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, zero(spec))
-
-
-@functools.cache
-def _log_ops(p: int, k: int):
-    """(add, mul) of GF(p^k) on discrete logs over its tables: an element is
-    its log i < q - 1, None for zero, and the tables' els[i] is its element."""
-    zech, m = _field_tables(p, k).zech, p**k - 1
-
-    def log_add(i, j):
-        if i is None or j is None:
-            return j if i is None else i
-        z = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
-        return None if z is None else (i + z) % m
-
-    return log_add, lambda i, j: None if i is None or j is None else (i + j) % m
+    return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, _shared(spec)[0])
 
 
 def _pow(base, e: int, times, out):
@@ -703,15 +675,12 @@ def smallest_generator(spec: PrimeField | GaloisField) -> RingElement:
     found on payloads so that the field tables it seeds are not needed."""
     q = ring_size(spec)
     checks = _multiplicative_order_checks(q)
-    uno = one(spec).payload
     if isinstance(spec, GaloisField):
-        times = functools.partial(_field_mul, spec=spec)
+        times, uno = functools.partial(_field_mul, spec=spec), (1,) + (0,) * (spec.k - 1)
     else:
-        times = lambda a, b: a * b % q
-    for cand in _iter_elements(spec):
-        if is_zero(cand) or (cand.payload == uno and q > 2):
-            continue
-        if all(_pow(cand.payload, e, times, uno) != uno for e in checks):
+        times, uno = (lambda a, b: a * b % q), 1
+    for cand in itertools.islice(_iter_elements(spec), 1, None):  # zero is first
+        if (cand.payload != uno or q == 2) and all(_pow(cand.payload, e, times, uno) != uno for e in checks):
             return cand
     raise RuntimeError("unreachable: finite field groups are cyclic")
 
@@ -734,13 +703,13 @@ def _verify_hom_table(source: PrimeField | GaloisField, target: RingSpec, table:
     if table[one(source).payload] != one(target).payload:
         raise ValueError("inclusion does not preserve one")
     els = elements(source)
-    imgs = [tgt.element(table[a.payload]) for a in els]
+    xs, ys = [src.encode(a) for a in els], [tgt.encode(tgt.element(table[a.payload])) for a in els]
     for i in (source.p**j for j in range(getattr(source, "k", 1))):  # x^(m-1-j) is at index p^j
-        e, fe = els[i], imgs[i]
-        for a, fa in zip(els, imgs):
-            if table[src.add(a, e).payload] != tgt.add(fa, fe).payload:
+        e, fe = xs[i], ys[i]
+        for x, fx in zip(xs, ys):
+            if table[src.decode(src.add(x, e)).payload] != tgt.decode(tgt.add(fx, fe)).payload:
                 raise ValueError("inclusion is not additive")
-            if table[src.mul(a, e).payload] != tgt.mul(fa, fe).payload:
+            if table[src.decode(src.mul(x, e)).payload] != tgt.decode(tgt.mul(fx, fe)).payload:
                 raise ValueError("inclusion is not multiplicative")
     if len(set(table.values())) != len(table):
         raise ValueError("inclusion is not injective")
@@ -991,7 +960,7 @@ def format_element(a: RingElement) -> str:
 def parse_element(text: str, spec: RingSpec) -> RingElement:
     text = text.strip()
     if isinstance(spec, (PrimeField, IntegersMod)):
-        n = spec.p if isinstance(spec, PrimeField) else spec.n
+        n = _modulus_of(spec)
         try:
             v = int(text)
         except ValueError:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from netcorpus import corpus, relay_chain
+from ring_oracle import oracle_is_unit, oracle_ops
 from search_oracle import decode as oracle_decode
 from search_oracle import decode_on_elements
 from search_oracle import transfer as oracle_transfer
@@ -51,6 +52,7 @@ from ringcode.rings import (
     add,
     crt,
     dual_augmentation,
+    element,
     elements,
     galois_field,
     inverse,
@@ -576,9 +578,10 @@ class TestCoefficientOwnership:
 
 class TestLogDomain:
     """Table fields verify and decode on discrete logarithms (network._domain
-    over rings._log_ops), checked against oracles on RingElement values: the
-    public, checked add and mul (search_oracle.verify, search_oracle.decode)
-    and the element kernel decode_search ran before (decode_on_elements)."""
+    over the field's record rings.arithmetic), checked against oracles: the
+    payload arithmetic of ring_oracle, the public, checked add and mul
+    (search_oracle.verify, search_oracle.decode) and the element kernel
+    decode_search ran before (decode_on_elements)."""
 
     FIELDS = ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(2^8)", "GF(3^5)"]
 
@@ -619,11 +622,12 @@ class TestLogDomain:
         assert z is None and u == 0 and decode(None) is zero(spec) and decode(0) is one(spec)
         assert encode(zero(spec)) is None and encode(one(spec)) == 0
         assert encode(RingElement(spec, one(spec).payload)) == 0
-        values = self._values(spec)
+        values, (plus, times, _) = self._values(spec), oracle_ops(spec)
         assert [encode(decode(encode(a))) for a in values] == [encode(a) for a in values]
         for a, b in itertools.product(values, repeat=2):
             i, j = encode(a), encode(b)
-            assert decode(log_add(i, j)) == add(a, b) and decode(log_mul(i, j)) == mul(a, b), (a, b)
+            assert decode(log_add(i, j)).payload == plus(a.payload, b.payload), (a, b)
+            assert decode(log_mul(i, j)).payload == times(a.payload, b.payload), (a, b)
             assert log_add(i, j) is None or 0 <= log_add(i, j) < len(elements(spec)) - 1
 
     @pytest.mark.parametrize("text", FIELDS)
@@ -749,13 +753,26 @@ class TestValueDomain:
         if len(els) > 64:
             els = [zero(spec), one(spec)] + random.Random(3).sample(els, 30)
         assert (d.zero, d.one) == (d.encode(zero(spec)), d.encode(one(spec)))
+        plus, times, _ = oracle_ops(spec)
+        flat = lambda v: tuple(tuple(c.payload for c in d.decode(x).payload) for x in v)
         for a in els:
             assert d.encode(a) == tuple(f.encode(x) for f, x in zip(parts, a.payload))
             assert d.decode(d.encode(a)) == a
             for b in els:
                 x, y = d.encode(a), d.encode(b)
-                assert d.plus((x, y), (y, y)) == (d.encode(add(a, b)), d.encode(add(b, b)))
-                assert d.scaled(x, (y, x)) == (d.encode(mul(a, b)), d.encode(mul(a, a)))
+                assert flat(d.plus((x, y), (y, y))) == (plus(a.payload, b.payload), plus(b.payload, b.payload))
+                assert flat(d.scaled(x, (y, x))) == (times(a.payload, b.payload), times(a.payload, a.payload))
+
+    def test_decode_is_over_the_product_given(self):
+        # an equal product of another object, used first, owns no result
+        fresh, other = (parse_ring("GF(4)xZ(9)") for _ in "ab")
+        assert fresh == other and fresh is not other
+        first = network_mod._domain(fresh)
+        d = network_mod._domain(other)
+        assert d is network_mod._domain(other) is not first
+        assert first.decode(first.one).ring is fresh
+        for v in (d.zero, d.one, d.plus((d.one,), (d.one,))[0], d.encode(element(other, ((0, 1), 4)))):
+            assert d.decode(v).ring is other
 
     @pytest.mark.parametrize("text", PRODUCTS)
     def test_product_code_forgeries(self, text):
@@ -778,7 +795,7 @@ class TestValueDomain:
         # GF(2^13) computes on RingElements through the public add and mul
         spec = parse_ring("GF(2^13)")
         els, rng, d = elements(spec), random.Random(13), network_mod._domain(spec)
-        assert d.values is None and d.field and [d.val(a) for a in els[:3]] == [len(els), 1, 1]
+        assert d.field and [d.val(d.encode(a)) for a in els[:3]] == [len(els), 1, 1]
         outcomes = set()
         for _ in range(60):
             msgs = ["x", "y", "z"][: rng.randint(1, 3)]
@@ -1035,28 +1052,31 @@ class TestIndexKernel:
          "GF(25)", "GF(27)", "GF(32)", "Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)"],
     )
     def test_tables_match_ring_arithmetic(self, ring):
-        # the value record the search runs on (network._domain), every
-        # operation on every value against the public add, mul, neg, inverse
+        # the values the search runs on (network._domain), every operation
+        # on every value against the payload arithmetic of ring_oracle
         spec = parse_ring(ring)
         els, d = elements(spec), network_mod._domain(spec)
-        q, values, enc = len(els), d.values, d.encode
-        assert [enc(a) for a in els] == list(values) and [d.decode(x) for x in values] == els
+        q, enc, (plus, times, minus) = len(els), d.encode, oracle_ops(spec)
+        values, pay = [enc(a) for a in els], lambda v: tuple(d.decode(x).payload for x in v)
+        assert [d.decode(x) for x in values] == els
         assert (d.zero, d.one) == (enc(zero(spec)), enc(one(spec)))
         powers = {d.val(x): one(spec) if d.field else els[d.val(x)] for x in values[1:]}  # w -> p^v
         assert sorted(powers) == ([1] if d.field else [w for w in range(1, q) if q % w == 0])
         for i, (a, x) in enumerate(zip(els, values)):
             assert d.val(x) == (math.gcd(i, q) if not d.field else 1 if i else q)
-            assert (d.val(x) == 1) == (inverse(a) is not None)
-            assert d.decode(d.cancel(x, 1)) == neg(a)
+            assert (d.val(x) == 1) == oracle_is_unit(spec, a.payload)
+            assert d.decode(d.cancel(x, 1)).payload == minus(a.payload)
             if i:
                 u, f = d.split(x, d.val(x))
-                assert inverse(d.decode(u)) is not None and mul(d.decode(u), a) == powers[d.val(x)]
+                u = d.decode(u).payload
+                assert oracle_is_unit(spec, u) and times(u, a.payload) == powers[d.val(x)].payload
                 assert d.decode(f) == (zero(spec) if d.field else els[q // d.val(x) % q])
             for w, power in powers.items():  # a + c*p^v is a's least residue modulo p^v
-                assert add(a, mul(d.decode(d.cancel(x, w)), power)) == els[i % w]
+                c = d.decode(d.cancel(x, w)).payload
+                assert plus(a.payload, times(c, power.payload)) == els[i % w].payload
             for b, y in zip(els, values):
-                assert d.plus((x, y), (y, y)) == (enc(add(a, b)), enc(add(b, b)))
-                assert d.scaled(x, (y, x)) == (enc(mul(a, b)), enc(mul(a, a)))
+                assert pay(d.plus((x, y), (y, y))) == (plus(a.payload, b.payload), plus(b.payload, b.payload))
+                assert pay(d.scaled(x, (y, x))) == (times(a.payload, b.payload), times(a.payload, a.payload))
 
     @pytest.mark.parametrize("ring", ["GF(2^13)", "GF(8191)", "Z(8192)"])
     def test_tables_refuse_rings_above_the_table_limit(self, ring, monkeypatch):
@@ -1219,9 +1239,11 @@ class TestIndexKernel:
 
     @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
     def test_orbit_key_names_unit_orbits(self, ring):
-        d = network_mod._domain(parse_ring(ring))
-        units = [u for u in d.values if inverse(d.decode(u)) is not None]
-        for v in itertools.product(d.values, repeat=3):
+        spec = parse_ring(ring)
+        d = network_mod._domain(spec)
+        values = [d.encode(a) for a in elements(spec)]
+        units = [u for u in values if inverse(d.decode(u)) is not None]
+        for v in itertools.product(values, repeat=3):
             orbit = {d.scaled(u, v) for u in units}
             # equal across the orbit, and a member of it: distinct orbits
             # are disjoint, so they cannot share a key

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 from hom_oracle import verify_hom_table_all_pairs
+from ring_oracle import oracle_add, oracle_is_unit, oracle_mul, oracle_neg, oracle_ops
 
 from ringcode import rings as rings_mod
 from ringcode.errors import GuardExceeded, ParseError
@@ -471,19 +472,6 @@ class TestSpecValidation:
             Product(())
 
 
-def oracle_mul(a, b, spec):
-    """a * b in GF(p^k) the schoolbook way, independent of rings: add b_j
-    times a * x^j, where multiplying by x shifts and folds x^k back through
-    the modulus."""
-    p, m = spec.p, spec.modulus
-    out, shifted = [0] * spec.k, list(a)
-    for bj in b:
-        out = [(o + bj * s) % p for o, s in zip(out, shifted)]
-        top = shifted[-1]
-        shifted = [(s - top * mi) % p for s, mi in zip([0] + shifted[:-1], m)]
-    return tuple(out)
-
-
 def oracle_power(a, e, spec):
     out = (1,) + (0,) * (spec.k - 1)
     while e:
@@ -503,15 +491,6 @@ def oracle_generator(spec):
         if any(cand) and cand != one_:
             if all(oracle_power(cand, (q - 1) // ell, spec) != one_ for ell in ells):
                 return cand
-
-
-def oracle_add(a, b, spec):
-    """a + b in GF(p^k) or D(p): coefficientwise mod p, independent of rings."""
-    return tuple((x + y) % spec.p for x, y in zip(a, b))
-
-
-def oracle_neg(a, spec):
-    return tuple(-x % spec.p for x in a)
 
 
 def galois_fields(limit):
@@ -625,6 +604,33 @@ class TestFieldAddition:
                 assert got is None or got.ring is spec
 
 
+class TestResultOwner:
+    """Results over rings without shared elements (products and rings above
+    FIELD_TABLE_LIMIT) are over the spec object given, even after an equal
+    spec of another object was used first."""
+
+    @pytest.mark.parametrize("op", [zero, one])
+    def test_zero_and_one_after_an_equal_fresh_spec(self, op):
+        fresh, other, parsed = GaloisField(2, 13), GaloisField(2, 13), parse_ring("GF(2^13)")
+        assert op(fresh).ring is fresh
+        assert op(other).ring is other and op(parsed).ring is parsed
+
+    def test_inverse_after_one_of_an_equal_fresh_spec(self):
+        fresh, parsed = GaloisField(2, 13), parse_ring("GF(2^13)")
+        one(fresh)
+        a = RingElement(parsed, (0, 1) + (0,) * 11)
+        assert inverse(a).ring is parsed and mul(a, inverse(a)) == one(parsed)
+
+    def test_product_results_after_an_equal_fresh_product(self):
+        fresh, other = (Product((GF4, IntegersMod(9))) for _ in "ab")
+        a = element(other, ((1, 1), 2))
+        for spec in (fresh, other):
+            b = element(spec, ((0, 1), 4))
+            for got in (zero(spec), one(spec), add(b, b), mul(b, b), neg(b), inverse(b)):
+                assert got.ring is spec
+        assert mul(a, inverse(a)).ring is other
+
+
 HOM_CHECKS = [rings_mod._verify_hom_table, verify_hom_table_all_pairs]
 HOM_CHECK_IDS = ["generators", "all_pairs"]
 FORGED_PAIRS = [("GF(2^3)", "GF(2^6)"), ("GF(2^2)", "GF(2^4)"), ("GF(3)", "D(3)")]
@@ -687,7 +693,7 @@ class TestHomTableCheck:
         for a, fa in table.items():
             y = power = ops.element(fa)
             for _ in range(source.p - 1):
-                power = ops.mul(power, y)
+                power = mul(power, y)
             twisted[a] = power.payload
         assert isinstance(source, PrimeField) or twisted != table
         check(source, target, twisted)
@@ -796,56 +802,73 @@ class TestCountedWork:
         assert 0 < calls[0] <= 15_000
 
 
-def oracle_ops(spec):
-    """(add, mul, neg) on payloads, independent of rings: residues mod n,
-    D(p) in closed form, GF(p^k) by the coefficient and schoolbook oracles,
-    and a product factor by factor on component payloads."""
-    if isinstance(spec, (PrimeField, IntegersMod)):
-        n = ring_size(spec)
-        return (lambda a, b: (a + b) % n), (lambda a, b: a * b % n), (lambda a: -a % n)
-    if isinstance(spec, DualNumbers):
-        p = spec.p
-        return (lambda a, b: oracle_add(a, b, spec),
-                lambda a, b: (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p),
-                lambda a: oracle_neg(a, spec))
-    if isinstance(spec, GaloisField):
-        return (lambda a, b: oracle_add(a, b, spec), lambda a, b: oracle_mul(a, b, spec),
-                lambda a: oracle_neg(a, spec))
-    ops = [oracle_ops(f) for f in spec.factors]
-    return (lambda a, b: tuple(o[0](x.payload, y.payload) for o, x, y in zip(ops, a, b)),
-            lambda a, b: tuple(o[1](x.payload, y.payload) for o, x, y in zip(ops, a, b)),
-            lambda a: tuple(o[2](x.payload) for o, x in zip(ops, a)))
-
-
 def flat(a):
     """A payload with every product component replaced by its own payload."""
     return tuple(flat(c) for c in a.payload) if isinstance(a.ring, Product) else a.payload
 
 
 class TestBoundArithmetic:
-    """Each ring kind's Arithmetic record, the closures that verify and
-    decode_search call without ownership checks, against the oracles above:
-    every pair for rings of at most 64 elements, 2,000 seeded pairs above."""
+    """Each ring kind's Arithmetic record, whose value operations the public
+    add, mul, neg and inverse and network's vectors are built on, against the
+    oracles of ring_oracle through encode and decode: every pair for rings of
+    at most 64 elements, 2,000 seeded pairs above."""
 
     RINGS = ["GF(7)", "Z(12)", "Z(1000)", "D(5)", "D(13)", "GF(2^5)", "GF(2^8)", "GF(3^5)",
              "GF(2^13)", "GF(3^8)", "GF(4)x(Z(4)xD(2))", "GF(2^8)xGF(3^5)", "GF(2^13)xZ(9)"]
 
+    @staticmethod
+    def _spec(text):
+        return Product((GF4, Product((Z4, D2)))) if text == "GF(4)x(Z(4)xD(2))" else parse_ring(text)
+
+    @staticmethod
+    def _elements(spec, seed):
+        """Every element of a ring of at most 64, else zero and 2,000 seeded ones."""
+        if ring_size(spec) <= 64:
+            return elements(spec)
+        rng = random.Random(seed)
+        return [zero(spec)] + [random_element(spec, rng) for _ in range(2000)]
+
     @pytest.mark.parametrize("text", RINGS)
     def test_against_the_oracles(self, text):
-        spec = Product((GF4, Product((Z4, D2)))) if text == "GF(4)x(Z(4)xD(2))" else parse_ring(text)
-        ops, want = arithmetic(spec), oracle_ops(spec)
-        assert ops is arithmetic(spec)
+        spec = self._spec(text)
+        r, want = arithmetic(spec), oracle_ops(spec)
+        assert r is arithmetic(spec)
+        z, u = r.decode(r.zero), r.decode(r.one)
         if ring_size(spec) <= 64:
             pairs = itertools.product(elements(spec), repeat=2)
         else:
             rng = random.Random(10)
             pairs = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(2000)]
         for a, b in pairs:
-            for got, expected in ((ops.add(a, b), want[0](a.payload, b.payload)),
-                                  (ops.mul(a, b), want[1](a.payload, b.payload)),
-                                  (ops.neg(a), want[2](a.payload))):
-                assert got.ring == spec and flat(got) == expected
-            assert ops.add(a, b) == add(a, b) and ops.mul(a, b) == mul(a, b) and ops.neg(a) == neg(a)
+            x, y = r.encode(a), r.encode(b)
+            assert r.decode(x) == a == r.element(a.payload)
+            assert want[0](a.payload, z.payload) == flat(a) == want[1](a.payload, u.payload)
+            for got, expected in ((r.add(x, y), want[0](a.payload, b.payload)),
+                                  (r.mul(x, y), want[1](a.payload, b.payload)),
+                                  (r.neg(x), want[2](a.payload))):
+                c = r.decode(got)
+                assert c.ring == spec and flat(c) == expected and r.encode(c) == got
+
+    @pytest.mark.parametrize("text", RINGS)
+    def test_inv_against_the_oracle(self, text):
+        # a * inv(a) = 1 by the oracle, and None exactly for the non-units:
+        # D(p)'s with a0 = 0 and products' with a non-unit factor among them
+        spec = self._spec(text)
+        r, times = arithmetic(spec), oracle_ops(spec)[1]
+        uno, seen = flat(r.decode(r.one)), set()
+        for a in self._elements(spec, 11):
+            got, unit = r.inv(r.encode(a)), oracle_is_unit(spec, a.payload)
+            assert (got is not None) == unit, a
+            if unit:
+                b = r.decode(got)
+                assert b.ring == spec and times(a.payload, b.payload) == uno, a
+            elif isinstance(spec, Product):
+                seen.add(sum(not oracle_is_unit(f, x.payload) for f, x in zip(spec.factors, a.payload)))
+            seen.add(("unit", unit))
+        assert seen >= {("unit", True), ("unit", False)}
+        assert not isinstance(spec, Product) or 1 in seen
+        if isinstance(spec, DualNumbers):
+            assert any(a.payload[0] == 0 for a in self._elements(spec, 11))
 
     def test_kept_on_the_spec_outside_equality_hash_and_repr(self):
         fresh, other = IntegersMod(77), IntegersMod(77)
@@ -882,10 +905,10 @@ class TestSharedElements:
         sample = self._sample(spec)
         got = [zero(spec), one(spec)]
         for a in sample:
-            got += [neg(a), ops.neg(a), inverse(a), element(spec, a.payload),
+            got += [neg(a), ops.decode(ops.encode(a)), inverse(a), element(spec, a.payload),
                     parse_element(format_element(a), spec), ops.element(a.payload)]
             for b in sample:
-                got += [add(a, b), mul(a, b), a - b, ops.add(a, b), ops.mul(a, b)]
+                got += [add(a, b), mul(a, b), a - b]
         for r in got:
             assert r is None or r is shared[r.payload]
 
@@ -951,8 +974,8 @@ class TestSharedElements:
 def test_reimport_frees_old_classes():
     """Nothing outside the package keeps an earlier import's classes alive
     (typing.Union's cache did), so re-importing ringcode does not leak; the
-    caches of galois_field, zero, one and the field tables go with their
-    module."""
+    caches of galois_field, the shared elements and the field tables go with
+    their module."""
     saved = {
         name: mod for name, mod in sys.modules.items()
         if name == "ringcode" or name.startswith("ringcode.")
