@@ -11,12 +11,12 @@ little-endian order, i.e. constant term first) and enumerate in lexicographic
 payload order; all iteration orders elsewhere in the package derive from that
 order, which keeps outputs reproducible byte for byte.
 
-GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes by table
-lookup over its smallest generator g: exp[i] is the payload of g^i, log maps a
-nonzero payload back to i, and the Zech logarithm zech[n] = log(1 + g^n) turns
-a sum into g^i + g^j = g^(i + zech[j - i]).  The tables are built once per
-field, on first use: exp from g times each half-width digit block
-(multiplying by g is GF(p)-linear), zech from exp in O(q).  Larger fields
+GF(p^k) with at most FIELD_TABLE_LIMIT = 2**12 elements computes on logs to
+its smallest generator g: log maps the payload of g^i to i, a product adds
+logs mod q - 1, and the Zech logarithm zech[n] = log(1 + g^n) turns a sum into
+g^i + g^j = g^(i + zech[j - i]).  The tables are built once per field, on
+first use: the powers of g from g times each half-width digit block
+(multiplying by g is GF(p)-linear), zech from them in O(q).  Larger fields
 multiply by schoolbook polynomial products.
 
 Every non-product ring of at most FIELD_TABLE_LIMIT elements (GF(p), Z(n),
@@ -35,7 +35,7 @@ values for products), encode and decode between elements and values, zero,
 one, and add, mul, neg and inv on values.  The public add, mul, neg and
 inverse are decode(op(encode(a), ...)), add and mul after checking both
 operands' ring; zero and one decode the record's.  network's vectors
-(network._domain) are built on the same record.
+(network._domain) and the subfield inclusions compute on the same record.
 """
 
 from __future__ import annotations
@@ -526,7 +526,7 @@ def _build_arithmetic(spec: RingSpec) -> Arithmetic:
         return Arithmetic(payload, new, new, z, u, lambda x, y: tuple((a + b) % p for a, b in zip(x, y)),
                           times, lambda x: tuple(-a % p for a in x),
                           lambda x: None if x == z else _pow(x, q - 2, times, u))
-    log, els, zech, m, z = t.log.get, t.els, t.zech, q - 1, t.zero  # a table field: logs i < q - 1, None for zero
+    log, els, zech, m, z = t.log.get, t.els, t.zech, q - 1, shared[0]  # a table field: logs i < q - 1, None for zero
 
     def log_add(i, j):
         if i is None or j is None:
@@ -551,17 +551,14 @@ def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tup
 
 class _FieldTables(NamedTuple):
     """Tables of GF(p^k) over g = smallest_generator, shared by every caller
-    and so read only.  exp and els list g^i for i < q - 1 twice, so an index
-    i + n for n < q - 1 needs no wrap.  exp is exact by construction: each
-    g^(i+1) is g * g^i, summed from two products by g (see _field_tables).
-    The field's arithmetic(spec) computes on the logs i, None for zero."""
+    and so read only; each power g^i, i < q - 1, is listed once, exact by
+    construction (g^(i+1) is g * g^i, summed from two products by g, see
+    _field_tables).  arithmetic(spec) computes on the logs i, None for zero."""
 
-    exp: tuple  # payloads of g^i
     log: dict  # nonzero payload -> i
     zech: tuple  # zech[n] = log(1 + g^n), None where g^n = -1
     neg_one: int  # log(-1): 0 for p = 2, else (q - 1) / 2
     els: tuple  # the shared elements g^i, see _shared
-    zero: RingElement  # zero(galois_field(p, k))
 
 
 @functools.cache
@@ -575,7 +572,7 @@ def _field_tables(p: int, k: int) -> _FieldTables | None:
     if p**k > FIELD_TABLE_LIMIT:
         return None
     spec, h = galois_field(p, k), k // 2
-    g, exp = smallest_generator(spec).payload, [(1,) + (0,) * (k - 1)]
+    g, exp = smallest_generator(spec), [(1,) + (0,) * (k - 1)]
     low = {d: _field_mul(d + (0,) * (k - h), g, spec) for d in itertools.product(range(p), repeat=h)}
     high = {d: _field_mul((0,) * h + d, g, spec) for d in itertools.product(range(p), repeat=k - h)}
     for _ in range(p**k - 2):
@@ -584,8 +581,7 @@ def _field_tables(p: int, k: int) -> _FieldTables | None:
     log = {a: i for i, a in enumerate(exp)}
     zech = tuple(log.get(((x[0] + 1) % p, *x[1:])) for x in exp)  # None only at 1 + x = 0
     by_payload = {a.payload: a for a in _shared(spec)}
-    els = tuple(map(by_payload.__getitem__, exp))
-    return _FieldTables(tuple(exp + exp), log, zech, zech.index(None), els + els, _shared(spec)[0])
+    return _FieldTables(log, zech, zech.index(None), tuple(map(by_payload.__getitem__, exp)))
 
 
 def _pow(base, e: int, times, out):
@@ -670,17 +666,17 @@ def _multiplicative_order_checks(q: int) -> list[int]:
 
 
 @functools.cache  # by field value: the tables and every subring_inclusion share one scan
-def smallest_generator(spec: PrimeField | GaloisField) -> RingElement:
-    """Lexicographically smallest generator of the multiplicative group,
-    found on payloads so that the field tables it seeds are not needed."""
+def smallest_generator(spec: PrimeField | GaloisField) -> Payload:
+    """Payload of the lexicographically smallest generator of the
+    multiplicative group, found without the field tables it seeds."""
     q = ring_size(spec)
     checks = _multiplicative_order_checks(q)
     if isinstance(spec, GaloisField):
         times, uno = functools.partial(_field_mul, spec=spec), (1,) + (0,) * (spec.k - 1)
     else:
         times, uno = (lambda a, b: a * b % q), 1
-    for cand in itertools.islice(_iter_elements(spec), 1, None):  # zero is first
-        if (cand.payload != uno or q == 2) and all(_pow(cand.payload, e, times, uno) != uno for e in checks):
+    for cand in itertools.islice(_payloads(spec), 1, None):  # zero is first
+        if (cand != uno or q == 2) and all(_pow(cand, e, times, uno) != uno for e in checks):
             return cand
     raise RuntimeError("unreachable: finite field groups are cyclic")
 
@@ -721,15 +717,16 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
     The field embedding evaluates source coefficient vectors at the
     lexicographically smallest root of the source modulus inside the unique
     subfield of the target of the right size (the subgroup generated by
-    g^((p^k-1)/(p^m-1)) for g the smallest generator of the target).  The map
-    sends a generator of the source onto that subgroup generator.  The
-    subfield is scanned in the order of that generator's powers only up to
-    the first root r: the m roots are its Frobenius conjugates r, r^p, ...,
-    r^(p^(m-1)), and the smallest of them is taken.  Before
-    use the table is checked to be injective, to keep 0 and 1, and to obey
-    the ring laws on the source's additive generators, which implies them on
-    all pairs (see _verify_hom_table).  Targets above FIELD_TABLE_LIMIT go
-    through the same steps on coefficient arithmetic.
+    t = g^((p^k-1)/(p^m-1)) for g the smallest generator of the target).  The
+    map sends a generator of the source onto that subgroup generator.  All of
+    it runs on the values of the target's arithmetic record.  The powers of t
+    are walked only up to the first root r, each tested by Horner's rule over
+    the source modulus: the m roots are its Frobenius conjugates r, r^p, ...,
+    r^(p^(m-1)), and the one of smallest payload is taken.  Each image is a
+    sum of m of the values c * r^j, c < p, j < m, made by repeated addition.
+    Before use the table is checked to be injective, to keep 0 and 1, and to
+    obey the ring laws on the source's additive generators, which implies them
+    on all pairs (see _verify_hom_table).
     """
     if isinstance(source, PrimeField) and isinstance(target, DualNumbers):
         if source.p != target.p:
@@ -742,20 +739,19 @@ def subring_inclusion(source: RingSpec, target: RingSpec) -> RingHom:
         pad = (0,) * (len(one(target).payload) - 1)
         table = {v: (v, *pad) for v in range(source.p)}
     else:
-        p, m, table = source.p, source.k, {}
-        t = _pow(smallest_generator(target), (ring_size(target) - 1) // (p**m - 1), mul, one(target))
-        subfield = itertools.accumulate(range(p**m - 2), lambda x, _: mul(x, t), initial=one(target))
-        root = next(filter(functools.partial(_eval_source_modulus, source), subfield))
-        roots = itertools.accumulate(range(m - 1), lambda x, _: _pow(x, p, mul, one(target)), initial=root)
-        root = min(roots, key=lambda x: x.payload)  # the m roots are r^(p^i), i < m
-        powers = [one(target)]
-        for _ in range(m - 1):
-            powers.append(mul(powers[-1], root))
-        for a in _iter_elements(source):
-            img = zero(target)
-            for c, rp in zip(a.payload, powers):
-                img = add(img, _scale_int(rp, c))
-            table[a.payload] = img.payload
+        p, m, r = source.p, source.k, arithmetic(target)
+        powers = lambda x, n: itertools.accumulate(range(n - 1), lambda y, _: r.mul(y, x), initial=r.one)  # x^i, i < n
+        # c * x for c < p, summed from x: a table field's zero is None, which accumulate takes for no initial value
+        multiples = lambda x: [r.zero, *itertools.accumulate(range(p - 2), lambda y, _: r.add(y, x), initial=x)]
+        ones = multiples(r.one)
+        horner = lambda x: functools.reduce(lambda y, c: r.add(r.mul(y, x), ones[c]), source.modulus[-2::-1], r.one)
+        t = _pow(r.encode(r.element(smallest_generator(target))), (ring_size(target) - 1) // (p**m - 1), r.mul, r.one)
+        root = next(x for x in powers(t, p**m - 1) if horner(x) == r.zero)
+        roots = itertools.accumulate(range(m - 1), lambda x, _: _pow(x, p, r.mul, r.one), initial=root)
+        root = min(roots, key=lambda x: r.decode(x).payload)  # the m roots are r^(p^i), i < m
+        scaled = [multiples(x) for x in powers(root, m)]  # scaled[j][c] = c * root^j
+        table = {a: r.decode(functools.reduce(r.add, map(list.__getitem__, scaled, a))).payload
+                 for a in _payloads(source)}
     _verify_hom_table(source, target, table)
     return RingHom(SUBRING_INCLUSION, source, target, table=MappingProxyType(table))
 
@@ -769,20 +765,6 @@ def crt(product: Product, target: IntegersMod) -> RingHom:
     if None in moduli or prod(moduli) != target.n or lcm(*moduli) != target.n:
         raise ValueError(f"{format_ring(product)} does not split Z({target.n})")
     return RingHom(CRT, product, target)
-
-
-def _eval_source_modulus(source: GaloisField, at: RingElement) -> bool:
-    acc = zero(at.ring)
-    for c in reversed(source.modulus):
-        acc = add(mul(acc, at), _scale_int(one(at.ring), c))
-    return is_zero(acc)
-
-
-def _scale_int(a: RingElement, c: int) -> RingElement:
-    out = zero(a.ring)
-    for _ in range(c):
-        out = add(out, a)
-    return out
 
 
 def apply_hom(h: RingHom, a: RingElement) -> RingElement:

@@ -254,7 +254,7 @@ class TestHoms:
     def test_inclusion_sends_a_generator_to_subgroup_generator(self):
         src, tgt = GF4, galois_field(2, 4)
         h = subring_inclusion(src, tgt)
-        g = smallest_generator(tgt)
+        g = element(tgt, smallest_generator(tgt))
         t = g
         for _ in range(4):  # g^(15/3) = g^5
             t = mul(t, g)
@@ -530,21 +530,21 @@ class TestFieldTables:
 
     @pytest.mark.parametrize("spec", galois_fields(2**12), ids=format_ring)
     def test_exp_lists_the_powers_of_the_generator_twice(self, spec):
-        exp, log, *_ = rings_mod._field_tables(spec.p, spec.k)
-        q = spec.p**spec.k
+        # named for the doubled exp table this once checked: els now lists each power once
+        t = rings_mod._field_tables(spec.p, spec.k)
+        exp, q = [a.payload for a in t.els], spec.p**spec.k
         nonzero = set(itertools.product(range(spec.p), repeat=spec.k)) - {(0,) * spec.k}
-        assert len(exp) == 2 * (q - 1) and exp[: q - 1] == exp[q - 1 :]
-        assert set(exp) == nonzero and len(set(exp[: q - 1])) == q - 1
-        g = smallest_generator(spec).payload
+        assert len(exp) == q - 1 and set(exp) == nonzero
+        g = smallest_generator(spec)
         assert exp[0] == one(spec).payload and exp[1] == g
-        assert all(oracle_mul(x, g, spec) == y for x, y in zip(exp, exp[1:]))
-        assert len(log) == q - 1 and all(exp[i] == a for a, i in log.items())
+        assert all(oracle_mul(x, g, spec) == y for x, y in zip(exp, exp[1:] + exp[:1]))
+        assert len(t.log) == q - 1 and all(exp[i] == a for a, i in t.log.items())
 
     def test_smallest_generator_matches_the_scan(self):
         specs = galois_fields(2**10 + 1)
         assert len(specs) == 26
         for spec in specs:
-            assert smallest_generator(spec).payload == oracle_generator(spec)
+            assert smallest_generator(spec) == oracle_generator(spec)
 
 
 class TestFieldAddition:
@@ -583,15 +583,14 @@ class TestFieldAddition:
 
     @pytest.mark.parametrize("spec", galois_fields(2**12), ids=format_ring)
     def test_zech_table(self, spec):
-        exp, log, zech, neg_one, els, z = rings_mod._field_tables(spec.p, spec.k)
-        q = spec.p**spec.k
-        assert len(zech) == q - 1 and zech.count(None) == 1
+        log, zech, neg_one, els = rings_mod._field_tables(spec.p, spec.k)
+        q, exp = spec.p**spec.k, [a.payload for a in els]
+        assert len(zech) == len(exp) == q - 1 and zech.count(None) == 1
         assert zech.index(None) == neg_one == (0 if spec.p == 2 else (q - 1) // 2)
         uno = (1,) + (0,) * (spec.k - 1)
-        for n, x in enumerate(exp[: q - 1]):
+        for n, x in enumerate(exp):
             want = oracle_add(x, uno, spec)
-            assert want == z.payload if zech[n] is None else exp[zech[n]] == want
-        assert [e.payload for e in els] == list(exp) and els[: q - 1] == els[q - 1 :]
+            assert not any(want) if zech[n] is None else exp[zech[n]] == want
 
     @pytest.mark.parametrize("text", ["GF(4)", "GF(2^8)", "GF(3^5)", "GF(2^13)"])
     def test_results_are_over_the_parsed_spec(self, text):
@@ -731,7 +730,8 @@ class TestHomTableCheck:
             check(source, target, table)
 
     @pytest.mark.parametrize("pair", [("GF(2^2)", "GF(2^4)"), ("GF(2^2)", "GF(2^6)"), ("GF(2^3)", "GF(2^6)"),
-                                      ("GF(2^4)", "GF(2^8)"), ("GF(3^2)", "GF(3^4)"), ("GF(5^2)", "GF(5^2)")],
+                                      ("GF(2^4)", "GF(2^8)"), ("GF(3^2)", "GF(3^4)"), ("GF(5^2)", "GF(5^2)"),
+                                      ("GF(3^3)", "GF(3^6)"), ("GF(7^2)", "GF(7^4)"), ("GF(3^4)", "GF(3^8)")],
                              ids="->".join)
     def test_inclusion_sends_x_to_the_smallest_root_of_the_modulus(self, pair):
         source, target = parse_ring(pair[0]), parse_ring(pair[1])
@@ -782,7 +782,7 @@ class TestCountedWork:
     def test_field_tables_of_gf_2_10(self, calls, uncached_generator):
         tables = rings_mod._field_tables.__wrapped__(2, 10)
         assert 0 < calls[0] <= 150
-        assert tables.exp == rings_mod._field_tables(2, 10).exp
+        assert [a.payload for a in tables.els] == [a.payload for a in rings_mod._field_tables(2, 10).els]
 
     def test_smallest_generator_is_found_once_per_field_value(self, calls):
         first = smallest_generator(GaloisField(2, 11))
@@ -800,6 +800,19 @@ class TestCountedWork:
         # modulus was evaluated at all 1,023 nonzero subfield elements)
         subring_inclusion(galois_field(2, 10), galois_field(2, 20))
         assert 0 < calls[0] <= 15_000
+
+    def test_inclusion_computes_on_the_target_record(self, monkeypatch):
+        # the public element operations check ownership and build elements per call
+        counter = {}
+        for name in ("add", "mul", "neg", "inverse"):
+            def counted(*args, _op=getattr(rings_mod, name), _name=name):
+                counter[_name] = counter.get(_name, 0) + 1
+                return _op(*args)
+
+            monkeypatch.setattr(rings_mod, name, counted)
+        for pair in [(2, 4, 8), (3, 2, 4), (2, 7, 14)]:
+            subring_inclusion(galois_field(*pair[:2]), galois_field(pair[0], pair[2]))
+        assert counter == {}
 
 
 def flat(a):
@@ -958,8 +971,8 @@ class TestSharedElements:
         spec = parse_ring(text)
         t = rings_mod._field_tables(spec.p, spec.k)
         shared = {a.payload: a for a in elements(spec)}
-        assert all(a is shared[a.payload] for a in t.els)
-        assert t.zero is zero(spec) and t.els[0] is one(spec)
+        assert len(t.els) == ring_size(spec) - 1 and all(a is shared[a.payload] for a in t.els)
+        assert t.els[0] is one(spec)
 
     @pytest.mark.parametrize("text", ["Z(4097)", "GF(2^13)"])
     def test_larger_rings_still_construct_their_elements(self, text):
