@@ -37,7 +37,11 @@ failing subtrees go and the first solution in canonical order stays.  One
 Howell-form elimination per receiver decides all of its demands and gives a
 decoder for each: the lexicographically first, with the last input most
 significant over a field and the first over Z(p^k).  It stops at the first
-message column that a demand's unit vector cannot reach.
+message column that a demand's unit vector cannot reach.  Every search over
+one ring value shares that ring's _search_memo: its eliminations, keyed by
+(target vectors, rows), and its candidate lists, so sweeps over many networks
+redo neither; a one-shot solve starts from an empty memo and does the same
+work as without it.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from .rings import (
 
 DEFAULT_BUDGET = 2**26
 CHOOSE_TWO_MAX_N = 12
+SEARCH_MEMO_LIMIT = 4096  # entries a ring's search memo may hold when a search starts
 
 
 @dataclass(frozen=True, slots=True)
@@ -547,13 +552,30 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
     return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), layout)
 
 
+@functools.cache  # by ring value, like rings._shared: _solve makes fresh equal specs
+def _search_memo(spec: RingSpec) -> tuple[dict, dict]:
+    """(decodes, lists) shared by every _index_search over a ring equal to
+    spec, one thread at a time: _first_decoders results by (target vectors,
+    rows), and candidate lists by input vectors or depth (see candidates)."""
+    return {}, {}
+
+
 def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     """(chosen, decoders): value tuples (see _domain) per searched edge of the
     first choice under which every receiver decodes its demands, and over a
     field those of decode_search per (receiver, demand); (None, None) if there
-    is none.  GuardExceeded, before any work, above FIELD_TABLE_LIMIT elements."""
+    is none.  GuardExceeded, before any work, above FIELD_TABLE_LIMIT elements.
+
+    Eliminations and candidate lists are the ring's _search_memo, which a
+    search finding it above SEARCH_MEMO_LIMIT entries empties first.  One
+    that exits by an exception drops the memo's lists: a generator the
+    exception stopped would end them early, a false refutation."""
     if ring_size(spec) > FIELD_TABLE_LIMIT:
         raise GuardExceeded(f"{format_ring(spec)} is too large to search")
+    decodes, store = _search_memo(spec)
+    if len(decodes) + len(store) > SEARCH_MEMO_LIMIT:
+        decodes.clear()
+        store.clear()
     d = _domain(spec)
     values, plus, scaled = tuple(map(d.encode, _iter_elements(spec))), d.plus, d.scaled
     msg_ids = net.message_ids()
@@ -578,15 +600,13 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
         recv_ready.setdefault(last, []).append(recv)
 
-    decode_cache: dict = {}
+    targets = {r: tuple(vec_of[("msg", m)] for m in r.demands) for r in net.receivers}
 
     def decoders_of(recv: Receiver):  # None if recv cannot decode its demands
-        rows = tuple(map(vec_of.__getitem__, forms[recv.node]))
-        key = (recv.demands, rows)
-        if key not in decode_cache:
-            targets = [vec_of[("msg", m)] for m in recv.demands]
-            decode_cache[key] = _first_decoders(rows, targets, d)
-        return decode_cache[key]
+        key = (targets[recv], tuple(map(vec_of.__getitem__, forms[recv.node])))
+        if key not in decodes:
+            decodes[key] = _first_decoders(key[1], key[0], d)
+        return decodes[key]
 
     # val gives each nonzero scalar the least index of its unit orbit: 1 over a
     # field, whose nonzero elements are one orbit, and p^t over Z(p^k)
@@ -610,9 +630,9 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
                 yield tuple(map(values.__getitem__, combo)), acc
 
     # an edge fed by no searched edge has the same inputs at every node, so
-    # such edges share one list per input tuple; the others keep one per depth
+    # such edges share one list per input tuple; the others keep one per depth.
+    # store: key -> (inputs, a tee at the start of first_of_orbits(inputs))
     fixed = [all(kind != "edge" for kind, _ in forms[e.tail]) for e in searched]
-    store: dict = {}  # key -> (inputs, a tee at the start of first_of_orbits(inputs))
 
     def candidates(depth: int, inputs):
         """A walk over first_of_orbits(inputs) from its start.  Copies of a tee
@@ -638,7 +658,12 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
                 return True
         return False
 
-    if not descend(0):
+    try:
+        found = descend(0)
+    except BaseException:
+        store.clear()
+        raise
+    if not found:
         return None, None
     if not d.field:
         return chosen, None

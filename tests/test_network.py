@@ -77,6 +77,13 @@ Z6 = IntegersMod(6)
 D2 = DualNumbers(2)
 
 
+@pytest.fixture
+def cold_memo():
+    """Every ring's search memo empty, as after a fresh import, so a test
+    that counts the search's work does not see what earlier tests left."""
+    network_mod._search_memo.cache_clear()
+
+
 def _inputs(net, node):
     """A node's inputs: ("msg", id) entries first, then ("edge", id)."""
     return network_mod._layout(net)[1][node]
@@ -436,7 +443,7 @@ class TestDecodeSearch:
                 outcomes.add((cut in demands, want is None))
             assert outcomes == {(True, True), (False, True), (False, False)}, ring
 
-    def test_one_call_per_receiver(self, monkeypatch):
+    def test_one_call_per_receiver(self, monkeypatch, cold_memo):
         # a receiver's demands share one elimination of its rows
         calls = []
 
@@ -813,7 +820,7 @@ class TestValueDomain:
         ("GF(4)", 2), ("GF(5)", 2), ("GF(9)", 2), ("Z(4)", 2), ("Z(8)", 2), ("Z(9)", 2), ("Z(27)", 2),
         ("GF(4)", 3), ("Z(4)", 3), ("Z(8)", 3), ("Z(9)", 3),
     ])
-    def test_candidates_are_the_first_combo_of_each_unit_orbit(self, ring, width, monkeypatch):
+    def test_candidates_are_the_first_combo_of_each_unit_orbit(self, ring, width, monkeypatch, cold_memo):
         """One edge combines `width` messages for a receiver demanding all of
         them, so no candidate decodes and the search tries the whole list.
         On unit vectors a combo is its own vector: the list is the first
@@ -834,7 +841,7 @@ class TestValueDomain:
         assert [tuple(map(d.decode, v)) for v in tried] == want
 
     @pytest.mark.parametrize("q", [16, 64, 256, 1024])
-    def test_choose_two_makes_one_candidate_per_unit_orbit(self, q, monkeypatch):
+    def test_choose_two_makes_one_candidate_per_unit_orbit(self, q, monkeypatch, cold_memo):
         # the three source edges share one list: (0, 0), (0, 1) and (1, c)
         calls = []
         real = network_mod._Domain.orbit_key
@@ -843,12 +850,141 @@ class TestValueDomain:
         assert code is not None and verify(choose_two(3), code)
         assert len(calls) <= 2 * q + 4
 
-    def test_choose_two_over_gf_2_10_is_fast(self):
+    def test_choose_two_over_gf_2_10_is_fast(self, cold_memo):
         # about 1,000 candidates; making all q*q coefficient pairs took 3.8 s
         start = time.perf_counter()
         code = solve_brute(choose_two(3), parse_ring("GF(2^10)"), budget=2**200)
         assert time.perf_counter() - start < 0.5
         assert code is not None and verify(choose_two(3), code)
+
+
+class TestSearchMemo:
+    """network._search_memo: the eliminations and candidate lists that every
+    search over one ring value shares.  Warm or cold, a solve gives the same
+    bytes; warm, it redoes no elimination and makes no candidate again."""
+
+    FIELDS = ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(11)", "GF(13)", "GF(16)")
+    # the ring anchors of the benchmark's solve workload
+    ANCHORS = ("Z(4)", "D(2)", "GF(2)xGF(2)", "Z(9)", "D(3)", "Z(6)", "GF(4)xGF(3)", "Z(8)", "Z(10)", "GF(2)xGF(3)")
+
+    @staticmethod
+    def _residue_sizes(spec):
+        if isinstance(spec, Product):
+            return [q for f in spec.factors for q in TestSearchMemo._residue_sizes(f)]
+        if isinstance(spec, IntegersMod):
+            return [p for p, _ in rings_mod.factorize(spec.n)]
+        return [spec.p] if isinstance(spec, DualNumbers) else [rings_mod.ring_size(spec)]
+
+    @classmethod
+    def _grid(cls):
+        """(n, ring) for choose_two(n), n = 2..12, over the fields and the
+        anchors, less the cases where a residue field GF(q) with
+        4 <= q < n - 1 is searched to exhaustion (seconds each)."""
+        specs = [parse_ring(r) for r in cls.FIELDS + cls.ANCHORS]
+        return [(n, spec) for spec in specs for n in range(2, 13)
+                if not any(4 <= q < n - 1 for q in cls._residue_sizes(spec))]
+
+    @staticmethod
+    def _answer(net, spec):
+        code = solve_brute(net, spec, budget=2**200)
+        return None if code is None else json.dumps(code_to_json(code))
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Counts of _first_decoders and orbit_key calls from here on."""
+        calls = {"_first_decoders": 0, "orbit_key": 0}
+        kernel, key = network_mod._first_decoders, network_mod._Domain.orbit_key
+
+        def bump(name, real):
+            return lambda *a: calls.__setitem__(name, calls[name] + 1) or real(*a)
+
+        monkeypatch.setattr(network_mod, "_first_decoders", bump("_first_decoders", kernel))
+        monkeypatch.setattr(network_mod._Domain, "orbit_key", bump("orbit_key", key))
+        return calls
+
+    def test_warm_solves_equal_cold_solves(self, cold_memo):
+        grid = self._grid()
+        cold = {}
+        for n, spec in grid:
+            network_mod._search_memo.cache_clear()
+            cold[n, spec] = self._answer(choose_two(n), spec)
+        network_mod._search_memo.cache_clear()
+        for order in (sorted(grid, key=lambda c: c[0]), sorted(grid, key=lambda c: -c[0])):
+            for n, spec in order:
+                assert self._answer(choose_two(n), spec) == cold[n, spec], (n, spec)
+        for n, spec in grid:  # the plain search, where it is fast
+            if n <= 3 and rings_mod.ring_size(spec) <= 5:
+                net = choose_two(n)
+                plain = plain_search(net, spec, network_mod._layout(net))
+                if isinstance(spec, (Product, DualNumbers)):  # other normal forms: verdicts only
+                    assert (plain is None) == (cold[n, spec] is None), (n, spec)
+                else:
+                    assert (None if plain is None else json.dumps(code_to_json(plain))) == cold[n, spec], (n, spec)
+
+    def test_a_repeated_solve_does_no_search_work(self, monkeypatch, cold_memo):
+        # over a field the decoders come from the search, so a repeat makes no
+        # elimination; Z(12) splits into fresh Z(4) and Z(3) specs each time
+        cases = [(choose_two(5), GF4), (choose_two(6), parse_ring("GF(7)")), (choose_two(5), GF3),
+                 (choose_two(3), parse_ring("Z(12)"))]
+        first = [self._answer(net, spec) for net, spec in cases]
+        calls = self._counted(monkeypatch)
+        for (net, spec), want in zip(cases[:3], first):
+            assert self._answer(net, spec) == want
+        assert calls == {"_first_decoders": 0, "orbit_key": 0}
+        assert self._answer(*cases[3]) == first[3] and calls["orbit_key"] == 0
+
+    def test_relabelled_networks_share_eliminations(self, monkeypatch, cold_memo):
+        # entries are keyed by vectors, not by node, edge or message names
+        net, spec = choose_two(5), parse_ring("GF(5)")
+        name = {"x": "a", "y": "b"}.get
+        renamed = Network(
+            tuple("n" + v for v in net.nodes),
+            tuple(Edge("e" + e.id, "n" + e.tail, "n" + e.head) for e in net.edges),
+            tuple(Message(name(m.id), "n" + m.source) for m in net.messages),
+            tuple(Receiver("n" + r.node, tuple(map(name, r.demands))) for r in net.receivers),
+        )
+        want = solve_brute(net, spec)
+        calls = self._counted(monkeypatch)
+        got = solve_brute(renamed, spec)
+        assert calls == {"_first_decoders": 0, "orbit_key": 0}
+        assert [got.edge_coeffs["e" + e] for e in sorted(want.edge_coeffs)] == [want.edge_coeffs[e] for e in sorted(want.edge_coeffs)]
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_a_memo_above_the_cap_is_emptied_first(self, over, monkeypatch, cold_memo):
+        net, spec = choose_two(6), parse_ring("GF(5)")
+        calls = self._counted(monkeypatch)
+        want, cold = self._answer(net, spec), dict(calls)
+        decodes, lists = network_mod._search_memo(spec)
+        decodes["stale"] = None
+        monkeypatch.setattr(network_mod, "SEARCH_MEMO_LIMIT", len(decodes) + len(lists) - over)
+        calls.update(dict.fromkeys(calls, 0))
+        assert self._answer(net, spec) == want
+        assert ("stale" in decodes) == (not over)
+        assert calls == (cold if over else {"_first_decoders": 0, "orbit_key": 0})
+
+    def test_an_exception_drops_the_candidate_lists(self, monkeypatch, cold_memo):
+        # orbit_key raises once, three candidates into the shared list of the
+        # source edges; a list cut short there would refute choose_two(4)
+        spec, ns = parse_ring("GF(5)"), (2, 3, 4, 5, 6, 7)
+        want = {}
+        for n in ns:
+            network_mod._search_memo.cache_clear()
+            want[n] = self._answer(choose_two(n), spec)
+        network_mod._search_memo.cache_clear()
+        real, made = network_mod._Domain.orbit_key, []
+
+        def failing(d, v):
+            made.append(v)
+            if len(made) == 3:
+                raise KeyboardInterrupt
+            return real(d, v)
+
+        monkeypatch.setattr(network_mod._Domain, "orbit_key", failing)
+        with pytest.raises(KeyboardInterrupt):
+            solve_brute(choose_two(4), spec)
+        assert network_mod._search_memo(spec)[1] == {}
+        for n in ns + ns[::-1]:
+            assert self._answer(choose_two(n), spec) == want[n], n
 
 
 class TestSolveBrute:
@@ -1249,7 +1385,7 @@ class TestIndexKernel:
             # are disjoint, so they cannot share a key
             assert {d.orbit_key(w) for w in orbit} == {d.orbit_key(v)} and d.orbit_key(v) in orbit
 
-    def test_candidates_are_made_once_per_input_tuple(self, monkeypatch):
+    def test_candidates_are_made_once_per_input_tuple(self, monkeypatch, cold_memo):
         # one orbit key per candidate made: the choose_two edges are fed by the
         # messages only, so they share one list of at most q + 2 candidates,
         # (0, 0), (0, 1) and (1, c) for each c
@@ -1270,7 +1406,7 @@ class TestIndexKernel:
             assert len(calls) <= most, (ring, len(calls))
 
     @pytest.mark.parametrize("n, ring, seconds", [(6, "GF(4)", 1.0), (7, "GF(5)", 3.0)])
-    def test_unit_orbit_pruning_refutes_fast(self, n, ring, seconds):
+    def test_unit_orbit_pruning_refutes_fast(self, n, ring, seconds, cold_memo):
         # without the unit-orbit pruning: about 5 s, and over 2 min, on a 2-CPU VM
         start = time.perf_counter()
         assert solve_brute(choose_two(n), parse_ring(ring), budget=2**80) is None
