@@ -37,11 +37,15 @@ failing subtrees go and the first solution in canonical order stays.  One
 Howell-form elimination per receiver decides all of its demands and gives a
 decoder for each: the lexicographically first, with the last input most
 significant over a field and the first over Z(p^k).  It stops at the first
-message column that a demand's unit vector cannot reach.  Every search over
-one ring value shares that ring's _search_memo: its eliminations, keyed by
-(target vectors, rows), and its candidate lists, so sweeps over many networks
-redo neither; a one-shot solve starts from an empty memo and does the same
-work as without it.
+message column that a demand's unit vector cannot reach; it reduces its rows
+in place with the record's scalar add and mul, touching only the nonzero
+entries of each pivot.  A search first compiles the network into integer
+slots, one vector per message, the zero vector and one per searched edge, and
+each depth's receiver checks into (target vectors, row slots) pairs.  Every
+search over one ring value shares that ring's _search_memo: its eliminations,
+keyed by (target vectors, rows), and its candidate lists, so sweeps over many
+networks redo neither; a one-shot solve starts from an empty memo and does
+the same work as without it.
 """
 
 from __future__ import annotations
@@ -216,13 +220,14 @@ def _layout(net: Network) -> tuple[list[Edge], dict[str, list[tuple[str, str]]]]
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # a Network is frozen, so every caller can share one per n
 def choose_two(n: int) -> Network:
     """Two messages x, y; n coded symbols; one receiver per unordered pair.
 
     The source emits n combining edges into middle nodes; each middle node
     fans its symbol out to the receivers of the pairs it belongs to through
     copy edges.  Every receiver sees the symbols of a distinct pair {i, j}
-    and demands both messages.
+    and demands both messages.  Built once per n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -267,14 +272,17 @@ def _entrywise(add, mul):
 class _Domain(NamedTuple):
     """The vectors that verify, decode_search and the search compute on over
     one ring (see _domain): tuples of the values of its record
-    rings.arithmetic(spec).  val, split and cancel are the elimination's (see
-    _first_decoders), with val(zero) the ring size, and exist over fields and
-    Z(p^k) only."""
+    rings.arithmetic(spec).  add and mul are the record's scalar operations,
+    with which the elimination reduces its rows in place; val, split and
+    cancel are the elimination's too (see _first_decoders), with val(zero)
+    the ring size, and exist over fields and Z(p^k) only."""
 
     encode: Callable  # RingElement -> value
     decode: Callable  # value -> RingElement, the shared one where the ring has them
     zero: object
     one: object
+    add: Callable  # add(a, b): the value a + b
+    mul: Callable  # mul(a, b): the value a * b
     plus: Callable  # plus(u, v): the vector u + v
     scaled: Callable  # scaled(c, v): the vector c * v
     val: Callable | None = None
@@ -308,7 +316,7 @@ def _build_domain(spec: RingSpec) -> _Domain:
         scaled = lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))]))
     else:
         plus, scaled = _entrywise(r.add, r.mul)
-    d, z = _Domain(r.encode, r.decode, r.zero, r.one, plus, scaled), r.zero
+    d, z = _Domain(r.encode, r.decode, r.zero, r.one, r.add, r.mul, plus, scaled), r.zero
     if isinstance(spec, (PrimeField, GaloisField)):
         return d._replace(val=lambda a: q if a == z else 1, split=lambda a, w: (r.inv(a), z),
                           cancel=lambda a, w: r.neg(a), field=True)
@@ -406,9 +414,10 @@ def decode_search(
     lexicographically first in canonical element order, with the last input
     most significant over a field and the first over Z(p^k).  One
     _first_decoders call serves every demand of the receiver: on the record's
-    logs over a table field (see _domain), each row entry owner-checked and
-    encoded once, else on the public, checked rings.add and rings.mul, with
-    the record's val, split and cancel read through encode and decode.
+    logs and scalar add and mul over a table field (see _domain), each row
+    entry owner-checked and encoded once, else on the public, checked
+    rings.add and rings.mul, with the record's val, split and cancel read
+    through encode and decode.
     """
     d = _domain(spec)
     if d.val is None:
@@ -430,8 +439,7 @@ def decode_search(
     else:
         encode, decode, z = d.encode, d.decode, zero(spec)
         ops = _Domain(
-            _itself, _itself, z, one(spec),
-            plus=lambda u, v: tuple(map(add, u, v)), scaled=lambda c, v: tuple(x if x == z else mul(c, x) for x in v),
+            _itself, _itself, z, one(spec), add, mul, None, None,  # no vector ops: the kernel needs none
             val=lambda a: d.val(encode(a)), split=lambda a, w: tuple(map(decode, d.split(encode(a), w))),
             cancel=lambda a, w: decode(d.cancel(encode(a), w)), field=d.field,
         )
@@ -450,31 +458,43 @@ def _first_decoders(rows, targets, ops):
     valuation v, scaled to p^v, and p^(k-v) times the pivot row is fed back.
     Each (t | 0), reduced along but never a pivot, ends as (0 | c), c in least
     residues, iff t is decodable; a target left nonzero at a message column
-    stays so, and the elimination stops there.  ops has a _Domain's fields:
-    for a != 0, val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v))
-    for a unit u with u*a = p^v, and cancel(a, w) is the c making a + c*p^v
-    the least residue of a modulo p^v.
+    stays so, and the elimination stops there.  The rows are lists reduced in
+    place with ops's scalar add and mul: at column j every row still to
+    eliminate and the pivot are zero before j, so only the pivot's nonzero
+    entries from j on are added.  ops has a _Domain's fields: for a != 0,
+    val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v)) for a unit u
+    with u*a = p^v, and cancel(a, w) is the c making a + c*p^v the least
+    residue of a modulo p^v.
     """
-    zero, plus, scaled, val, split, cancel = ops.zero, ops.plus, ops.scaled, ops.val, ops.split, ops.cancel
+    zero, add, mul, val, split, cancel = ops.zero, ops.add, ops.mul, ops.val, ops.split, ops.cancel
+    field, n, messages = ops.field, len(rows), len(targets[0]) if targets else 0
+    width = messages + n
+    todo = [[*row, *(zero,) * n] for row in rows]
     minus_one = cancel(ops.one, 1)  # 1 + (-1)*1 = 0, the least residue of 1 modulo 1
-    order = range(len(rows))[::-1] if ops.field else range(len(rows))  # most significant first
-    todo = [row + tuple(minus_one if i == k else zero for k in order) for i, row in enumerate(rows)]
-    done = [t + (zero,) * len(rows) for t in targets]
-    for j in range(len(done[0]) if done else 0):
+    for i, v in enumerate(todo):  # -I, with the most significant input's -1 first
+        v[width - 1 - i if field else messages + i] = minus_one
+    done = [[*t, *(zero,) * n] for t in targets]
+    for j in range(width if done else 0):
         live = [v for v in todo if v[j] != zero]
-        if live:
-            first = min(live, key=lambda v: val(v[j])) if len(live) > 1 else live[0]
-            live.remove(first)
+        if live:  # over a field every live entry has valuation 0: the first is the pivot
+            first = live.pop(0 if field or len(live) == 1 else min(range(len(live)), key=lambda i: val(live[i][j])))
             w = val(first[j])
             u, f = split(first[j], w)
-            pivot = scaled(u, first)
-            todo = [v for v in todo if v[j] == zero] + [plus(v, scaled(cancel(v[j], w), pivot)) for v in live]
-            done = [plus(v, scaled(cancel(v[j], w), pivot)) if v[j] != zero else v for v in done]
+            pivot = [(k, mul(u, first[k])) for k in range(j, width) if first[k] != zero]
+            todo = [v for v in todo if v[j] == zero] + live
+            for v in live + [v for v in done if v[j] != zero]:
+                c = cancel(v[j], w)
+                for k, a in pivot:
+                    v[k] = add(v[k], mul(c, a))
             if f != zero:  # the feedback row, zero at column j
-                todo.append(scaled(f, pivot))
-        if j < len(targets[0]) and any(v[j] != zero for v in done):
-            return None  # todo is zero at column j now: no later pivot changes it
-    return [v[len(t):][::-1] if ops.field else v[len(t):] for t, v in zip(targets, done)]
+                todo.append(feedback := [zero] * width)
+                for k, a in pivot:
+                    feedback[k] = mul(f, a)
+        if j < messages:
+            for v in done:
+                if v[j] != zero:
+                    return None  # todo is zero at column j now: no later pivot changes it
+    return [tuple(v[messages:][::-1] if field else v[messages:]) for v in done]
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +560,10 @@ def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
     chosen, decoders = _index_search(net, spec, inputs_of, searched) if searched else ({}, None)
     if chosen is None:
         return None
-    decode = _domain(spec).decode
+    decode, relay = _domain(spec).decode, one(spec)
     edge_coeffs = {
         e.id: tuple(map(decode, chosen.get(e.id, ())))
-        or (one(spec),) * len(inputs_of[e.tail])
+        or (relay,) * len(inputs_of[e.tail])
         for e in net.edges
     }
     if decoders is None:  # Z(p^k), or nothing searched
@@ -589,24 +609,21 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
             return inp
         return resolve(ins[0]) if ins else ("zero", "")
 
-    forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
-    vec_of = {("msg", m): tuple(d.one if j == m else d.zero for j in msg_ids) for m in msg_ids}
-    vec_of[("zero", "")] = (d.zero,) * len(msg_ids)
+    # vecs by slot: each message's unit vector, the zero vector, then the
+    # vector of searched edge i in slot base + i
+    keys = [("msg", m) for m in msg_ids] + [("zero", "")] + [("edge", e.id) for e in searched]
+    slot_of, base = {k: i for i, k in enumerate(keys)}, len(msg_ids) + 1
+    vecs = [tuple(d.one if j == m else d.zero for j in msg_ids) for m in msg_ids] + [(d.zero,) * len(msg_ids)]
+    vecs += [None] * len(searched)
+    at = vecs.__getitem__
+    slots = {node: tuple(slot_of[resolve(i)] for i in ins) for node, ins in inputs_of.items()}
 
-    # receiver readiness: the depth of the last searched edge its inputs depend on
-    depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
-    recv_ready: dict[int, list[Receiver]] = {}
-    for recv in net.receivers:
-        last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
-        recv_ready.setdefault(last, []).append(recv)
-
-    targets = {r: tuple(vec_of[("msg", m)] for m in r.demands) for r in net.receivers}
-
-    def decoders_of(recv: Receiver):  # None if recv cannot decode its demands
-        key = (targets[recv], tuple(map(vec_of.__getitem__, forms[recv.node])))
-        if key not in decodes:
-            decodes[key] = _first_decoders(key[1], key[0], d)
-        return decodes[key]
+    # a receiver's check, (target vectors, row slots), runs at the depth after
+    # the last searched edge its rows depend on; checks[depth] lists each once
+    per_recv = [(r, tuple(vecs[slot_of["msg", m]] for m in r.demands), slots[r.node]) for r in net.receivers]
+    checks: list[dict] = [{} for _ in range(len(searched) + 1)]
+    for _, targets, rows in per_recv:
+        checks[max((base - 1, *rows)) + 1 - base][targets, rows] = None
 
     # val gives each nonzero scalar the least index of its unit orbit: 1 over a
     # field, whose nonzero elements are one orbit, and p^t over Z(p^k)
@@ -632,7 +649,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     # an edge fed by no searched edge has the same inputs at every node, so
     # such edges share one list per input tuple; the others keep one per depth.
     # store: key -> (inputs, a tee at the start of first_of_orbits(inputs))
-    fixed = [all(kind != "edge" for kind, _ in forms[e.tail]) for e in searched]
+    fixed = [all(s < base for s in slots[e.tail]) for e in searched]
 
     def candidates(depth: int, inputs):
         """A walk over first_of_orbits(inputs) from its start.  Copies of a tee
@@ -646,13 +663,17 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     chosen: dict[str, tuple] = {}
 
     def descend(depth: int) -> bool:  # first checks the receivers edge depth - 1 completed
-        if any(decoders_of(r) is None for r in recv_ready.get(depth - 1, ())):
-            return False
+        for targets, rows in checks[depth]:
+            key = (targets, tuple(map(at, rows)))
+            if (found := decodes.get(key, ...)) is ...:  # not yet eliminated
+                found = decodes[key] = _first_decoders(key[1], targets, d)
+            if found is None:
+                return False
         if depth == len(searched):
             return True
         e = searched[depth]
-        for combo, vec in candidates(depth, tuple(map(vec_of.__getitem__, forms[e.tail]))):
-            vec_of[("edge", e.id)] = vec
+        for combo, vec in candidates(depth, tuple(map(at, slots[e.tail]))):
+            vecs[base + depth] = vec
             if descend(depth + 1):
                 chosen[e.id] = combo
                 return True
@@ -667,8 +688,8 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         return None, None
     if not d.field:
         return chosen, None
-    recvs = net.receivers
-    return chosen, {(r.node, m): cs for r in recvs for m, cs in zip(r.demands, decoders_of(r))}
+    return chosen, {(r.node, m): cs for r, targets, rows in per_recv
+                    for m, cs in zip(r.demands, decodes[targets, tuple(map(at, rows))])}
 
 
 def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode | None:

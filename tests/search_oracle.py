@@ -9,7 +9,10 @@ included, so ``search`` also serves as the plain search on rings that
 ``solve_brute`` splits or reduces.  ``transfer`` and ``verify`` recompute
 every transfer vector and decoder sum through ``fold``, and ``decode_on_elements`` is
 ``decode_search``'s elimination over GF(p^k) on ``RingElement`` values, as it
-ran before table fields moved to discrete logarithms.
+ran before table fields moved to discrete logarithms.  ``first_decoders`` is
+the elimination kernel as it ran before ``network._first_decoders`` reduced
+its rows in place: new tuples per column, through a ring's vector ``plus``
+and ``scaled``.
 """
 
 import itertools
@@ -83,21 +86,64 @@ def verify(net, code):
     return True
 
 
-def decode_on_elements(rows, demands, spec):
-    """decode_search over GF(p^k) for rows and demands it accepts, with the
-    elimination on RingElement values through the public add, mul, neg and
-    inverse."""
-    msg_ids, z = sorted(rows[0].coefficients), zero(spec)
-    vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
-    units = [tuple(unit(d, msg_ids, spec).coefficients.values()) for d in demands]
-    ops = SimpleNamespace(
-        zero=z, one=one(spec), field=True,
+def element_ops(spec):
+    """The elimination's operations over the field spec on RingElement values,
+    through the public add, mul, neg and inverse: scalar add and mul for
+    network._first_decoders, vector plus and scaled for first_decoders."""
+    z = zero(spec)
+    return SimpleNamespace(
+        zero=z, one=one(spec), field=True, add=add, mul=mul,
         plus=lambda u, v: tuple(map(add, u, v)),
         scaled=lambda c, v: tuple(x if x == z else mul(c, x) for x in v),
         val=lambda a: 1, split=lambda a, w: (inverse(a), z), cancel=lambda a, w: neg(a),
     )
-    found = _first_decoders(vecs, units, ops)
+
+
+def decode_on_elements(rows, demands, spec):
+    """decode_search over GF(p^k) for rows and demands it accepts, with the
+    elimination on RingElement values (element_ops)."""
+    msg_ids = sorted(rows[0].coefficients)
+    vecs = [tuple(row.coefficients[m] for m in msg_ids) for row in rows]
+    units = [tuple(unit(d, msg_ids, spec).coefficients.values()) for d in demands]
+    found = _first_decoders(vecs, units, element_ops(spec))
     return None if found is None else tuple(found)
+
+
+def first_decoders(rows, targets, ops):
+    """Per target t, the lexicographically first c with sum(c_i * rows[i]) = t,
+    with the last input most significant over a field, else the first; None
+    if a target has none.
+
+    Howell-form elimination on [rows | -I] over a field or Z(p^k) (Howell
+    1986; Storjohann and Mulders 1998): a column's pivot is its entry of least
+    valuation v, scaled to p^v, and p^(k-v) times the pivot row is fed back.
+    Each (t | 0), reduced along but never a pivot, ends as (0 | c), c in least
+    residues, iff t is decodable; a target left nonzero at a message column
+    stays so, and the elimination stops there.  ops has a _Domain's fields:
+    for a != 0, val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v))
+    for a unit u with u*a = p^v, and cancel(a, w) is the c making a + c*p^v
+    the least residue of a modulo p^v.
+    """
+    zero, plus, scaled, val, split, cancel = ops.zero, ops.plus, ops.scaled, ops.val, ops.split, ops.cancel
+    minus_one = cancel(ops.one, 1)  # 1 + (-1)*1 = 0, the least residue of 1 modulo 1
+    order = range(len(rows))[::-1] if ops.field else range(len(rows))  # most significant first
+    todo = [row + tuple(minus_one if i == k else zero for k in order) for i, row in enumerate(rows)]
+    done = [t + (zero,) * len(rows) for t in targets]
+    for j in range(len(done[0]) if done else 0):
+        live = [v for v in todo if v[j] != zero]
+        if live:
+            first = min(live, key=lambda v: val(v[j])) if len(live) > 1 else live[0]
+            live.remove(first)
+            w = val(first[j])
+            u, f = split(first[j], w)
+            pivot = scaled(u, first)
+            todo = [v for v in todo if v[j] == zero] + [plus(v, scaled(cancel(v[j], w), pivot)) for v in live]
+            done = [plus(v, scaled(cancel(v[j], w), pivot)) if v[j] != zero else v for v in done]
+            if f != zero:  # the feedback row, zero at column j
+                todo.append(scaled(f, pivot))
+        if j < len(targets[0]) and any(v[j] != zero for v in done):
+            return None  # todo is zero at column j now: no later pivot changes it
+    return [v[len(t):][::-1] if ops.field else v[len(t):] for t, v in zip(targets, done)]
 
 
 def search(net, spec, layout):

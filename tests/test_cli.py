@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import time
@@ -169,6 +170,17 @@ class TestNetworkCommands:
         assert code == 0
         net = network_from_json(json.loads(out))
         assert len(net.receivers) == 3
+
+    def test_gen_bytes_are_pinned(self):
+        # stdout of gen choose-two --n 2..12 and gen two-six, concatenated, as
+        # recorded before choose_two shared one network per n; a second round
+        # reads the shared networks
+        for _ in range(2):
+            runs = [run_cli("network", "gen", "choose-two", "--n", str(n)) for n in range(2, 13)]
+            runs.append(run_cli("network", "gen", "two-six"))
+            assert {code for code, _ in runs} == {0}
+            digest = hashlib.sha256("".join(out for _, out in runs).encode()).hexdigest()
+            assert digest == "0168cdc16cda82b05ebf6cd872076b0e569b783b9a0fe5cc4d4f3c3400deabb6"
 
     def test_solve_verify_transform_flow(self, tmp_path):
         net_path = tmp_path / "ct3.json"

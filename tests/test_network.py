@@ -11,7 +11,7 @@ import pytest
 from netcorpus import corpus, relay_chain
 from ring_oracle import oracle_is_unit, oracle_ops
 from search_oracle import decode as oracle_decode
-from search_oracle import decode_on_elements
+from search_oracle import decode_on_elements, element_ops, first_decoders
 from search_oracle import transfer as oracle_transfer
 from search_oracle import unit as oracle_unit
 from search_oracle import verify as oracle_verify
@@ -186,6 +186,16 @@ class TestGenerators:
             choose_two(13)
         with pytest.raises(ValueError):
             choose_two(1)
+
+    def test_choose_two_is_built_once_per_n(self):
+        # every caller shares one frozen Network; refusals are not cached
+        assert choose_two(5) is choose_two(5) and two_six() is choose_two(4)
+        assert choose_two(5) == choose_two.__wrapped__(5)
+        for _ in range(2):
+            with pytest.raises(GuardExceeded):
+                choose_two(13)
+            with pytest.raises(ValueError):
+                choose_two(1)
 
 
 class TestTransfer:
@@ -480,6 +490,77 @@ class TestDecodeSearch:
                     want = [oracle_decode(rows, d, spec) for d in recv.demands]
                     want = None if None in want else tuple(want)
                     assert decode_search(rows, recv.demands, spec) == want
+
+
+class TestKernelEquivalence:
+    """network._first_decoders, which reduces its rows in place with the
+    record's scalar add and mul, gives what the kernel gave before it
+    (search_oracle.first_decoders: new tuples per column through plus and
+    scaled) on seeded systems, and on the small ones what the exhaustive
+    decode gives."""
+
+    RINGS = ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(11)", "GF(13)", "GF(16)",
+             "Z(4)", "Z(8)", "Z(9)", "Z(27)", "GF(2^13)")
+    SYSTEMS = 2000
+    EXHAUSTIVE = 200  # systems per ring also checked against decode, of at most 64 decoders each
+
+    @classmethod
+    def _systems(cls, ops, values, rng):
+        """SYSTEMS seeded (rows, targets, picks) over ops's zero and one: 1-4
+        rows over 1-3 messages, some zero or repeating an earlier row, entries
+        zero one time in four; 1-3 targets, each the unit vector of message
+        picks[i] or, where picks[i] is None, a random vector."""
+        for _ in range(cls.SYSTEMS):
+            width = rng.randint(1, 3)
+
+            def vector():
+                return tuple(ops.zero if rng.random() < 0.25 else rng.choice(values) for _ in range(width))
+
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                roll = rng.random()
+                rows.append(rng.choice(rows) if roll < 0.1 and rows else
+                            (ops.zero,) * width if roll < 0.15 else vector())
+            picks = [rng.randrange(width) if rng.random() < 0.7 else None for _ in range(rng.randint(1, 3))]
+            targets = [vector() if i is None else tuple(ops.one if k == i else ops.zero for k in range(width))
+                       for i in picks]
+            yield rows, targets, picks
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_same_decoders_as_the_reference_kernel(self, ring):
+        # on the ring's values (_domain), and through decode_search, whose
+        # GF(p), Z(p^k) and GF(2^13) cases run on the public add and mul
+        spec = parse_ring(ring)
+        d, els = network_mod._domain(spec), elements(spec)
+        values, rng = [d.encode(a) for a in els], random.Random(ring)
+        outcomes, exhaustive = set(), 0
+        for rows, targets, picks in self._systems(d, values, rng):
+            want = first_decoders(rows, targets, d)
+            assert network_mod._first_decoders(rows, targets, d) == want, (rows, targets)
+            outcomes.add(want is None)
+            if None in picks:
+                continue
+            msgs = "xyz"[: len(rows[0])]
+            vectors = [TransferVector({m: d.decode(x) for m, x in zip(msgs, row)}) for row in rows]
+            demands = [msgs[i] for i in picks]
+            expect = None if want is None else tuple(tuple(map(d.decode, cs)) for cs in want)
+            assert decode_search(vectors, demands, spec) == expect, (rows, demands)
+            if len(els) ** len(rows) <= 64 and exhaustive < self.EXHAUSTIVE:
+                found = [oracle_decode(vectors, m, spec) for m in demands]
+                assert expect == (None if None in found else tuple(found)), (rows, demands)
+                exhaustive += 1
+        assert outcomes == {True, False}
+        assert exhaustive == (0 if len(els) > 64 else self.EXHAUSTIVE)
+
+    def test_element_path_above_the_table_limit(self):
+        # both kernels on RingElement values through the public operations
+        spec = parse_ring("GF(2^13)")
+        ops, els, outcomes = element_ops(spec), elements(spec), set()
+        for rows, targets, _ in self._systems(ops, els, random.Random(13)):
+            want = first_decoders(rows, targets, ops)
+            assert network_mod._first_decoders(rows, targets, ops) == want, (rows, targets)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestVerify:
