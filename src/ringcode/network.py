@@ -7,45 +7,47 @@ tail node (a node's inputs are its own messages, sorted by id, followed by
 its in-edges, sorted by id), and each (receiver, demand) a decoding
 coefficient list over the receiver's inputs.  The symbol an edge carries is
 the corresponding linear combination, so each edge has an exact transfer
-vector of per-message coefficients, computed in topological order.  verify
-carries these vectors as tuples in message_ids() order, checks each
-coefficient's ring once, and passes an input vector through unmultiplied where
-its coefficient is one (a relay edge).  The tuples hold the values of the
-ring's record rings.arithmetic(spec), and _domain(spec) builds on it the
-vector operations that verify, decode_search and the search share.  transfer
-and decode_search take and give TransferVector of RingElements, so values
-become elements again only on the way out.
+vector of per-message coefficients.
+
+Each public call compiles the network once, in _layout, into a _Plan that
+holds for every ring: the edges in topological order, an integer slot per
+message, for the zero vector and per edge, and, built on first use, the
+search's receiver checks.  verify holds one vector per slot, a tuple in
+message_ids() order of values of the ring's record rings.arithmetic(spec),
+on which _domain(spec) builds the vector operations that verify,
+decode_search and the search share.  It owner-checks and encodes each
+coefficient once, skips a zero one and passes an input vector through
+unmultiplied where its coefficient is one (a relay edge).  transfer and
+decode_search take and give TransferVector of RingElements, so values become
+elements again only on the way out.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
-through their residue field, so it only searches fields and Z(p^k).
-
-The solver enumerates coefficient assignments in canonical element order.
-Edges whose tail has a single input are pinned to the relay coefficient 1:
+through their residue field, so it only searches fields and Z(p^k), all on
+one plan.  The codes it builds on the way are not checked; the code a public
+call returns is checked once, and a failed check raises RuntimeError.  The
+search pins edges whose tail has a single input to the relay coefficient 1:
 over a commutative ring any solution can be rescaled into this normal form
 (consumers absorb the copy factor), so solvability is unaffected while the
 search space collapses to the genuinely combining edges.  Receivers are
-checked as soon as the edges they depend on are assigned, which prunes most
-of the space.
+checked as soon as the edges they depend on are assigned.
 
-The search runs on those values, in canonical order of element indices.  A
-node tries the first coefficient tuple of each unit orbit of its edge's span.
-Only a tuple whose first nonzero entry is the least index of its unit orbit
-(1 over a field, p^t over Z(p^k)) can be first, so only those are made: q + 2
-for two inputs over GF(q).  That list depends only on the edge's input
-vectors, so it is made once per input tuple and extended lazily.  Only
-failing subtrees go and the first solution in canonical order stays.  One
-Howell-form elimination per receiver decides all of its demands and gives a
-decoder for each: the lexicographically first, with the last input most
-significant over a field and the first over Z(p^k).  It stops at the first
-message column that a demand's unit vector cannot reach; it reduces its rows
-in place with the record's scalar add and mul, touching only the nonzero
-entries of each pivot.  A search first compiles the network into integer
-slots, one vector per message, the zero vector and one per searched edge, and
-each depth's receiver checks into (target vectors, row slots) pairs.  Every
-search over one ring value shares that ring's _search_memo: its eliminations,
-keyed by (target vectors, rows), and its candidate lists, so sweeps over many
-networks redo neither; a one-shot solve starts from an empty memo and does
-the same work as without it.
+The search runs in canonical order of element indices.  A node tries the
+first coefficient tuple of each unit orbit of its edge's span.  Only a tuple
+whose first nonzero entry is the least index of its unit orbit (1 over a
+field, p^t over Z(p^k)) can be first, so only those are made: q + 2 for two
+inputs over GF(q).  That list depends only on the edge's input vectors, so it
+is made once per input tuple and extended lazily.  Only failing subtrees go
+and the first solution in canonical order stays.  One Howell-form
+elimination per receiver decides all of its demands and gives a decoder for
+each: the lexicographically first, with the last input most significant over
+a field and the first over Z(p^k).  It stops at the first message column
+that a demand's unit vector cannot reach; it reduces its rows in place with
+the record's scalar add and mul, touching only the nonzero entries of each
+pivot.  Every search over one ring value, and over Z(p) and GF(p) alike,
+shares that ring's _search_memo: its eliminations, keyed by (target vectors,
+rows), and its candidate lists, so sweeps over many networks redo neither; a
+one-shot solve starts from an empty memo and does the same work as without
+it.
 """
 
 from __future__ import annotations
@@ -196,23 +198,73 @@ def _topological_order(net: Network) -> list[str] | None:
     return order if len(order) == len(net.nodes) else None
 
 
-def _layout(net: Network) -> tuple[list[Edge], dict[str, list[tuple[str, str]]]]:
-    """Edges in (topological rank of tail, id) order and every node's inputs.
+class _Search(NamedTuple):  # see _Plan.search
+    searched: list[tuple[int, Edge]]  # (slot, edge) of each searched edge, in edge order
+    sources: dict[str, tuple[int, ...]]
+    checks: list[list[tuple[tuple[int, ...], tuple[int, ...], list[Receiver]]]]
 
-    Raises ValueError naming the defects of an invalid network.
-    """
+
+class _Plan:
+    """A network compiled by _layout, once per public call, for every ring.
+    Slots number the vectors a call computes: message m at msg_slot[m], in
+    message_ids() order, then zero, then edge i of edges, in (topological
+    rank of tail, id) order, at len(msg_slot) + 1 + i.  inputs lists each
+    node's input slots (see the module docstring); search, read only by the
+    search, is built on first use."""
+
+    def __init__(self, net: Network, edges: list[Edge], msg_slot: dict[str, int], inputs: dict[str, list[int]]):
+        self.net, self.edges, self.msg_slot, self.inputs = net, edges, msg_slot, inputs
+
+    @functools.cached_property
+    def search(self) -> _Search:
+        """One pass over the edges: the searched edges, whose tail has two
+        inputs or more; sources, for each edge tail and receiver, the slots
+        its inputs carry through relays: a message, zero (from a tail without
+        inputs) or a searched edge; checks[depth], each receiver check (demand
+        slots, source slots, the receivers it decides) once, after the last
+        searched edge it depends on."""
+        base = len(self.msg_slot) + 1
+        carries, depth = list(range(base)), [0] * base  # by slot: the slot whose vector it carries, its depth
+        searched, sources = [], {}
+
+        def carried(node):
+            if (src := sources.get(node)) is None:
+                src = sources[node] = tuple(map(carries.__getitem__, self.inputs[node]))
+            return src
+
+        for slot, e in enumerate(self.edges, base):  # the in-edges of e's tail come before e
+            if len(src := carried(e.tail)) >= 2:
+                searched.append((slot, e))
+                carries.append(slot)
+                depth.append(len(searched))
+            else:
+                carries.append(src[0] if src else base - 1)
+                depth.append(0)
+        checks: list[dict] = [{} for _ in range(len(searched) + 1)]
+        for r in self.net.receivers:
+            rows = carried(r.node)
+            level = checks[max(map(depth.__getitem__, rows), default=0)]
+            level.setdefault((tuple(map(self.msg_slot.__getitem__, r.demands)), rows), []).append(r)
+        return _Search(searched, sources, [[(*k, rs) for k, rs in level.items()] for level in checks])
+
+
+def _layout(net: Network) -> _Plan:
+    """net's _Plan.  Raises ValueError naming the defects of an invalid network."""
     order = _topological_order(net)
     defects = _defects(net, order)
     if defects:
         raise ValueError("invalid network: " + "; ".join(defects))
+    msg_slot = {m: i for i, m in enumerate(net.message_ids())}
     rank = {node: i for i, node in enumerate(order)}
-    edges = sorted(net.edges, key=lambda e: (rank[e.tail], e.id))
-    inputs_of: dict[str, list] = {node: [] for node in net.nodes}
+    by_id = sorted(net.edges, key=lambda e: e.id)
+    edges = sorted(by_id, key=lambda e: rank[e.tail])  # stable: by (rank of tail, id)
+    slot_of = {e.id: slot for slot, e in enumerate(edges, len(msg_slot) + 1)}
+    inputs: dict[str, list] = {node: [] for node in net.nodes}
     for m in sorted(net.messages, key=lambda m: m.id):
-        inputs_of[m.source].append(("msg", m.id))
-    for e in sorted(net.edges, key=lambda e: e.id):
-        inputs_of[e.head].append(("edge", e.id))
-    return edges, inputs_of
+        inputs[m.source].append(msg_slot[m.id])
+    for e in by_id:
+        inputs[e.head].append(slot_of[e.id])
+    return _Plan(net, edges, msg_slot, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +316,6 @@ def _itself(a):
     return a
 
 
-def _entrywise(add, mul):
-    """(plus, scaled) of vectors from the add and mul of their entries."""
-    return (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(map(mul, itertools.repeat(c), v)))
-
-
 class _Domain(NamedTuple):
     """The vectors that verify, decode_search and the search compute on over
     one ring (see _domain): tuples of the values of its record
@@ -315,7 +362,7 @@ def _build_domain(spec: RingSpec) -> _Domain:
         plus = lambda u, v: tuple(zip(*[f.plus(a, b) for f, a, b in zip(parts, zip(*u), zip(*v))]))
         scaled = lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))]))
     else:
-        plus, scaled = _entrywise(r.add, r.mul)
+        plus, scaled = (lambda u, v: tuple(map(r.add, u, v))), (lambda c, v: tuple(map(r.mul, itertools.repeat(c), v)))
     d, z = _Domain(r.encode, r.decode, r.zero, r.one, r.add, r.mul, plus, scaled), r.zero
     if isinstance(spec, (PrimeField, GaloisField)):
         return d._replace(val=lambda a: q if a == z else 1, split=lambda a, w: (r.inv(a), z),
@@ -326,52 +373,49 @@ def _build_domain(spec: RingSpec) -> _Domain:
     return d
 
 
-def _combiner(spec: RingSpec, width: int):
-    """combine(coeffs, vecs): sum(c_i * vec_i) over spec of vectors of width
-    entries in _domain(spec), for RingElements c_i; ValueError if a c_i is
-    not over spec.  A c_i equal to one passes vec_i through unmultiplied."""
+def _combiner(spec: RingSpec, vecs: list):
+    """combine(coeffs, slots): sum(c_i * vecs[slots[i]]) over spec, for vecs
+    in _domain(spec) ending, when made, with the zero vector.  Each c_i is
+    owner-checked (ValueError if not over spec) and encoded once; a zero adds
+    nothing and a one passes its vector through unmultiplied."""
     d = _domain(spec)
-    encode, plus, scaled = d.encode, d.plus, d.scaled
-    uno, zeros = one(spec), (d.zero,) * width
+    encode, plus, scaled, z, u, zeros = d.encode, d.plus, d.scaled, d.zero, d.one, vecs[-1]
 
-    def combine(coeffs, vecs):
-        acc = None
-        for c, vec in zip(coeffs, vecs):
+    def combine(coeffs, slots):
+        acc = zeros
+        for c, s in zip(coeffs, slots):
             _check_owner(c, spec)
-            if c is not uno and c.payload != uno.payload:
-                vec = scaled(encode(c), vec)
-            acc = vec if acc is None else plus(acc, vec)  # the first term itself, not zero plus it
-        return zeros if acc is None else acc
+            if (x := encode(c)) != z:
+                v = vecs[s] if x == u else scaled(x, vecs[s])
+                acc = v if acc is zeros else plus(acc, v)  # the first term itself, not zero plus it
+        return acc
 
     return combine
 
 
+def _slot_vectors(d: _Domain, width: int) -> list:
+    """The vectors of a plan's first slots over d: each message's unit vector, then zero."""
+    return [tuple(d.one if j == i else d.zero for j in range(width)) for i in range(width)] + [(d.zero,) * width]
+
+
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    return {ref: v for (kind, ref), v in _transfer_vectors(net, code, _layout(net)).items() if kind == "edge"}
+    (vecs, _), decode = _transfer(code, plan := _layout(net)), _domain(code.ring).decode
+    edge_vecs = zip(plan.edges, vecs[len(plan.msg_slot) + 1:])
+    return {e.id: TransferVector(dict(zip(plan.msg_slot, map(decode, v)))) for e, v in edge_vecs}
 
 
-def _transfer_vectors(net: Network, code: ScalarLinearCode, layout) -> dict:
-    """_transfer's vectors as TransferVectors of elements."""
-    msg_ids, decode = net.message_ids(), _domain(code.ring).decode
-    return {i: TransferVector(dict(zip(msg_ids, map(decode, v)))) for i, v in _transfer(net, code, layout).items()}
-
-
-def _transfer(net: Network, code: ScalarLinearCode, layout):
-    """The vector of every node input on the network's _layout, a tuple in
-    message_ids() order in _domain(code.ring): ("msg", m) is the unit vector
-    of m, built once per call, ("edge", e) the transfer vector of e."""
-    edges, inputs_of = layout
-    msg_ids = net.message_ids()
-    combine, d = _combiner(code.ring, len(msg_ids)), _domain(code.ring)
-    vectors = {("msg", m): tuple(d.one if j == m else d.zero for j in msg_ids) for m in msg_ids}
-    for e in edges:
-        coeffs = code.edge_coeffs.get(e.id)
-        inputs = inputs_of[e.tail]
+def _transfer(code: ScalarLinearCode, plan: _Plan):
+    """(vecs, combine): every slot's vector under the code (see _Plan), in
+    _domain(code.ring), and the _combiner over vecs."""
+    vecs = _slot_vectors(_domain(code.ring), len(plan.msg_slot))
+    combine = _combiner(code.ring, vecs)
+    for e in plan.edges:  # edge i fills slot len(msg_slot) + 1 + i
+        coeffs, inputs = code.edge_coeffs.get(e.id), plan.inputs[e.tail]
         if coeffs is None or len(coeffs) != len(inputs):
             raise ValueError(f"edge {e.id}: coefficient arity mismatch")
-        vectors[("edge", e.id)] = combine(coeffs, [vectors[i] for i in inputs])
-    return vectors
+        vecs.append(combine(coeffs, inputs))
+    return vecs, combine
 
 
 def verify(net: Network, code: ScalarLinearCode) -> bool:
@@ -379,21 +423,18 @@ def verify(net: Network, code: ScalarLinearCode) -> bool:
     return _verify(net, code, _layout(net))
 
 
-def _verify(net: Network, code: ScalarLinearCode, layout) -> bool:
-    """verify on the network's _layout."""
-    vectors = _transfer(net, code, layout)
-    combine = _combiner(code.ring, len(net.messages))
+def _verify(net: Network, code: ScalarLinearCode, plan: _Plan) -> bool:
+    """verify on the network's _Plan."""
+    vecs, combine = _transfer(code, plan)
     for recv in net.receivers:
-        rows = [vectors[i] for i in layout[1][recv.node]]
+        slots = plan.inputs[recv.node]
         for demand in recv.demands:
             coeffs = code.decoders.get((recv.node, demand))
             if coeffs is None:
                 return False
-            if len(coeffs) != len(rows):
-                raise ValueError(
-                    f"receiver {recv.node}: decoder arity mismatch for {demand}"
-                )
-            if combine(coeffs, rows) != vectors[("msg", demand)]:
+            if len(coeffs) != len(slots):
+                raise ValueError(f"receiver {recv.node}: decoder arity mismatch for {demand}")
+            if combine(coeffs, slots) != vecs[plan.msg_slot[demand]]:
                 return False
     return True
 
@@ -502,11 +543,7 @@ def _first_decoders(rows, targets, ops):
 # ---------------------------------------------------------------------------
 
 
-def solve_brute(
-    net: Network,
-    spec: RingSpec,
-    budget: int = DEFAULT_BUDGET,
-) -> ScalarLinearCode | None:
+def solve_brute(net: Network, spec: RingSpec, budget: int = DEFAULT_BUDGET) -> ScalarLinearCode | None:
     """A scalar linear solution over spec in the solver's normal form, or None.
 
     A product (in its factor order) or composite Z(n) (over its Z(p^k)) is
@@ -515,72 +552,72 @@ def solve_brute(
     is, and D(p) lifts the GF(p) solution.  Fields and Z(p^k) are searched in
     canonical coefficient order, and the result is the image of those first
     solutions.  BudgetExceeded is raised before a ring is searched when its
-    size ** (coefficients to search) exceeds budget.
+    size ** (coefficients to search) exceeds budget.  The network is compiled
+    once, and the code returned is checked once: RuntimeError, also under
+    python -O, if it fails verify.
     """
     return _solve(net, spec, budget)[0]
 
 
-def _solve(net: Network, spec: RingSpec, budget: int, layout=None):
+def _solve(net: Network, spec: RingSpec, budget: int, plan: _Plan | None = None):
     """solve_brute's answer and the refutation chain: [] for a solution, else
-    the exhausted ring, then each reduction, e.g. ["Z(2)", "residue field of Z(4)"]."""
-    layout = layout or _layout(net)
+    the exhausted ring, then each reduction, e.g. ["Z(2)", "residue field of Z(4)"].
+    A call without a plan compiles the network and checks its answer once; the
+    rings on its route (factors, residue fields, CRT parts) are solved on that
+    plan, unchecked: their codes are parts or images of the answer."""
+    if plan is None:
+        code, why = _solve(net, spec, budget, plan := _layout(net))
+        return (None if code is None else _checked(net, code, plan)), why
     fac = factorize(spec.n) if isinstance(spec, IntegersMod) else []
     if isinstance(spec, Product) or len(fac) > 1:
         parts = spec.factors if not fac else [IntegersMod(p**k) for p, k in fac]
         solutions = []
         for part in parts:
-            code, why = _solve(net, part, budget, layout)
+            code, why = _solve(net, part, budget, plan)
             if code is None:
                 return None, why + [f"factor of {format_ring(spec)}"]
             solutions.append(code)
-        code = _product_code(net, solutions, layout)
-        return (_apply_to_code(net, code, crt(code.ring, spec), layout) if fac else code), []
+        code = _product_code(net, solutions)
+        return (_apply_to_code(code, crt(code.ring, spec)) if fac else code), []
     if isinstance(spec, DualNumbers) or (fac and fac[0][1] > 1):  # D(p), Z(p^k>p)
         residue = IntegersMod(fac[0][0]) if fac else PrimeField(spec.p)
-        code, why = _solve(net, residue, budget, layout)
+        code, why = _solve(net, residue, budget, plan)
         if code is None:
             return None, why + [f"residue field of {format_ring(spec)}"]
         if isinstance(spec, DualNumbers):
-            return _apply_to_code(net, code, subring_inclusion(code.ring, spec), layout), []
-    edges, inputs_of = layout
-    arities = [len(inputs_of[e.tail]) for e in edges]
-    required = ring_size(spec) ** sum(a for a in arities if a >= 2)
+            return _apply_to_code(code, subring_inclusion(code.ring, spec)), []
+    required = ring_size(spec) ** sum(len(plan.inputs[e.tail]) for _, e in plan.search.searched)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    code = _search(net, spec, layout)
+    code = _search(net, spec, plan)
     return code, [] if code is not None else [format_ring(spec)]
 
 
-def _search(net: Network, spec: RingSpec, layout) -> ScalarLinearCode | None:
+def _search(net: Network, spec: RingSpec, plan: _Plan) -> ScalarLinearCode | None:
     """First scalar linear solution over a field or Z(p^k) in canonical
-    coefficient order of the combining edges (tail arity >= 2); single-input
-    edges relay their input (see the module docstring)."""
-    edges, inputs_of = layout
-    searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
-    chosen, decoders = _index_search(net, spec, inputs_of, searched) if searched else ({}, None)
+    coefficient order of the combining edges (tail arity >= 2), unchecked;
+    single-input edges relay their input (see the module docstring)."""
+    chosen, decoders = _index_search(net, spec, plan) if plan.search.searched else ({}, None)
     if chosen is None:
         return None
     decode, relay = _domain(spec).decode, one(spec)
-    edge_coeffs = {
-        e.id: tuple(map(decode, chosen.get(e.id, ())))
-        or (relay,) * len(inputs_of[e.tail])
-        for e in net.edges
-    }
+    edge_coeffs = {e.id: (relay,) * len(plan.inputs[e.tail]) for e in net.edges}
+    edge_coeffs.update((e, tuple(map(decode, cs))) for e, cs in chosen.items())
     if decoders is None:  # Z(p^k), or nothing searched
-        return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), layout)
-    decoders = {k: tuple(map(decode, cs)) for k, cs in decoders.items()}
-    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), layout)
+        return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), plan)
+    return ScalarLinearCode(spec, edge_coeffs, {k: tuple(map(decode, cs)) for k, cs in decoders.items()})
 
 
 @functools.cache  # by ring value, like rings._shared: _solve makes fresh equal specs
 def _search_memo(spec: RingSpec) -> tuple[dict, dict]:
     """(decodes, lists) shared by every _index_search over a ring equal to
     spec, one thread at a time: _first_decoders results by (target vectors,
-    rows), and candidate lists by input vectors or depth (see candidates)."""
+    rows), and candidate lists by input vectors or depth (see candidates).
+    Z(p) searches use the memo of GF(p), whose values and kernel are theirs."""
     return {}, {}
 
 
-def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
+def _index_search(net: Network, spec: RingSpec, plan: _Plan):
     """(chosen, decoders): value tuples (see _domain) per searched edge of the
     first choice under which every receiver decodes its demands, and over a
     field those of decode_search per (receiver, demand); (None, None) if there
@@ -592,38 +629,18 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     exception stopped would end them early, a false refutation."""
     if ring_size(spec) > FIELD_TABLE_LIMIT:
         raise GuardExceeded(f"{format_ring(spec)} is too large to search")
-    decodes, store = _search_memo(spec)
+    d = _domain(spec)
+    decodes, store = _search_memo(PrimeField(spec.n) if isinstance(spec, IntegersMod) and d.field else spec)
     if len(decodes) + len(store) > SEARCH_MEMO_LIMIT:
         decodes.clear()
         store.clear()
-    d = _domain(spec)
     values, plus, scaled = tuple(map(d.encode, _iter_elements(spec))), d.plus, d.scaled
-    msg_ids = net.message_ids()
-    edge_by_id = {e.id: e for e in net.edges}
 
-    def resolve(inp: tuple[str, str]) -> tuple[str, str]:
-        """The message or searched edge whose symbol inp carries."""
-        kind, ref = inp
-        ins = inputs_of[edge_by_id[ref].tail] if kind == "edge" else []
-        if kind == "msg" or len(ins) >= 2:
-            return inp
-        return resolve(ins[0]) if ins else ("zero", "")
-
-    # vecs by slot: each message's unit vector, the zero vector, then the
-    # vector of searched edge i in slot base + i
-    keys = [("msg", m) for m in msg_ids] + [("zero", "")] + [("edge", e.id) for e in searched]
-    slot_of, base = {k: i for i, k in enumerate(keys)}, len(msg_ids) + 1
-    vecs = [tuple(d.one if j == m else d.zero for j in msg_ids) for m in msg_ids] + [(d.zero,) * len(msg_ids)]
-    vecs += [None] * len(searched)
+    # vecs by slot (see _Plan): the search writes only its searched edges' slots
+    (searched, sources, levels), width = plan.search, len(plan.msg_slot)
+    vecs, base = _slot_vectors(d, width) + [None] * len(plan.edges), width + 1
     at = vecs.__getitem__
-    slots = {node: tuple(slot_of[resolve(i)] for i in ins) for node, ins in inputs_of.items()}
-
-    # a receiver's check, (target vectors, row slots), runs at the depth after
-    # the last searched edge its rows depend on; checks[depth] lists each once
-    per_recv = [(r, tuple(vecs[slot_of["msg", m]] for m in r.demands), slots[r.node]) for r in net.receivers]
-    checks: list[dict] = [{} for _ in range(len(searched) + 1)]
-    for _, targets, rows in per_recv:
-        checks[max((base - 1, *rows)) + 1 - base][targets, rows] = None
+    checks = [[(tuple(map(at, demands)), rows, receivers) for demands, rows, receivers in level] for level in levels]
 
     # val gives each nonzero scalar the least index of its unit orbit: 1 over a
     # field, whose nonzero elements are one orbit, and p^t over Z(p^k)
@@ -649,7 +666,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     # an edge fed by no searched edge has the same inputs at every node, so
     # such edges share one list per input tuple; the others keep one per depth.
     # store: key -> (inputs, a tee at the start of first_of_orbits(inputs))
-    fixed = [all(s < base for s in slots[e.tail]) for e in searched]
+    fixed = [all(s < base for s in sources[e.tail]) for _, e in searched]
 
     def candidates(depth: int, inputs):
         """A walk over first_of_orbits(inputs) from its start.  Copies of a tee
@@ -663,7 +680,7 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
     chosen: dict[str, tuple] = {}
 
     def descend(depth: int) -> bool:  # first checks the receivers edge depth - 1 completed
-        for targets, rows in checks[depth]:
+        for targets, rows, _ in checks[depth]:
             key = (targets, tuple(map(at, rows)))
             if (found := decodes.get(key, ...)) is ...:  # not yet eliminated
                 found = decodes[key] = _first_decoders(key[1], targets, d)
@@ -671,9 +688,9 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
                 return False
         if depth == len(searched):
             return True
-        e = searched[depth]
-        for combo, vec in candidates(depth, tuple(map(at, slots[e.tail]))):
-            vecs[base + depth] = vec
+        slot, e = searched[depth]
+        for combo, vec in candidates(depth, tuple(map(at, sources[e.tail]))):
+            vecs[slot] = vec
             if descend(depth + 1):
                 chosen[e.id] = combo
                 return True
@@ -688,25 +705,25 @@ def _index_search(net: Network, spec: RingSpec, inputs_of, searched):
         return None, None
     if not d.field:
         return chosen, None
-    return chosen, {(r.node, m): cs for r, targets, rows in per_recv
-                    for m, cs in zip(r.demands, decodes[targets, tuple(map(at, rows))])}
+    return chosen, {(r.node, m): cs for level in checks for targets, rows, receivers in level
+                    for r in receivers for m, cs in zip(r.demands, decodes[targets, tuple(map(at, rows))])}
 
 
-def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode | None:
+def _decoded(net: Network, code: ScalarLinearCode, plan: _Plan) -> ScalarLinearCode | None:
     """The code with decoders from one decode_search per receiver on its
-    exact transfer vectors, checked.  A receiver that cannot decode gives None
-    when no edge combines, else RuntimeError: the search or construction
+    exact transfer vectors, not checked.  A receiver that cannot decode gives
+    None when no edge combines, else RuntimeError: the search or construction
     ensured it."""
-    vectors, inputs_of = _transfer_vectors(net, code, layout), layout[1]
+    (vecs, _), decode = _transfer(code, plan), _domain(code.ring).decode
     for recv in net.receivers:
-        rows = [vectors[i] for i in inputs_of[recv.node]]
+        rows = [TransferVector(dict(zip(plan.msg_slot, map(decode, vecs[s])))) for s in plan.inputs[recv.node]]
         found = decode_search(rows, recv.demands, code.ring)
         if found is None:
-            if any(len(inputs_of[e.tail]) >= 2 for e in net.edges):
+            if plan.search.searched:
                 raise RuntimeError(f"receiver {recv.node} cannot decode {', '.join(recv.demands)}")
             return None
         code.decoders.update(((recv.node, d), cs) for d, cs in zip(recv.demands, found))
-    return _checked(net, code, layout)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +731,9 @@ def _decoded(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode |
 # ---------------------------------------------------------------------------
 
 
-def _checked(net: Network, code: ScalarLinearCode, layout) -> ScalarLinearCode:
-    """The constructed code once verify accepts it; raises RuntimeError, also under -O."""
-    if not _verify(net, code, layout):
+def _checked(net: Network, code: ScalarLinearCode, plan: _Plan) -> ScalarLinearCode:
+    """The code a public call returns, once verify accepts it; else RuntimeError, also under -O."""
+    if not _verify(net, code, plan):
         raise RuntimeError("constructed code fails verify")
     return code
 
@@ -734,16 +751,11 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
     if q < n - 1:
         raise ValueError(f"field size {q} is below n - 1 = {n - 1}")
     net = choose_two(n)
-    pairs = [(zero(spec), one(spec))] + [
-        (one(spec), a) for a in itertools.islice(_iter_elements(spec), n - 1)
-    ]
-    edge_coeffs: dict[str, tuple[RingElement, ...]] = {}
-    for i in range(1, n + 1):
-        edge_coeffs[f"lam{i:02d}"] = pairs[i - 1]
-    for e in net.edges:
-        if e.id not in edge_coeffs:
-            edge_coeffs[e.id] = (one(spec),)
-    return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), _layout(net))
+    pairs = [(zero(spec), one(spec))] + [(one(spec), a) for a in itertools.islice(_iter_elements(spec), n - 1)]
+    edge_coeffs = {e.id: (one(spec),) for e in net.edges}  # the lam edges come first
+    edge_coeffs.update((f"lam{i:02d}", pair) for i, pair in enumerate(pairs, 1))
+    plan = _layout(net)
+    return _checked(net, _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), plan), plan)
 
 
 def product_code(
@@ -752,42 +764,34 @@ def product_code(
     """Componentwise combination of verified solutions into one over the product ring."""
     if not solutions:
         raise ValueError("need at least one solution")
-    layout = _layout(net)
+    plan = _layout(net)
     for spec, code in solutions:
         if code.ring != spec:
             raise ValueError("listed ring does not own its code")
-        if not _verify(net, code, layout):
+        if not _verify(net, code, plan):
             raise ValueError("unverified input solution")
-    return _product_code(net, [code for _, code in solutions], layout)
+    return _checked(net, _product_code(net, [code for _, code in solutions]), plan)
 
 
-def _product_code(net: Network, codes: list[ScalarLinearCode], layout) -> ScalarLinearCode:
-    """product_code of codes known to verify."""
+def _product_code(net: Network, codes: list[ScalarLinearCode]) -> ScalarLinearCode:
+    """product_code of codes known to verify, not checked."""
     prod = Product(tuple(code.ring for code in codes))
 
     def stack(keys, tables):
-        return {
-            key: tuple(
-                RingElement(prod, comps) for comps in zip(*(t[key] for t in tables))
-            )
-            for key in keys
-        }
+        return {key: tuple(RingElement(prod, comps) for comps in zip(*(t[key] for t in tables))) for key in keys}
 
     edge_coeffs = stack([e.id for e in net.edges], [c.edge_coeffs for c in codes])
     decoders = stack(codes[0].decoders, [c.decoders for c in codes])
-    return _checked(net, ScalarLinearCode(prod, edge_coeffs, decoders), layout)
+    return ScalarLinearCode(prod, edge_coeffs, decoders)
 
 
-def _apply_to_code(
-    net: Network, code: ScalarLinearCode, hom: RingHom, layout
-) -> ScalarLinearCode:
-    """Map every coefficient of a code known to verify through hom, then check the image."""
-    out = ScalarLinearCode(
+def _apply_to_code(code: ScalarLinearCode, hom: RingHom) -> ScalarLinearCode:
+    """Every coefficient of a code known to verify mapped through hom, not checked."""
+    return ScalarLinearCode(
         hom.target,
         {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
         {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in code.decoders.items()},
     )
-    return _checked(net, out, layout)
 
 
 def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinearCode:
@@ -796,23 +800,21 @@ def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinear
         raise ValueError(f"hom kind {hom.kind} is not surjective")
     if code.ring != hom.source:
         raise ValueError("code ring does not match the hom source")
-    if not _verify(net, code, layout := _layout(net)):
+    if not _verify(net, code, plan := _layout(net)):
         raise ValueError("unverified input solution")
-    return _apply_to_code(net, code, hom, layout)
+    return _checked(net, _apply_to_code(code, hom), plan)
 
 
-def lift_subring(
-    net: Network, code: ScalarLinearCode, target: RingSpec
-) -> ScalarLinearCode:
+def lift_subring(net: Network, code: ScalarLinearCode, target: RingSpec) -> ScalarLinearCode:
     """Re-read a verified solution over a subring as one over the larger ring.
 
     Supported inclusions: GF(p^m) into GF(p^k) for m | k, GF(p) into D(p),
     and the identity.
     """
-    if not _verify(net, code, layout := _layout(net)):
+    if not _verify(net, code, plan := _layout(net)):
         raise ValueError("unverified input solution")
     if code.ring != target:
-        return _apply_to_code(net, code, subring_inclusion(code.ring, target), layout)
+        return _checked(net, _apply_to_code(code, subring_inclusion(code.ring, target)), plan)
     return ScalarLinearCode(target, dict(code.edge_coeffs), dict(code.decoders))
 
 

@@ -448,10 +448,6 @@ def inverse(a: RingElement) -> RingElement | None:
     return None if x is None else r.decode(x)
 
 
-def is_zero(a: RingElement) -> bool:
-    return a.payload == zero(a.ring).payload
-
-
 class Arithmetic(NamedTuple):
     """One ring's values and its operations on them, the only definition of
     each ring kind.  encode(a) is an element's value, decode(v) and

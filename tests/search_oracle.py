@@ -59,11 +59,23 @@ def decode(rows, target, spec):
     return None
 
 
+def layout(net):
+    """(edges, inputs_of): the edges in network._layout's order, and every
+    node's inputs by name, its ("msg", id) sorted by id, then its
+    ("edge", id) sorted by id."""
+    inputs_of = {node: [] for node in net.nodes}
+    for m in sorted(net.messages, key=lambda m: m.id):
+        inputs_of[m.source].append(("msg", m.id))
+    for e in sorted(net.edges, key=lambda e: e.id):
+        inputs_of[e.head].append(("edge", e.id))
+    return _layout(net).edges, inputs_of
+
+
 def transfer(net, code):
     """The TransferVector of every node input, keyed ("msg", m) or
     ("edge", e), each entry a fold."""
     spec, msg_ids = code.ring, net.message_ids()
-    edges, inputs_of = _layout(net)
+    edges, inputs_of = layout(net)
     vec_of = {("msg", m): unit(m, msg_ids, spec) for m in msg_ids}
     for e in edges:
         vecs = [vec_of[i] for i in inputs_of[e.tail]]
@@ -75,7 +87,7 @@ def verify(net, code):
     """network.verify recomputed through fold: every transfer vector and
     every decoder sum on the public, checked add and mul."""
     spec, msg_ids = code.ring, net.message_ids()
-    vec_of, inputs_of = transfer(net, code), _layout(net)[1]
+    vec_of, inputs_of = transfer(net, code), layout(net)[1]
     for recv in net.receivers:
         rows = [vec_of[i] for i in inputs_of[recv.node]]
         for demand in recv.demands:
@@ -146,10 +158,10 @@ def first_decoders(rows, targets, ops):
     return [v[len(t):][::-1] if ops.field else v[len(t):] for t, v in zip(targets, done)]
 
 
-def search(net, spec, layout):
+def search(net, spec):
     """First scalar linear solution over spec in canonical coefficient order,
     with decoders from decode, or None."""
-    edges, inputs_of = layout
+    edges, inputs_of = layout(net)
     msg_ids = net.message_ids()
     searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
     edge_by_id = {e.id: e for e in net.edges}
@@ -227,4 +239,4 @@ def search(net, spec, layout):
         for recv in net.receivers
         for demand, coeffs in receiver_ok(recv).items()
     }
-    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), layout)
+    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), _layout(net))

@@ -182,6 +182,22 @@ class TestNetworkCommands:
             digest = hashlib.sha256("".join(out for _, out in runs).encode()).hexdigest()
             assert digest == "0168cdc16cda82b05ebf6cd872076b0e569b783b9a0fe5cc4d4f3c3400deabb6"
 
+    def test_solve_bytes_are_pinned(self, tmp_path, capsys):
+        # exit code, stdout and stderr (the "refuted over" chains) of network
+        # solve of choose_two(2..5) over each ring, concatenated, as recorded
+        # before a solve checked only the code it returns
+        runs = []
+        for n in range(2, 6):
+            path = tmp_path / f"ct{n}.json"
+            run_cli("network", "gen", "choose-two", "--n", str(n), "--file", str(path))
+            for ring in ("GF(2)", "GF(4)", "Z(4)", "Z(6)", "Z(12)", "D(2)", "GF(2)xGF(3)"):
+                capsys.readouterr()
+                code, out = run_cli("network", "solve", "--file", str(path), "--ring", ring)
+                runs.append(f"{code}\n{out}{capsys.readouterr().err}")
+        assert {run[0] for run in runs} == {"0", "1"}
+        digest = hashlib.sha256("".join(runs).encode()).hexdigest()
+        assert digest == "0e0def84f06b307a3692025535331031965a7639b8394c73c7f98eba612cf081"
+
     def test_solve_verify_transform_flow(self, tmp_path):
         net_path = tmp_path / "ct3.json"
         run_cli("network", "gen", "choose-two", "--n", "3", "--file", str(net_path))

@@ -1,5 +1,6 @@
 """Network model, codes, transfer vectors, solving, and transforms."""
 
+import io
 import itertools
 import json
 import math
@@ -12,10 +13,12 @@ from netcorpus import corpus, relay_chain
 from ring_oracle import oracle_is_unit, oracle_ops
 from search_oracle import decode as oracle_decode
 from search_oracle import decode_on_elements, element_ops, first_decoders
+from search_oracle import layout as named_layout
 from search_oracle import transfer as oracle_transfer
 from search_oracle import unit as oracle_unit
 from search_oracle import verify as oracle_verify
 from search_oracle import search as plain_search
+from ringcode import cli
 from ringcode import network as network_mod
 from ringcode import rings as rings_mod
 from ringcode.errors import BudgetExceeded, GuardExceeded
@@ -86,7 +89,7 @@ def cold_memo():
 
 def _inputs(net, node):
     """A node's inputs: ("msg", id) entries first, then ("edge", id)."""
-    return network_mod._layout(net)[1][node]
+    return named_layout(net)[1][node]
 
 
 def sorted_kahn_order(net):
@@ -477,7 +480,7 @@ class TestDecodeSearch:
             spec = parse_ring(ring)
             els = elements(spec)
             for net in corpus() + [two_six()]:
-                inputs_of = network_mod._layout(net)[1]
+                inputs_of = named_layout(net)[1]
                 code = ScalarLinearCode(
                     spec,
                     {e.id: tuple(rng.choice(els) for _ in inputs_of[e.tail]) for e in net.edges},
@@ -996,7 +999,7 @@ class TestSearchMemo:
         for n, spec in grid:  # the plain search, where it is fast
             if n <= 3 and rings_mod.ring_size(spec) <= 5:
                 net = choose_two(n)
-                plain = plain_search(net, spec, network_mod._layout(net))
+                plain = plain_search(net, spec)
                 if isinstance(spec, (Product, DualNumbers)):  # other normal forms: verdicts only
                     assert (plain is None) == (cold[n, spec] is None), (n, spec)
                 else:
@@ -1066,6 +1069,24 @@ class TestSearchMemo:
         assert network_mod._search_memo(spec)[1] == {}
         for n in ns + ns[::-1]:
             assert self._answer(choose_two(n), spec) == want[n], n
+
+    def test_z_p_shares_the_memo_of_gf_p(self, monkeypatch, cold_memo):
+        # Z(p) for prime p and GF(p) have the same values and kernel results,
+        # so a Z(p) search after a GF(p) search on the same network makes no
+        # elimination and no candidate again, and finds the same payloads
+        payloads = lambda table: {k: tuple(c.payload for c in cs) for k, cs in table.items()}
+        cases = [(choose_two(3), 2), (choose_two(4), 2), (choose_two(4), 3), (choose_two(6), 5)]
+        fields = [solve_brute(net, PrimeField(p), budget=2**200) for net, p in cases]
+        calls = self._counted(monkeypatch)
+        for (net, p), field in zip(cases, fields):
+            residue = solve_brute(net, IntegersMod(p), budget=2**200)
+            assert (residue is None) == (field is None), p
+            if field is not None:
+                assert residue.ring == IntegersMod(p)
+                assert payloads(residue.edge_coeffs) == payloads(field.edge_coeffs)
+                assert payloads(residue.decoders) == payloads(field.decoders)
+        assert calls == {"_first_decoders": 0, "orbit_key": 0}
+        assert None in fields and fields.count(None) < len(fields)
 
 
 class TestSolveBrute:
@@ -1166,7 +1187,7 @@ class TestRoutedSolve:
     @staticmethod
     def _agree(net, spec):
         routed = solve_brute(net, spec)
-        plain = plain_search(net, spec, network_mod._layout(net))
+        plain = plain_search(net, spec)
         assert (routed is None) == (plain is None), (net.nodes, spec)
         if routed is not None:
             assert routed.ring == spec and verify(net, routed)
@@ -1300,11 +1321,11 @@ class TestIndexKernel:
         # the search refuses a ring of more than FIELD_TABLE_LIMIT elements
         # before it builds the ring's value record, or does anything else
         net = self.ONE_COMBINING_EDGE
-        edges, inputs_of = network_mod._layout(net)
+        plan = network_mod._layout(net)
         monkeypatch.setattr(network_mod, "_domain", None)
         start = time.perf_counter()
         with pytest.raises(GuardExceeded):
-            network_mod._index_search(net, parse_ring(ring), inputs_of, edges)
+            network_mod._index_search(net, parse_ring(ring), plan)
         assert time.perf_counter() - start < 0.5
 
     def test_search_over_a_large_ring_is_refused_quickly(self):
@@ -1330,9 +1351,8 @@ class TestIndexKernel:
         spec = parse_ring(ring)
         nets = corpus() + ([two_six()] if ring != "Z(8)" else [])
         for net in nets:
-            layout = network_mod._layout(net)
-            got = network_mod._search(net, spec, layout)
-            want = plain_search(net, spec, layout)
+            got = network_mod._search(net, spec, network_mod._layout(net))
+            want = plain_search(net, spec)
             assert (got is None) == (want is None), (net.nodes, ring)
             if got is not None:
                 assert code_to_json(got) == code_to_json(want), (net.nodes, ring)
@@ -1355,13 +1375,14 @@ class TestIndexKernel:
                 for node in rng.sample(nodes[1:], rng.randint(1, n - 1))
             ]
             net = Network(tuple(nodes), tuple(edges), tuple(msgs), tuple(receivers))
-            layout = edges_in_order, inputs_of = network_mod._layout(net)
+            plan = network_mod._layout(net)
+            edges_in_order, inputs_of = named_layout(net)
             arities = [len(inputs_of[e.tail]) for e in edges_in_order]
             for spec in (GF2, GF3, GF4, Z4, GF5, GF8, Z8, Z9):
                 if len(elements(spec)) ** sum(a for a in arities if a >= 2) > 4096:
                     continue
-                got = network_mod._search(net, spec, layout)
-                want = plain_search(net, spec, layout)
+                got = network_mod._search(net, spec, plan)
+                want = plain_search(net, spec)
                 assert (got is None) == (want is None), (net, spec)
                 if got is not None:
                     assert code_to_json(got) == code_to_json(want), (net, spec)
@@ -1369,9 +1390,8 @@ class TestIndexKernel:
 
     @staticmethod
     def _same_as_oracle(net, spec):
-        layout = network_mod._layout(net)
-        got = network_mod._search(net, spec, layout)
-        want = plain_search(net, spec, layout)
+        got = network_mod._search(net, spec, network_mod._layout(net))
+        want = plain_search(net, spec)
         assert (got is None) == (want is None), (net, spec)
         if got is not None:
             assert code_to_json(got) == code_to_json(want), (net, spec)
@@ -1430,7 +1450,7 @@ class TestIndexKernel:
         verdicts, compared = [], 0
         while compared < 300:
             net = self._fan_network(rng, sources)
-            edges, inputs_of = network_mod._layout(net)
+            edges, inputs_of = named_layout(net)
             exponent = sum(a for a in (len(inputs_of[e.tail]) for e in edges) if a >= 2)
             widest = max(len(inputs_of[r.node]) for r in net.receivers)
             for spec in (GF2, GF3, GF4, Z4, GF5, Z8, Z9):
@@ -1448,11 +1468,11 @@ class TestIndexKernel:
             (Message("x", "s"), Message("y", "s")),
             (Receiver("t", ("x",)), Receiver("u", ())),
         )
-        layout = network_mod._layout(net)
+        plan = network_mod._layout(net)
         for spec in (GF2, Z4):
-            got = network_mod._search(net, spec, layout)
+            got = network_mod._search(net, spec, plan)
             assert got is not None and verify(net, got)
-            assert code_to_json(got) == code_to_json(plain_search(net, spec, layout))
+            assert code_to_json(got) == code_to_json(plain_search(net, spec))
 
     @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
     def test_orbit_key_names_unit_orbits(self, ring):
@@ -1542,18 +1562,41 @@ class TestIndexKernel:
         assert code.edge_coeffs["e"] == (elements(spec)[1], zero(spec))
         assert verify(self.ONE_COMBINING_EDGE, code)
 
+    @staticmethod
+    def _verified(monkeypatch):
+        """The rings of the codes _verify checks from here on."""
+        calls, original = [], network_mod._verify
+        monkeypatch.setattr(network_mod, "_verify", lambda net, code, plan: calls.append(code.ring) or original(net, code, plan))
+        return calls
+
     def test_each_routed_code_is_verified_once(self, monkeypatch):
-        # Z(12): searches over Z(2), Z(4) and Z(3), their product, its crt image
-        calls = []
-        original = network_mod._verify
-        monkeypatch.setattr(
-            network_mod, "_verify", lambda net, code, layout: calls.append(code.ring) or original(net, code, layout)
-        )
+        # Z(12): searches over Z(2), Z(4) and Z(3), their product and its crt
+        # image are built unchecked; only the answer is checked
+        calls = self._verified(monkeypatch)
         code = solve_brute(choose_two(3), IntegersMod(12))
         assert code.ring == IntegersMod(12)
-        assert calls == [
-            IntegersMod(2), Z4, IntegersMod(3), Product((Z4, IntegersMod(3))), IntegersMod(12)
-        ]
+        assert calls == [IntegersMod(12)]
+
+    @pytest.mark.parametrize("n, ring, solvable", [
+        (3, "GF(2)xGF(3)", True), (3, "Z(4)", True), (3, "D(3)", True),
+        (4, "GF(2)", False), (4, "Z(4)", False), (4, "GF(2)xGF(3)", False),
+    ])
+    def test_each_route_checks_its_answer_once(self, n, ring, solvable, monkeypatch):
+        # choose_two(n): one check per public answer, none for a refutation
+        calls, spec = self._verified(monkeypatch), parse_ring(ring)
+        assert (solve_brute(choose_two(n), spec) is not None) == solvable
+        assert calls == ([spec] if solvable else [])
+
+    @pytest.mark.parametrize("ring", ["Z(12)", "GF(2)xGF(3)", "Z(4)", "D(3)", "GF(4)"])
+    def test_each_solve_compiles_the_network_once(self, ring, monkeypatch):
+        # every search on the route (three for Z(12)) reads the one plan that
+        # solve_brute made, and its search part is built once
+        layouts, searches = [], []
+        layout, search = network_mod._layout, network_mod._Search
+        monkeypatch.setattr(network_mod, "_layout", lambda net: layouts.append(net) or layout(net))
+        monkeypatch.setattr(network_mod, "_Search", lambda *parts: searches.append(parts) or search(*parts))
+        assert solve_brute(choose_two(3), parse_ring(ring)) is not None
+        assert len(layouts) == 1 and len(searches) == 1
 
 
 def _solvable_full_space(net, spec) -> bool:
@@ -1588,6 +1631,66 @@ def _solvable_full_space(net, spec) -> bool:
         if good and verify(net, code):
             return True
     return False
+
+
+class TestBoundaryCheck:
+    """Inside a solve and the public constructions, codes are built
+    unchecked; the code a public call returns is checked once.  A corrupted
+    intermediate code must still make that call raise RuntimeError, which
+    python -O keeps (the test names carry self_check for its CI step)."""
+
+    @staticmethod
+    def _corrupted(code):
+        """code with its first decoder's first coefficient c made c + 1: that
+        demand's sum moves by the receiver's first row, nonzero in a solution."""
+        key = min(code.decoders)
+        cs = code.decoders[key]
+        decoders = {**code.decoders, key: (add(cs[0], one(code.ring)),) + cs[1:]}
+        return ScalarLinearCode(code.ring, dict(code.edge_coeffs), decoders)
+
+    @staticmethod
+    def _both_raise(net, ring, tmp_path):
+        """solve_brute and network solve over ring both raise RuntimeError."""
+        with pytest.raises(RuntimeError, match="fails verify"):
+            solve_brute(net, parse_ring(ring))
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(network_to_json(net)))
+        with pytest.raises(RuntimeError, match="fails verify"):
+            cli.run(["network", "solve", "--file", str(path), "--ring", ring], out=io.StringIO())
+
+    @pytest.mark.parametrize("ring, factor", [("GF(2)xGF(3)", "GF(3)"), ("Z(12)", "Z(3)"), ("Z(12)", "Z(4)")])
+    def test_corrupted_factor_code_fails_the_self_check(self, ring, factor, monkeypatch, tmp_path):
+        search = network_mod._search
+
+        def corrupting(net, spec, plan):
+            code = search(net, spec, plan)
+            return self._corrupted(code) if spec == parse_ring(factor) else code
+
+        monkeypatch.setattr(network_mod, "_search", corrupting)
+        self._both_raise(choose_two(3), ring, tmp_path)
+
+    @pytest.mark.parametrize("ring", ["Z(12)", "D(3)"])  # the CRT image, the D(p) lift
+    def test_corrupted_image_fails_the_self_check(self, ring, monkeypatch, tmp_path):
+        apply = network_mod._apply_to_code
+        monkeypatch.setattr(network_mod, "_apply_to_code", lambda code, hom: self._corrupted(apply(code, hom)))
+        self._both_raise(choose_two(3), ring, tmp_path)
+
+    @pytest.mark.parametrize("make", ["choose_two_field_solution", "product_code", "map_code", "lift_subring"])
+    def test_corrupted_construction_fails_the_self_check(self, make, monkeypatch):
+        net, D3 = choose_two(3), DualNumbers(3)
+        solved = {spec: solve_brute(net, spec) for spec in (GF2, GF3, D3)}  # before any corruption
+        calls = {
+            "choose_two_field_solution": ("_decoded", lambda: choose_two_field_solution(3, GF3)),
+            "product_code": ("_product_code", lambda: product_code(net, [(f, solved[f]) for f in (GF2, GF3)])),
+            "map_code": ("_apply_to_code", lambda: map_code(net, solved[D3], dual_augmentation(3))),
+            "lift_subring": ("_apply_to_code", lambda: lift_subring(net, solved[GF3], D3)),
+        }
+        inner, build = calls[make]
+        assert verify(net, build())
+        real = getattr(network_mod, inner)
+        monkeypatch.setattr(network_mod, inner, lambda *args: self._corrupted(real(*args)))
+        with pytest.raises(RuntimeError, match="fails verify"):
+            build()
 
 
 class TestRelayNormalizationSoundness:
