@@ -5,15 +5,16 @@ over S also has one over R.  For direct products of finite fields the
 relation is decided exactly by a divisor criterion: S is dominated by R iff
 for every field factor GF(p^k) of R there is a factor GF(p^m) of S with the
 same prime and m | k.  For Z(n) pairs it is decided by divisibility of the
-moduli.  For other catalog pairs the engine applies a fixed set of reduction
-rules (dual numbers are equivalent to a prime field; Z(n) splits into its
-prime-power parts; a product is dominated iff each of its factors dominates
-the left side individually ... ) and answers Unknown when the rules do not
-settle the pair, rather than guessing.
+moduli.  Other catalog pairs are read through their atoms: fields, with D(p)
+and Z(p) read as GF(p), and Z(p^k) for k >= 2, Z(n) split by its prime
+powers.  S is dominated by R when each atom of R is dominated by one atom of
+S; a characteristic witness settles a pair as NotDominates, and a pair the
+rules do not settle is Unknown rather than a guess.  Maximal rings are
+products of fields, one maximal partition per prime (``maximal_rings``).
 
 Definite verdicts carry certificates: small step objects naming the rule and
-the arithmetic facts it used, so independent code can re-check them; see
-``check_certificate``.
+the arithmetic facts it used, so independent code can re-check them in one
+pass; see ``check_certificate``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .rings import (
     DualNumbers,
     ENUMERATION_GUARD,
     GaloisField,
-    IntegersMod,
     PrimeField,
     Product,
     RingSpec,
@@ -40,6 +40,7 @@ from .rings import (
     format_ring,
     galois_field,
     is_prime,
+    prime_power,
     ring_size,
 )
 
@@ -112,12 +113,15 @@ def to_partition_ring(fields: Sequence[tuple[int, int]]) -> PartitionRing:
     )
 
 
+def _canonical_factors(spec: RingSpec) -> tuple[RingSpec, ...]:
+    flat = canonicalize(spec)
+    return flat.factors if isinstance(flat, Product) else (flat,)
+
+
 def partition_ring_of(spec: RingSpec) -> PartitionRing:
     """View a product of finite fields as a PartitionRing."""
-    flat = canonicalize(spec)
-    factors = flat.factors if isinstance(flat, Product) else (flat,)
     pairs = []
-    for f in factors:
+    for f in _canonical_factors(spec):
         if isinstance(f, PrimeField):
             pairs.append((f.p, 1))
         elif isinstance(f, GaloisField):
@@ -307,19 +311,15 @@ class _Factor:
 def _catalog_factors(spec: RingSpec) -> tuple[tuple[_Factor, ...], tuple[EquivalenceStep, ...]]:
     """Decompose a catalog ring into dominance-equivalent atomic factors.
 
-    Fields stay fields; D(p) collapses to GF(p); Z(n) splits via its prime
-    powers, with Z(p) read as GF(p); Z(p^k) for k >= 2 stays a ``zlocal``
-    atom, for which only one-sided dominance facts are available.
+    The one walk from a catalog ring to its atoms, over canonicalize's flat
+    factor list.  Fields stay fields; D(p) collapses to GF(p); Z(n) splits
+    via its prime powers, with Z(p) read as GF(p); Z(p^k) for k >= 2 stays a
+    ``zlocal`` atom, for which only one-sided dominance facts are available.
     """
-    spec = canonicalize(spec)
     factors: list[_Factor] = []
     steps: list[EquivalenceStep] = []
-
-    def walk(s: RingSpec):
-        if isinstance(s, Product):
-            for f in s.factors:
-                walk(f)
-        elif isinstance(s, PrimeField):
+    for s in _canonical_factors(spec):
+        if isinstance(s, PrimeField):
             factors.append(_Factor(_FIELD, s.p, 1))
         elif isinstance(s, GaloisField):
             factors.append(_Factor(_FIELD, s.p, s.k))
@@ -349,14 +349,7 @@ def _catalog_factors(spec: RingSpec) -> tuple[tuple[_Factor, ...], tuple[Equival
                     factors.append(_Factor(_FIELD, p, 1))
                 else:
                     factors.append(_Factor(_ZLOCAL, p, k))
-
-    walk(spec)
     return tuple(factors), tuple(steps)
-
-
-def _characteristic(factors: Sequence[_Factor]) -> int:
-    """char of the ring the factors stand for: the lcm of p (fields) and p^k."""
-    return math.lcm(*(f.p**f.k if f.kind == _ZLOCAL else f.p for f in factors))
 
 
 def _single_factor_dominated(f: _Factor, target: _Factor) -> list | None:
@@ -381,36 +374,19 @@ def _single_factor_dominated(f: _Factor, target: _Factor) -> list | None:
     return None
 
 
-def _dominates_single_target(
-    s_factors: tuple[_Factor, ...], target: _Factor
-) -> DominanceVerdict:
-    # a single dominated left factor settles the pair: every network the
-    # product solves is solved by each factor alone
-    for i, f in enumerate(s_factors):
-        chain = _single_factor_dominated(f, target)
-        if chain is not None:
-            steps: list = []
-            if len(s_factors) > 1:
-                steps.append(FactorSelection(i, f.describe()))
-            steps.extend(chain)
-            return _dominates(steps)
-
-    return _unknown(
-        f"no rule settles this left side against {target.describe()}"
-    )
-
-
 def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
     """Rule-engine dominance decision for arbitrary catalog rings.
 
-    Answers Dominates or NotDominates only when the reduction rules certify
-    it; all other pairs come back Unknown with the unresolved obligation
-    named.  Pairs of field products are always decided, and any other pair
+    Both sides are read as atoms (``_catalog_factors``).  Pairs of field
+    products are always decided by the divisor criterion, and any other pair
     in which char(R) does not divide char(S) is NotDominates by the
-    characteristic rule of zmod_dominates.
+    characteristic rule of zmod_dominates.  Otherwise every atom of R needs
+    an atom of S that maps onto it; the first atom of R without one makes
+    the pair Unknown, with that atom named as the unresolved obligation.
     """
     s_factors, s_steps = _catalog_factors(s)
     r_factors, r_steps = _catalog_factors(r)
+    collected: list = [*s_steps, *r_steps]
 
     if all(f.kind == _FIELD for f in s_factors) and all(
         f.kind == _FIELD for f in r_factors
@@ -418,24 +394,26 @@ def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
         left = to_partition_ring([(f.p, f.k) for f in s_factors])
         right = to_partition_ring([(f.p, f.k) for f in r_factors])
         inner = field_product_dominates(left, right)
-        return DominanceVerdict(
-            inner.relation, tuple(s_steps) + tuple(r_steps) + inner.certificate
-        )
+        return DominanceVerdict(inner.relation, (*collected, *inner.certificate))
 
-    collected: list = list(s_steps) + list(r_steps)
-    s_char, r_char = _characteristic(s_factors), _characteristic(r_factors)
+    s_char, r_char = characteristic(s), characteristic(r)
     if s_char % r_char:  # the characteristic-char(S) family separates them
         obstruction = CharacteristicObstruction(s_char, s_char, r_char)
         return DominanceVerdict(Relation.NOT_DOMINATES, (*collected, obstruction))
-    pending: list[str] = []
     for target in r_factors:
-        verdict = _dominates_single_target(s_factors, target)
-        if verdict.relation is Relation.UNKNOWN:
-            pending.append(verdict.certificate[0].description)
+        # one dominated left factor settles a target: every network the
+        # product solves is solved by each factor alone
+        for i, f in enumerate(s_factors):
+            chain = _single_factor_dominated(f, target)
+            if chain is not None:
+                break
         else:
-            collected.extend(verdict.certificate)
-    if pending:
-        return _unknown(pending[0])
+            return _unknown(
+                f"no rule settles this left side against {target.describe()}"
+            )
+        if len(s_factors) > 1:
+            collected.append(FactorSelection(i, f.describe()))
+        collected.extend(chain)
     return _dominates(collected)
 
 
@@ -447,23 +425,14 @@ def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
 def is_maximal_ring(spec: RingSpec) -> bool:
     """True iff the ring is a product of finite fields whose per-prime
     exponent partitions are all maximal (Z(n) for square-free n counts as the
-    product of the prime fields GF(p) for p | n)."""
-    flat = canonicalize(spec)
-    factors = flat.factors if isinstance(flat, Product) else (flat,)
-    pairs = []
-    for f in factors:
-        if isinstance(f, PrimeField):
-            pairs.append((f.p, 1))
-        elif isinstance(f, GaloisField):
-            pairs.append((f.p, f.k))
-        elif isinstance(f, IntegersMod):
-            fac = factorize(f.n)
-            if any(e > 1 for _, e in fac):
-                return False
-            pairs.extend((p, 1) for p, _ in fac)
-        else:
-            return False
-    pr = to_partition_ring(pairs)
+    product of the prime fields GF(p) for p | n).  A Z(p^k) factor, k >= 2,
+    or a D(p) factor, whose atom GF(p) is smaller than it, rules it out."""
+    factors, _ = _catalog_factors(spec)
+    if any(f.kind == _ZLOCAL for f in factors):
+        return False
+    if math.prod(f.p**f.k for f in factors) < ring_size(spec):
+        return False
+    pr = to_partition_ring([(f.p, f.k) for f in factors])
     return all(is_maximal(part) for _, part in pr.assignment)
 
 
@@ -538,10 +507,13 @@ def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bo
 
     For a NotDominates verdict the single violation is rechecked (the cited
     right-hand factor really has no divisor on the left, or the cited
-    characteristic really separates the sides).  For a Dominates verdict
-    every step's arithmetic claim is rechecked against independently
-    recomputed factor data, and every right-hand factor must be accounted
-    for by some terminal step.  Unknown verdicts carry no claim.
+    characteristic really separates the sides).  A Dominates certificate is
+    checked in one pass over its steps: each step must start at an atom S
+    has (a field factor, a Z(p^k) factor, or GF(p) as the residue field of
+    such a factor; a residue reduction starts at a Z(p^k) factor), its
+    arithmetic must divide, and a FactorSelection must name the left factor
+    at its index.  The verdict holds iff the steps reach every atom of R.
+    Unknown verdicts carry no claim.
     """
     if verdict.relation is Relation.UNKNOWN:
         return bool(verdict.certificate) and isinstance(
@@ -549,73 +521,48 @@ def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bo
         )
     s_factors, _ = _catalog_factors(s)
     r_factors, _ = _catalog_factors(r)
-    s_fields = [(f.p, f.k) for f in s_factors if f.kind == _FIELD]
 
     if verdict.relation is Relation.NOT_DOMINATES:
         last = verdict.certificate[-1]
         if isinstance(last, FieldViolation):
             if any(f.kind != _FIELD for f in s_factors):
                 return False
-            if any(
-                p == last.prime and last.exponent % m == 0 for p, m in s_fields
-            ):
+            if any(f.p == last.prime and last.exponent % f.k == 0 for f in s_factors):
                 return False
-            return (last.prime, last.exponent) in [
-                (f.p, f.k) for f in r_factors if f.kind == _FIELD
-            ]
+            return _Factor(_FIELD, last.prime, last.exponent) in r_factors
         if isinstance(last, CharacteristicObstruction):
             c = last.witness_modulus
             return c % characteristic(s) == 0 and c % characteristic(r) != 0
         return False
 
-    steps = verdict.certificate
-    for step in steps:
-        if isinstance(step, FieldCriterion):
-            for p, k, m in step.assignments:
-                if (p, m) not in s_fields or k % m != 0:
+    fields = {(f.p, f.k if f.kind == _FIELD else 1) for f in s_factors}
+    moduli = {f.p**f.k for f in s_factors if f.kind == _ZLOCAL}
+    reached: set[_Factor] = set()
+    for step in verdict.certificate:
+        if isinstance(step, (FieldCriterion, SubfieldStep)):
+            claims = (
+                step.assignments
+                if isinstance(step, FieldCriterion)
+                else ((step.p, step.target_degree, step.source_degree),)
+            )
+            for p, k, m in claims:
+                if (p, m) not in fields or k % m:
                     return False
-                if (p, k) not in [(f.p, f.k) for f in r_factors if f.kind == _FIELD]:
-                    return False
-        elif isinstance(step, SubfieldStep):
-            if step.target_degree % step.source_degree != 0:
-                return False
+                reached.add(_Factor(_FIELD, p, k))
         elif isinstance(step, ModReductionStep):
-            if step.source_modulus % step.target_modulus != 0:
+            n, m = step.source_modulus, step.target_modulus
+            if n not in moduli or m < 2 or n % m:
                 return False
+            p, k = prime_power(m)
+            reached.add(_Factor(_FIELD if k == 1 else _ZLOCAL, p, k))
         elif isinstance(step, FactorSelection):
             if not 0 <= step.index < len(s_factors):
+                return False
+            if s_factors[step.index].describe() != step.factor:
                 return False
         elif isinstance(step, EquivalenceStep):
             if step.rule not in {"dual-numbers", "crt-split", "prime-modulus-field"}:
                 return False
         else:
             return False
-
-    # every right-hand factor needs a terminal step justifying it
-    for f in r_factors:
-        if f.kind == _FIELD:
-            ok = any(
-                isinstance(st, FieldCriterion)
-                and any(p == f.p and k == f.k for p, k, _ in st.assignments)
-                for st in steps
-            ) or any(
-                isinstance(st, SubfieldStep)
-                and st.p == f.p
-                and st.target_degree == f.k
-                for st in steps
-            ) or (
-                f.k == 1
-                and any(
-                    isinstance(st, ModReductionStep) and st.target_modulus == f.p
-                    for st in steps
-                )
-            )
-        else:
-            ok = any(
-                isinstance(st, ModReductionStep)
-                and st.target_modulus == f.p**f.k
-                for st in steps
-            )
-        if not ok:
-            return False
-    return True
+    return reached.issuperset(r_factors)

@@ -2,10 +2,12 @@
 
 import hashlib
 import io
+import itertools
 import json
 import time
 
 import pytest
+from test_dominance import PINNED_RINGS
 
 from ringcode import cli
 from ringcode.network import (
@@ -156,6 +158,20 @@ class TestDominanceCommands:
     def test_fields_rejects_non_field(self):
         code, _ = run_cli("dominance", "fields", "--left", "Z(4)", "--right", "GF(4)")
         assert code == 2
+
+    def test_catalog_bytes_are_pinned(self, capsys):
+        # exit code, stdout and stderr of dominance catalog and dominance
+        # fields over every ordered pair of PINNED_RINGS, concatenated, as
+        # recorded before the factor walks were merged
+        runs = []
+        for cmd in ("catalog", "fields"):
+            for left, right in itertools.product(PINNED_RINGS, repeat=2):
+                capsys.readouterr()
+                code, out = run_cli("dominance", cmd, "--left", left, "--right", right)
+                runs.append(f"{code}\n{out}{capsys.readouterr().err}")
+        assert {run[0] for run in runs} == {"0", "1", "2"}
+        digest = hashlib.sha256("".join(runs).encode()).hexdigest()
+        assert digest == "b5748251407100b52c63cdc120274cd8b257c1054cadb76a3a6f7c5bdee73a3c"
 
 
 class TestNetworkCommands:

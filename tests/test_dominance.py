@@ -1,5 +1,6 @@
 """Dominance verdicts, partition rings, and maximal-ring enumeration."""
 
+import hashlib
 import itertools
 import time
 
@@ -37,10 +38,13 @@ from ringcode.rings import (
     IntegersMod,
     PrimeField,
     Product,
+    elements,
+    factorize,
     format_ring,
     galois_field,
     parse_ring,
     ring_size,
+    zero,
 )
 
 DOM = Relation.DOMINATES
@@ -80,6 +84,16 @@ RULE_GRID = (
     "DDDNNDDDDDDNNDNDDDDDDDDDDD",
     "DDDNNDDDDNDNNNNDDDDDDDDNDD",
     "DNDNNDNDDUNUUNNDNDNDNDNNND",
+)
+
+# GF(q), Z(n) for prime, prime-power and composite n, D(p) and mixed
+# products; the pinned digests below and in test_cli.py run every ordered
+# pair of these
+PINNED_RINGS = (
+    "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(8)", "GF(9)", "GF(16)", "Z(2)",
+    "Z(5)", "Z(4)", "Z(8)", "Z(9)", "Z(6)", "Z(12)", "Z(30)", "D(2)", "D(3)",
+    "GF(2)xGF(2)", "GF(2)xGF(3)", "GF(4)xGF(2)", "GF(8)xGF(4)", "GF(4)xZ(9)",
+    "Z(4)xGF(3)", "D(2)xGF(3)", "GF(4)xD(2)", "Z(4)xZ(9)",
 )
 
 
@@ -320,6 +334,29 @@ class TestCatalogEngine:
             spec = parse_ring(t)
             assert catalog_dominates(spec, spec).relation is DOM
 
+    def test_outputs_are_pinned(self):
+        # relation, describe(), certificate repr and check_certificate of
+        # every ordered pair, then is_maximal_ring and partition_ring_of
+        # (value or error text) of each ring, as recorded before the factor
+        # walks were merged
+        lines = []
+        for left, right in itertools.product(PINNED_RINGS, repeat=2):
+            s, r = parse_ring(left), parse_ring(right)
+            v = catalog_dominates(s, r)
+            lines.append(
+                f"{left} {right} {v.relation.name} {v.describe()} "
+                f"{v.certificate!r} {check_certificate(s, r, v)}"
+            )
+        for text in PINNED_RINGS:
+            spec = parse_ring(text)
+            try:
+                as_fields = repr(partition_ring_of(spec))
+            except ValueError as exc:
+                as_fields = f"error: {exc}"
+            lines.append(f"{text} {is_maximal_ring(spec)} {as_fields}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "2511566c23eb68face739d7937f492105648146f23d2961b82f3ec490b0c58df"
+
 
 class TestForgedCertificates:
     """check_certificate rejects a certificate whose claim does not hold,
@@ -364,6 +401,12 @@ class TestForgedCertificates:
                 SubfieldStep(3, 1, 1),
                 FactorSelection(0, "Z(4)"),
             )),
+            # a subfield step from a field the left side lacks
+            ("GF(3)", "GF(4)", DOM, (SubfieldStep(2, 1, 2),)),
+            # a residue reduction from a Z(p^k) the left side lacks
+            ("GF(5)", "Z(4)", DOM, (ModReductionStep(8, 4),)),
+            # a factor selection naming a factor other than the one at its index
+            ("GF(2)xGF(3)", "GF(9)", DOM, (FactorSelection(0, "GF(3)"), SubfieldStep(3, 1, 2))),
         ],
     )
     def test_rejects(self, left, right, relation, steps):
@@ -455,6 +498,38 @@ class TestIsMaximalRing:
         assert is_maximal_ring(parse_ring("Z(6)"))  # Z(6) is GF(2)xGF(3)
         assert is_maximal_ring(parse_ring("Z(30)"))
         assert not is_maximal_ring(parse_ring("Z(12)"))
+
+    def test_sweep_against_nilpotents_and_maximal_rings(self):
+        # catalog atoms and their pairwise products of size <= 64.  A ring
+        # with a nonzero x, x*x = 0 (D(p) or Z(p^k), k >= 2, anywhere in a
+        # product) is never maximal; any other is a product of fields
+        # (square-free Z(n) as its GF(p)s), maximal exactly when it is one of
+        # maximal_rings of its size
+        atoms = (
+            "GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)",
+            "GF(16)", "GF(32)", "Z(2)", "Z(6)", "Z(4)", "Z(8)", "Z(9)", "Z(12)",
+            "D(2)", "D(3)",
+        )
+        products = (
+            f"{a}x{b}" for a, b in itertools.combinations_with_replacement(atoms, 2)
+        )
+        checked = nilpotent = 0
+        for text in (*atoms, *products):
+            spec = parse_ring(text)
+            size = ring_size(spec)
+            if size > 64:
+                continue
+            checked += 1
+            z = zero(spec)
+            if any(x != z and x * x == z for x in elements(spec)):
+                nilpotent += 1
+                assert not is_maximal_ring(spec), text
+                continue
+            factors = spec.factors if isinstance(spec, Product) else (spec,)
+            fields = [pk for f in factors for pk in factorize(ring_size(f))]
+            listed = to_partition_ring(fields) in maximal_rings(factorize(size))
+            assert is_maximal_ring(spec) is listed, text
+        assert (checked, nilpotent) == (125, 65)
 
 
 class TestRefugeAndSquareFree:
