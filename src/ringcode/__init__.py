@@ -1,6 +1,6 @@
 """Scalar linear network coding over finite commutative rings.
 
-Subpackages: ``rings`` (exact catalog-ring arithmetic and the ring
+Modules: ``rings`` (exact catalog-ring arithmetic and the ring
 expression grammar), ``partitions`` (partition division and maximal
 partitions), ``dominance`` (the dominance quasi-order, partition rings and
 maximal-ring enumeration), ``network`` (networks, scalar linear codes, the

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from ._record import Frozen, _set
 from .errors import GuardExceeded
 from .partitions import MAXIMAL_MAX_K, Partition, is_maximal, maximal_partitions
 from .rings import (
@@ -50,14 +50,13 @@ from .rings import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionRing:
+class PartitionRing(Frozen):
     """A direct product of finite fields, one integer partition per prime."""
 
-    assignment: tuple[tuple[int, Partition], ...]
+    __slots__ = ("assignment",)
 
-    def __post_init__(self):
-        pairs = tuple(sorted(self.assignment, key=lambda pa: pa[0]))
+    def __init__(self, assignment: tuple[tuple[int, Partition], ...]):
+        pairs = tuple(sorted(assignment, key=lambda pa: pa[0]))
         primes = [p for p, _ in pairs]
         if not pairs:
             raise ValueError("a partition ring needs at least one prime")
@@ -65,7 +64,7 @@ class PartitionRing:
             raise ValueError("primes must be distinct")
         if any(not is_prime(p) for p in primes):
             raise ValueError("keys must be prime")
-        object.__setattr__(self, "assignment", pairs)
+        _set(self, "assignment", pairs)
 
     @property
     def size(self) -> int:
@@ -142,71 +141,82 @@ class Relation(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class FieldCriterion:
+class FieldCriterion(Frozen):
     """Divisor witnesses: (prime, right exponent, chosen left exponent)."""
 
-    assignments: tuple[tuple[int, int, int], ...]
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: tuple[tuple[int, int, int], ...]):
+        _set(self, "assignments", assignments)
 
     def describe(self) -> str:
         body = ", ".join(f"GF({p}^{m}) into GF({p}^{k})" for p, k, m in self.assignments)
         return f"field factors embed pairwise: {body}"
 
 
-@dataclass(frozen=True)
-class FieldViolation:
+class FieldViolation(Frozen):
     """A right-hand factor GF(prime^exponent) with no left divisor."""
 
-    prime: int
-    exponent: int
-    available: tuple[int, ...]
+    __slots__ = ("prime", "exponent", "available")
+
+    def __init__(self, prime: int, exponent: int, available: tuple[int, ...]):
+        _set(self, "prime", prime)
+        _set(self, "exponent", exponent)
+        _set(self, "available", available)
 
     def describe(self) -> str:
         opts = "{" + ",".join(str(m) for m in self.available) + "}"
         return f"prime {self.prime} exponent {self.exponent} has no divisor in {opts}"
 
 
-@dataclass(frozen=True)
-class ModReductionStep:
-    source_modulus: int
-    target_modulus: int
+class ModReductionStep(Frozen):
+    __slots__ = ("source_modulus", "target_modulus")
+
+    def __init__(self, source_modulus: int, target_modulus: int):
+        _set(self, "source_modulus", source_modulus)
+        _set(self, "target_modulus", target_modulus)
 
     def describe(self) -> str:
         return f"residue reduction Z({self.source_modulus}) onto Z({self.target_modulus})"
 
 
-@dataclass(frozen=True)
-class SubfieldStep:
-    p: int
-    source_degree: int
-    target_degree: int
+class SubfieldStep(Frozen):
+    __slots__ = ("p", "source_degree", "target_degree")
+
+    def __init__(self, p: int, source_degree: int, target_degree: int):
+        _set(self, "p", p)
+        _set(self, "source_degree", source_degree)
+        _set(self, "target_degree", target_degree)
 
     def describe(self) -> str:
         return f"GF({self.p}^{self.source_degree}) is a subfield of GF({self.p}^{self.target_degree})"
 
 
-@dataclass(frozen=True)
-class FactorSelection:
+class FactorSelection(Frozen):
     """Projection onto one factor of the left-hand product suffices."""
 
-    index: int
-    factor: str
+    __slots__ = ("index", "factor")
+
+    def __init__(self, index: int, factor: str):
+        _set(self, "index", index)
+        _set(self, "factor", factor)
 
     def describe(self) -> str:
         return f"left factor #{self.index + 1} ({self.factor}) already maps in"
 
 
-@dataclass(frozen=True)
-class EquivalenceStep:
-    rule: str
-    detail: str
+class EquivalenceStep(Frozen):
+    __slots__ = ("rule", "detail")
+
+    def __init__(self, rule: str, detail: str):
+        _set(self, "rule", rule)
+        _set(self, "detail", detail)
 
     def describe(self) -> str:
         return f"{self.rule}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class CharacteristicObstruction:
+class CharacteristicObstruction(Frozen):
     """A characteristic-c witness family separates the two sides.
 
     There is a network family, indexed by c, solvable over exactly the rings
@@ -214,9 +224,12 @@ class CharacteristicObstruction:
     solves it and the right side does not.
     """
 
-    witness_modulus: int
-    left_char: int
-    right_char: int
+    __slots__ = ("witness_modulus", "left_char", "right_char")
+
+    def __init__(self, witness_modulus: int, left_char: int, right_char: int):
+        _set(self, "witness_modulus", witness_modulus)
+        _set(self, "left_char", left_char)
+        _set(self, "right_char", right_char)
 
     def describe(self) -> str:
         return (
@@ -225,18 +238,22 @@ class CharacteristicObstruction:
         )
 
 
-@dataclass(frozen=True)
-class Obligation:
-    description: str
+class Obligation(Frozen):
+    __slots__ = ("description",)
+
+    def __init__(self, description: str):
+        _set(self, "description", description)
 
     def describe(self) -> str:
         return self.description
 
 
-@dataclass(frozen=True)
-class DominanceVerdict:
-    relation: Relation
-    certificate: tuple = ()
+class DominanceVerdict(Frozen):
+    __slots__ = ("relation", "certificate")
+
+    def __init__(self, relation: Relation, certificate: tuple = ()):
+        _set(self, "relation", relation)
+        _set(self, "certificate", certificate)
 
     def describe(self) -> str:
         if not self.certificate:
@@ -296,11 +313,13 @@ _FIELD = "field"
 _ZLOCAL = "zlocal"
 
 
-@dataclass(frozen=True)
-class _Factor:
-    kind: str  # _FIELD or _ZLOCAL
-    p: int
-    k: int
+class _Factor(Frozen):
+    __slots__ = ("kind", "p", "k")
+
+    def __init__(self, kind: str, p: int, k: int):  # kind: _FIELD or _ZLOCAL
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "k", k)
 
     def describe(self) -> str:
         if self.kind == _FIELD:

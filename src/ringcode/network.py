@@ -58,9 +58,9 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from ._record import Frozen, Record, _set
 from .errors import BudgetExceeded, GuardExceeded
 from .rings import (
     DualNumbers,
@@ -98,48 +98,59 @@ CHOOSE_TWO_MAX_N = 12
 SEARCH_MEMO_LIMIT = 4096  # entries a ring's search memo may hold when a search starts
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    id: str
-    tail: str
-    head: str
+class Edge(Frozen):
+    __slots__ = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str):
+        _set(self, "id", id)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    id: str
-    source: str
+class Message(Frozen):
+    __slots__ = ("id", "source")
+
+    def __init__(self, id: str, source: str):
+        _set(self, "id", id)
+        _set(self, "source", source)
 
 
-@dataclass(frozen=True, slots=True)
-class Receiver:
-    node: str
-    demands: tuple[str, ...]
+class Receiver(Frozen):
+    __slots__ = ("node", "demands")
+
+    def __init__(self, node: str, demands: tuple[str, ...]):
+        _set(self, "node", node)
+        _set(self, "demands", demands)
 
 
-@dataclass(frozen=True, slots=True)
-class Network:
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    messages: tuple[Message, ...]
-    receivers: tuple[Receiver, ...]
+class Network(Frozen):
+    __slots__ = ("nodes", "edges", "messages", "receivers")
+
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...], messages: tuple[Message, ...],
+                 receivers: tuple[Receiver, ...]):
+        self.__setstate__((nodes, edges, messages, receivers))
 
     def message_ids(self) -> list[str]:
         return sorted(m.id for m in self.messages)
 
 
-@dataclass(slots=True)
-class ScalarLinearCode:
-    ring: RingSpec
-    edge_coeffs: dict[str, tuple[RingElement, ...]]
-    decoders: dict[tuple[str, str], tuple[RingElement, ...]]
+class ScalarLinearCode(Record):
+    __slots__ = ("ring", "edge_coeffs", "decoders")
+
+    def __init__(self, ring: RingSpec, edge_coeffs: dict[str, tuple[RingElement, ...]],
+                 decoders: dict[tuple[str, str], tuple[RingElement, ...]]):
+        self.ring = ring
+        self.edge_coeffs = edge_coeffs
+        self.decoders = decoders
 
 
-@dataclass(slots=True)
-class TransferVector:
+class TransferVector(Record):
     """Per-message coefficients of the symbol an edge carries."""
 
-    coefficients: dict[str, RingElement]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: dict[str, RingElement]):
+        self.coefficients = coefficients
 
 
 def validate(net: Network) -> list[str]:

@@ -10,26 +10,25 @@ k is not a sum of fewer than n multiples of its parts (``is_maximal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Frozen, _set
 from .errors import GuardExceeded
 
 ENUMERATE_MAX_K = 64
 MAXIMAL_MAX_K = 40
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    parts: tuple[int, ...]
+class Partition(Frozen):
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(sorted(self.parts, reverse=True))
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(sorted(parts, reverse=True))
         if not parts:
             raise ValueError("a partition needs at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(type(p) is not int or p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        object.__setattr__(self, "parts", parts)
+        _set(self, "parts", parts)
 
     @property
     def total(self) -> int:

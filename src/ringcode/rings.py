@@ -43,11 +43,11 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
+from ._record import Frozen, Keyed, _set
 from .errors import GuardExceeded, ParseError
 
 ENUMERATION_GUARD = 2**20
@@ -59,7 +59,8 @@ FIELD_TABLE_LIMIT = 2**12  # larger GF(p^k) multiply polynomials: the tables gro
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """True iff n is a prime int; a bool or float never is."""
+    if type(n) is not int or n < 2:
         return False
     if n < 4:
         return True
@@ -194,63 +195,67 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Spec:
-    __slots__ = ("_arithmetic", "_domain")  # kept by arithmetic(spec) and network._domain; not dataclass fields
+class _Spec(Keyed):
+    __slots__ = ("_arithmetic", "_domain")  # kept by arithmetic(spec) and network._domain; not fields
 
 
-@dataclass(frozen=True, slots=True)
 class PrimeField(_Spec):
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"GF({self.p}): {self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"GF({p!r}): {p!r} is not prime")
+        _set(self, "p", p)
+        _set(self, "_key", (p,))
 
 
-@dataclass(frozen=True, slots=True)
 class GaloisField(_Spec):
-    p: int
-    k: int
-    modulus: tuple[int, ...] = field(init=False)  # find_irreducible(p, k), as format_ring assumes
+    __slots__ = ("p", "k", "modulus")  # modulus: find_irreducible(p, k), as format_ring assumes
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"GF({self.p}^{self.k}): {self.p} is not prime")
-        if self.k < 1:
-            raise ValueError(f"GF({self.p}^{self.k}): degree must be positive")
-        if self.k == 1:
-            raise ValueError(f"GF({self.p}^1): use galois_field(p, k) or PrimeField(p) for k = 1")
-        object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
+    def __init__(self, p: int, k: int):
+        if not is_prime(p):
+            raise ValueError(f"GF({p!r}^{k!r}): {p!r} is not prime")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"GF({p}^{k!r}): degree must be positive and an int")
+        if k == 1:
+            raise ValueError(f"GF({p}^1): use galois_field(p, k) or PrimeField(p) for k = 1")
+        self.__setstate__((p, k, find_irreducible(p, k)))
 
 
-@dataclass(frozen=True, slots=True)
 class IntegersMod(_Spec):
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("modulus must be at least 2")
+    def __init__(self, n: int):
+        if type(n) is not int or n < 2:
+            raise ValueError(f"modulus must be an integer of at least 2, got {n!r}")
+        _set(self, "n", n)
+        _set(self, "_key", (n,))
 
 
-@dataclass(frozen=True, slots=True)
 class DualNumbers(_Spec):
     """GF(p)[x]/<x^2>: pairs a + bx with x*x = 0."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"D({self.p}): {self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"D({p!r}): {p!r} is not prime")
+        _set(self, "p", p)
+        _set(self, "_key", (p,))
 
 
-@dataclass(frozen=True, slots=True)
 class Product(_Spec):
-    factors: tuple["RingSpec", ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors: tuple["RingSpec", ...]):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("product needs at least one factor")
+        for f in factors:
+            if not isinstance(f, _Spec):
+                raise ValueError(f"product factor {f!r} is not a ring")
+        _set(self, "factors", factors)
+        _set(self, "_key", (factors,))
 
 
 # PEP 604 unions: typing.Union's cache keeps the classes of every import alive
@@ -318,10 +323,20 @@ def canonicalize(spec: RingSpec) -> RingSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RingElement:
-    ring: RingSpec
-    payload: Payload
+class RingElement(Frozen):
+    __slots__ = ("ring", "payload")
+
+    def __init__(self, ring: RingSpec, payload: Payload):
+        _set(self, "ring", ring)
+        _set(self, "payload", payload)
+
+    def __eq__(self, other):  # faster than Frozen's generic one: decode_search compares elements
+        if type(other) is type(self):
+            return (self.ring, self.payload) == (other.ring, other.payload)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.payload))
 
     def __add__(self, other):
         return add(self, other)
@@ -603,8 +618,7 @@ CRT = "crt"
 SURJECTIVE_KINDS = frozenset({MOD_REDUCTION, DUAL_AUGMENTATION, PROJECTION, CRT})
 
 
-@dataclass(frozen=True, eq=False)
-class RingHom:
+class RingHom(Frozen):
     """A structure map from one catalog ring to another.
 
     ``mod_reduction``, ``dual_augmentation``, ``projection`` and the bijective
@@ -614,11 +628,12 @@ class RingHom:
     _verify_hom_table).
     """
 
-    kind: str
-    source: RingSpec
-    target: RingSpec
-    index: int | None = None
-    table: MappingProxyType | None = None
+    __slots__ = ("kind", "source", "target", "index", "table")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
+
+    def __init__(self, kind: str, source: RingSpec, target: RingSpec, index: int | None = None,
+                 table: MappingProxyType | None = None):
+        self.__setstate__((kind, source, target, index, table))
 
     def __call__(self, a: RingElement) -> RingElement:
         return apply_hom(self, a)
