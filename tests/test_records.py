@@ -34,6 +34,7 @@ from ringcode.rings import (
     PrimeField,
     Product,
     RingElement,
+    _Spec,
     arithmetic,
     is_prime,
     mod_reduction,
@@ -142,6 +143,7 @@ MUTABLE = {
         "TransferVector(coefficients={'x': RingElement(ring=PrimeField(p=2), payload=1)})",
     ),
 }
+RECORDS = {**FROZEN, **MUTABLE}
 
 
 def _fields(record, names):
@@ -152,9 +154,9 @@ class TestRecordParity:
     """Every record type behaves as the @dataclass it replaced: the same
     equality, hash, repr, immutability, copy and pickle."""
 
-    @pytest.mark.parametrize("name", list(FROZEN) + list(MUTABLE))
+    @pytest.mark.parametrize("name", RECORDS)
     def test_equal_fields_make_equal_records_with_the_dataclass_repr(self, name):
-        build, names, text = {**FROZEN, **MUTABLE}[name]
+        build, names, text = RECORDS[name]
         a, b = build(), build()
         assert a is not b and a == b and not a != b
         assert repr(a) == text
@@ -166,9 +168,9 @@ class TestRecordParity:
         assert hash(a) == hash(b) == hash(_fields(a, names))
         assert {a: name}[b] == name
 
-    @pytest.mark.parametrize("name", list(FROZEN) + list(MUTABLE))
+    @pytest.mark.parametrize("name", RECORDS)
     def test_never_equal_to_another_type_with_the_same_fields(self, name):
-        build, names, _ = {**FROZEN, **MUTABLE}[name]
+        build, names, _ = RECORDS[name]
         a = build()
         values = _fields(a, names)
         assert a != values and values != a
@@ -205,7 +207,7 @@ class TestRecordParity:
     def test_copy_and_pickle_keep_the_value(self, name):
         a = FROZEN[name][0]()
         for spec in (a, getattr(a, "ring", None)):
-            if spec is not None and hasattr(type(spec), "_arithmetic"):
+            if isinstance(spec, _Spec):
                 arithmetic(spec)  # a kept record is not part of the value
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
