@@ -185,7 +185,7 @@ def _run_partitions(args, out: IO) -> int:
 def _run_rings(args, out: IO) -> int:
     if args.cmd == "maximal":
         factored = _parse_factored_size(args.size)
-        for pr in dominance.maximal_rings(factored):
+        for pr in dominance.iter_maximal_rings(factored):  # each printed as it is built
             print(pr, file=out)
         return 0
     spec = rings.parse_ring(args.ring)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Frozen, _set
 from .errors import GuardExceeded
@@ -92,8 +92,8 @@ class PartitionRing(Frozen):
         factors = tuple(galois_field(p, a) for p, a in self.field_factors())
         return factors[0] if len(factors) == 1 else Product(factors)
 
-    def __str__(self) -> str:
-        return format_ring(self.spec())
+    def __str__(self) -> str:  # format_ring(self.spec()), without building the fields
+        return "x".join(f"GF({p}^{a})" if a > 1 else f"GF({p})" for p, a in self.field_factors())
 
 
 def to_partition_ring(fields: Sequence[tuple[int, int]]) -> PartitionRing:
@@ -456,7 +456,13 @@ def is_maximal_ring(spec: RingSpec) -> bool:
 
 
 def maximal_rings(m_factored: Sequence[tuple[int, int]]) -> list[PartitionRing]:
-    """All maximal commutative rings of size prod p_i^k_i, as partition rings.
+    """All maximal commutative rings of size prod p_i^k_i: iter_maximal_rings as a list."""
+    return list(iter_maximal_rings(m_factored))
+
+
+def iter_maximal_rings(m_factored: Sequence[tuple[int, int]]) -> Iterator[PartitionRing]:
+    """All maximal commutative rings of size prod p_i^k_i, as partition rings,
+    each built as it is yielded; the guards run before the first.
 
     One ring per choice of a maximal partition for each prime.  Output order
     fixes the first prime's partition as the fastest-varying coordinate.
@@ -474,16 +480,9 @@ def maximal_rings(m_factored: Sequence[tuple[int, int]]) -> list[PartitionRing]:
             raise ValueError(f"{p} is not prime")
         if not 1 <= k <= MAXIMAL_MAX_K:
             raise GuardExceeded(f"exponent {k} outside 1..{MAXIMAL_MAX_K}")
-    pairs = sorted(m_factored)
-    choices = {p: maximal_partitions(k) for p, k in pairs}
-    ordered_primes = [p for p, _ in pairs]
-    out = []
-    for combo in itertools.product(
-        *(choices[p] for p in reversed(ordered_primes))
-    ):
-        assignment = tuple(zip(reversed(ordered_primes), combo))
-        out.append(PartitionRing(assignment))
-    return out
+    pairs = sorted(m_factored, reverse=True)
+    for combo in itertools.product(*(maximal_partitions(k) for _, k in pairs)):
+        yield PartitionRing(tuple(zip((p for p, _ in pairs), combo)))
 
 
 def smallest_field_refuge(spec: RingSpec, p: int) -> RingSpec:

@@ -10,16 +10,22 @@ the corresponding linear combination, so each edge has an exact transfer
 vector of per-message coefficients.
 
 Each public call compiles the network once, in _layout, into a _Plan that
-holds for every ring: the edges in topological order, an integer slot per
-message, for the zero vector and per edge, and, built on first use, the
-search's receiver checks.  verify holds one vector per slot, a tuple in
-message_ids() order of values of the ring's record rings.arithmetic(spec),
-on which _domain(spec) builds the vector operations that verify,
-decode_search and the search share.  It owner-checks and encodes each
-coefficient once, skips a zero one and passes an input vector through
-unmultiplied where its coefficient is one (a relay edge).  transfer and
-decode_search take and give TransferVector of RingElements, so values become
-elements again only on the way out.
+holds for every ring.  One walk over the edges, sorted once by id and
+grouped by tail, in Kahn's order with the smallest ready node id first,
+gives the edges in (rank of tail, id) order, an integer slot per message,
+for the zero vector and per edge, each node's input slots and the slot each
+edge carries through relays; the defects of an invalid network are scanned
+for only when the walk meets one.  The search's receiver checks per depth
+are made from the carried slots on first use.  verify checks D * M = I on
+that plan (Koetter and Medard 2003): it holds one vector per slot, a tuple
+in message_ids() order of values of the ring's record
+rings.arithmetic(spec), on which _domain(spec) builds the vector operations
+that verify, decode_search and the search share.  It owner-checks and
+encodes each coefficient once and skips a zero one; a relay edge (one
+input) skips the general combination and shares its input's vector where
+its coefficient is one.  transfer and decode_search take and give
+TransferVector of RingElements, so values become elements again only on the
+way out.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
 through their residue field, so it only searches fields and Z(p^k), all on
@@ -58,6 +64,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 from ._record import Frozen, Record, _set
@@ -96,6 +103,7 @@ from .rings import (
 DEFAULT_BUDGET = 2**26
 CHOOSE_TWO_MAX_N = 12
 SEARCH_MEMO_LIMIT = 4096  # entries a ring's search memo may hold when a search starts
+_by_id = operator.attrgetter("id")
 
 
 class Edge(Frozen):
@@ -155,127 +163,109 @@ class TransferVector(Record):
 
 def validate(net: Network) -> list[str]:
     """Structural defects, one entry per violation; empty iff the network is valid."""
-    return _defects(net, _topological_order(net))
+    return _Plan(net).defects
 
 
 def _defects(net: Network, order: list[str] | None) -> list[str]:
-    defects = []
-    nodes = set(net.nodes)
-    if len(nodes) != len(net.nodes):
-        defects.append("duplicate node ids")
-    edge_ids = [e.id for e in net.edges]
-    if len(set(edge_ids)) != len(edge_ids):
-        defects.append("duplicate edge ids")
-    msg_ids = [m.id for m in net.messages]
-    known = set(msg_ids)
-    if len(known) != len(msg_ids):
-        defects.append("duplicate message ids")
-    for e in net.edges:
-        if e.tail not in nodes:
-            defects.append(f"edge {e.id}: unknown tail {e.tail}")
-        if e.head not in nodes:
-            defects.append(f"edge {e.id}: unknown head {e.head}")
-    for m in net.messages:
-        if m.source not in nodes:
-            defects.append(f"message {m.id}: unknown source {m.source}")
+    nodes, known, defects = set(net.nodes), {m.id for m in net.messages}, []
+    for kind, ids in (("node", net.nodes), ("edge", [e.id for e in net.edges]),
+                      ("message", [m.id for m in net.messages])):
+        if len(set(ids)) != len(ids):
+            defects.append(f"duplicate {kind} ids")
+    defects += [f"edge {e.id}: unknown {end} {node}" for e in net.edges
+                for end, node in (("tail", e.tail), ("head", e.head)) if node not in nodes]
+    defects += [f"message {m.id}: unknown source {m.source}" for m in net.messages if m.source not in nodes]
     for r in net.receivers:
         if r.node not in nodes:
             defects.append(f"receiver at unknown node {r.node}")
-        for d in r.demands:
-            if d not in known:
-                defects.append(f"receiver {r.node}: unknown demand {d}")
-    if order is None:
-        defects.append("graph has a directed cycle")
-    return defects
+        defects += [f"receiver {r.node}: unknown demand {d}" for d in r.demands if d not in known]
+    return defects + ["graph has a directed cycle"] * (order is None)
 
 
-def _topological_order(net: Network) -> list[str] | None:
-    """Kahn's order taking the smallest ready node id first; None on a cycle."""
-    indeg = {n: 0 for n in net.nodes}
-    heads: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for e in net.edges:
-        if e.head in indeg and e.tail in indeg:
-            indeg[e.head] += 1
-            heads[e.tail].append(e.head)
-    ready = sorted(n for n, d in indeg.items() if d == 0)  # a sorted list is a heap
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for head in heads[n]:
-            indeg[head] -= 1
-            if indeg[head] == 0:
-                heapq.heappush(ready, head)
-    return order if len(order) == len(net.nodes) else None
-
-
-class _Search(NamedTuple):  # see _Plan.search
-    searched: list[tuple[int, Edge]]  # (slot, edge) of each searched edge, in edge order
-    sources: dict[str, tuple[int, ...]]
-    checks: list[list[tuple[tuple[int, ...], tuple[int, ...], list[Receiver]]]]
+class _Search(NamedTuple):  # see _Plan
+    searched: list  # (slot, edge) of each searched edge, in edge order
+    sources: dict  # node -> tuple of slots
+    checks: list  # by depth: lists of (demand slots, source slots, receivers)
 
 
 class _Plan:
-    """A network compiled by _layout, once per public call, for every ring.
-    Slots number the vectors a call computes: message m at msg_slot[m], in
-    message_ids() order, then zero, then edge i of edges, in (topological
-    rank of tail, id) order, at len(msg_slot) + 1 + i.  inputs lists each
-    node's input slots (see the module docstring); search, read only by the
-    search, is built on first use."""
+    """A network compiled once per public call, for every ring, by one walk
+    over its edges grouped by tail, in Kahn's order taking the smallest ready
+    node id first (order, None on a cycle).  Slots number the vectors a call
+    computes: message m at msg_slot[m], in message_ids() order, then zero,
+    then edge i of edges, in (topological rank of tail, id) order, at
+    len(msg_slot) + 1 + i.  inputs lists each node's input slots (see the
+    module docstring); carries[slot] is the slot whose vector that slot
+    carries through relays: itself for a message, zero or a searched edge,
+    whose tail has two inputs or more (searched lists their (slot, edge)).
+    defects is validate's list, scanned for only when the walk meets a
+    defect.  search, read only by the search, is made from these on first use
+    (see _Plan.search)."""
 
-    def __init__(self, net: Network, edges: list[Edge], msg_slot: dict[str, int], inputs: dict[str, list[int]]):
-        self.net, self.edges, self.msg_slot, self.inputs = net, edges, msg_slot, inputs
+    def __init__(self, net: Network):
+        nodes, edges, msgs = net.nodes, sorted(net.edges, key=_by_id), sorted(net.messages, key=_by_id)
+        self.net, self.msg_slot = net, (msg_slot := {m.id: i for i, m in enumerate(msgs)})
+        (inputs, outs, into), indeg = ({n: [] for n in nodes} for _ in range(3)), dict.fromkeys(nodes, 0)
+        ok = (len(indeg) == len(nodes) and len(msg_slot) == len(msgs) and len(set(map(_by_id, edges))) == len(edges)
+              and indeg.keys() >= {r.node for r in net.receivers}
+              and msg_slot.keys() >= {d for r in net.receivers for d in r.demands})
+        for i, m in enumerate(msgs):
+            if (ins := inputs.get(m.source)) is None:
+                ok = False
+            else:
+                ins.append(i)
+        for i, e in enumerate(edges):  # outs and into: by id
+            if e.tail in outs and e.head in outs:
+                outs[e.tail].append(i)
+                into[e.head].append(i)
+                indeg[e.head] += 1
+            else:
+                ok = False
+        ready = sorted(n for n, d in indeg.items() if not d)  # a sorted list is a heap
+        order, slot_of, self.edges, base = [], [0] * len(edges), [], len(msg_slot) + 1
+        self.carries, self.searched = carries, searched = list(range(base)), []
+        place, carry, pop, push = self.edges.append, carries.append, heapq.heappop, heapq.heappush
+        while ready:
+            order.append(n := pop(ready))
+            (ins := inputs[n]).extend(map(slot_of.__getitem__, into[n]))  # in-edges come before n's own
+            relayed = carries[ins[0]] if len(ins) == 1 else None if ins else base - 1  # None: n's edges are searched
+            for i in outs[n]:
+                slot_of[i] = slot = len(carries)
+                place(e := edges[i])
+                if relayed is None:
+                    searched.append((slot, e))
+                    carry(slot)
+                else:
+                    carry(relayed)
+                indeg[h := e.head] -= 1
+                if not indeg[h]:
+                    push(ready, h)
+        self.inputs, self.order = inputs, order if len(order) == len(nodes) else None
+        self.defects = [] if ok and self.order is not None else _defects(net, self.order)
 
     @functools.cached_property
     def search(self) -> _Search:
-        """One pass over the edges: the searched edges, whose tail has two
-        inputs or more; sources, for each edge tail and receiver, the slots
-        its inputs carry through relays: a message, zero (from a tail without
-        inputs) or a searched edge; checks[depth], each receiver check (demand
-        slots, source slots, the receivers it decides) once, after the last
-        searched edge it depends on."""
-        base = len(self.msg_slot) + 1
-        carries, depth = list(range(base)), [0] * base  # by slot: the slot whose vector it carries, its depth
-        searched, sources = [], {}
-
-        def carried(node):
-            if (src := sources.get(node)) is None:
-                src = sources[node] = tuple(map(carries.__getitem__, self.inputs[node]))
-            return src
-
-        for slot, e in enumerate(self.edges, base):  # the in-edges of e's tail come before e
-            if len(src := carried(e.tail)) >= 2:
-                searched.append((slot, e))
-                carries.append(slot)
-                depth.append(len(searched))
-            else:
-                carries.append(src[0] if src else base - 1)
-                depth.append(0)
-        checks: list[dict] = [{} for _ in range(len(searched) + 1)]
-        for r in self.net.receivers:
-            rows = carried(r.node)
-            level = checks[max(map(depth.__getitem__, rows), default=0)]
-            level.setdefault((tuple(map(self.msg_slot.__getitem__, r.demands)), rows), []).append(r)
+        """The search's part of a valid plan, made on first use from the
+        walk's carried slots, with no second walk over the edges, so verify
+        and the transforms never pay for it: searched; sources, for each
+        node, the slots its inputs carry; checks[depth], each receiver check
+        (demand slots, source slots, the receivers it decides) once, after
+        the last searched edge it depends on."""
+        searched, carried, demand = self.searched, self.carries.__getitem__, self.msg_slot.__getitem__
+        depth = {slot: i for i, (slot, _) in enumerate(searched, 1)}
+        sources = {n: tuple(map(carried, ins)) for n, ins in self.inputs.items()}
+        checks = [{} for _ in range(len(searched) + 1)]
+        for r in self.net.receivers:  # carried slots rise with depth, so the largest gives the level
+            level = checks[depth.get(max(rows), 0) if (rows := sources[r.node]) else 0]
+            level.setdefault((tuple(map(demand, r.demands)), rows), []).append(r)
         return _Search(searched, sources, [[(*k, rs) for k, rs in level.items()] for level in checks])
 
 
 def _layout(net: Network) -> _Plan:
     """net's _Plan.  Raises ValueError naming the defects of an invalid network."""
-    order = _topological_order(net)
-    defects = _defects(net, order)
-    if defects:
-        raise ValueError("invalid network: " + "; ".join(defects))
-    msg_slot = {m: i for i, m in enumerate(net.message_ids())}
-    rank = {node: i for i, node in enumerate(order)}
-    by_id = sorted(net.edges, key=lambda e: e.id)
-    edges = sorted(by_id, key=lambda e: rank[e.tail])  # stable: by (rank of tail, id)
-    slot_of = {e.id: slot for slot, e in enumerate(edges, len(msg_slot) + 1)}
-    inputs: dict[str, list] = {node: [] for node in net.nodes}
-    for m in sorted(net.messages, key=lambda m: m.id):
-        inputs[m.source].append(msg_slot[m.id])
-    for e in by_id:
-        inputs[e.head].append(slot_of[e.id])
-    return _Plan(net, edges, msg_slot, inputs)
+    if (plan := _Plan(net)).defects:
+        raise ValueError("invalid network: " + "; ".join(plan.defects))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -384,29 +374,10 @@ def _build_domain(spec: RingSpec) -> _Domain:
     return d
 
 
-def _combiner(spec: RingSpec, vecs: list):
-    """combine(coeffs, slots): sum(c_i * vecs[slots[i]]) over spec, for vecs
-    in _domain(spec) ending, when made, with the zero vector.  Each c_i is
-    owner-checked (ValueError if not over spec) and encoded once; a zero adds
-    nothing and a one passes its vector through unmultiplied."""
-    d = _domain(spec)
-    encode, plus, scaled, z, u, zeros = d.encode, d.plus, d.scaled, d.zero, d.one, vecs[-1]
-
-    def combine(coeffs, slots):
-        acc = zeros
-        for c, s in zip(coeffs, slots):
-            _check_owner(c, spec)
-            if (x := encode(c)) != z:
-                v = vecs[s] if x == u else scaled(x, vecs[s])
-                acc = v if acc is zeros else plus(acc, v)  # the first term itself, not zero plus it
-        return acc
-
-    return combine
-
-
 def _slot_vectors(d: _Domain, width: int) -> list:
     """The vectors of a plan's first slots over d: each message's unit vector, then zero."""
-    return [tuple(d.one if j == i else d.zero for j in range(width)) for i in range(width)] + [(d.zero,) * width]
+    z = (d.zero,)
+    return [z * i + (d.one,) + z * (width - 1 - i) for i in range(width)] + [z * width]
 
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
@@ -418,14 +389,35 @@ def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
 
 def _transfer(code: ScalarLinearCode, plan: _Plan):
     """(vecs, combine): every slot's vector under the code (see _Plan), in
-    _domain(code.ring), and the _combiner over vecs."""
-    vecs = _slot_vectors(_domain(code.ring), len(plan.msg_slot))
-    combine = _combiner(code.ring, vecs)
+    _domain(code.ring), and combine(coeffs, slots), sum(c_i * vecs[slots[i]]).
+    Each coefficient is owner-checked (ValueError if not over code.ring) and
+    encoded once; a zero adds nothing and a one passes its vector through
+    unmultiplied.  A relay edge skips combine: its coefficient, owner-checked,
+    is compared with the ring's one, then zero, and a one shares the vector."""
+    d = _domain(spec := code.ring)
+    encode, plus, scaled, z, u, relay = d.encode, d.plus, d.scaled, d.zero, d.one, one(spec)
+    vecs = _slot_vectors(d, len(plan.msg_slot))
+    zeros = vecs[-1]
+
+    def combine(coeffs, slots):
+        acc = zeros
+        for c, s in zip(coeffs, slots):
+            _check_owner(c, spec)
+            if (x := encode(c)) != z:
+                v = vecs[s] if x == u else scaled(x, vecs[s])
+                acc = v if acc is zeros else plus(acc, v)  # the first term itself, not zero plus it
+        return acc
+
     for e in plan.edges:  # edge i fills slot len(msg_slot) + 1 + i
-        coeffs, inputs = code.edge_coeffs.get(e.id), plan.inputs[e.tail]
-        if coeffs is None or len(coeffs) != len(inputs):
+        coeffs, ins = code.edge_coeffs.get(e.id), plan.inputs[e.tail]
+        if coeffs is None or len(coeffs) != len(ins):
             raise ValueError(f"edge {e.id}: coefficient arity mismatch")
-        vecs.append(combine(coeffs, inputs))
+        if len(ins) != 1:
+            vecs.append(combine(coeffs, ins))
+            continue
+        _check_owner(c := coeffs[0], spec)
+        v = vecs[ins[0]]
+        vecs.append(v if c is relay or (x := encode(c)) == u else zeros if x == z else scaled(x, v))
     return vecs, combine
 
 

@@ -12,7 +12,13 @@ every transfer vector and decoder sum through ``fold``, and ``decode_on_elements
 ran before table fields moved to discrete logarithms.  ``first_decoders`` is
 the elimination kernel as it ran before ``network._first_decoders`` reduced
 its rows in place: new tuples per column, through a ring's vector ``plus``
-and ``scaled``.
+and ``scaled``.  ``kahn_order``, ``layout``, ``defects`` and ``search_plan``
+compile a network as ``network._Plan`` did before it became one walk: a
+Kahn order re-sorting its ready list, then a sort of the edges by (rank of
+tail, id), each defect found by its own scan, and relays resolved
+recursively; ``verify`` raises the ``ValueError`` of ``network.verify``
+for a missing or misshapen coefficient list and a coefficient over another
+ring.
 """
 
 import itertools
@@ -59,41 +65,136 @@ def decode(rows, target, spec):
     return None
 
 
+def kahn_order(net):
+    """Kahn's order, re-sorting the ready list after every pop so the
+    smallest ready node id comes next; None on a cycle.  Edges with an
+    unknown end are left out."""
+    indeg = {n: 0 for n in net.nodes}
+    heads = {n: [] for n in net.nodes}
+    for e in sorted(net.edges, key=lambda e: e.id):
+        if e.head in indeg and e.tail in indeg:
+            indeg[e.head] += 1
+            heads[e.tail].append(e.head)
+    ready = sorted(n for n, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        for head in heads[n]:
+            indeg[head] -= 1
+            if indeg[head] == 0:
+                ready.append(head)
+        ready.sort()
+    return order if len(order) == len(net.nodes) else None
+
+
+def defects(net):
+    """network.validate's list, each defect found by its own scan."""
+    found = []
+    nodes = set(net.nodes)
+    if len(nodes) != len(net.nodes):
+        found.append("duplicate node ids")
+    if len({e.id for e in net.edges}) != len(net.edges):
+        found.append("duplicate edge ids")
+    known = {m.id for m in net.messages}
+    if len(known) != len(net.messages):
+        found.append("duplicate message ids")
+    for e in net.edges:
+        found += [f"edge {e.id}: unknown {end} {node}" for end, node in (("tail", e.tail), ("head", e.head))
+                  if node not in nodes]
+    found += [f"message {m.id}: unknown source {m.source}" for m in net.messages if m.source not in nodes]
+    for r in net.receivers:
+        if r.node not in nodes:
+            found.append(f"receiver at unknown node {r.node}")
+        found += [f"receiver {r.node}: unknown demand {d}" for d in r.demands if d not in known]
+    if kahn_order(net) is None:
+        found.append("graph has a directed cycle")
+    return found
+
+
 def layout(net):
-    """(edges, inputs_of): the edges in network._layout's order, and every
-    node's inputs by name, its ("msg", id) sorted by id, then its
-    ("edge", id) sorted by id."""
+    """(edges, inputs_of): the edges sorted by the kahn_order rank of their
+    tail, then by id, and every node's inputs by name, its ("msg", id)
+    sorted by id, then its ("edge", id) sorted by id."""
+    rank = {node: i for i, node in enumerate(kahn_order(net))}
     inputs_of = {node: [] for node in net.nodes}
     for m in sorted(net.messages, key=lambda m: m.id):
         inputs_of[m.source].append(("msg", m.id))
     for e in sorted(net.edges, key=lambda e: e.id):
         inputs_of[e.head].append(("edge", e.id))
-    return _layout(net).edges, inputs_of
+    return sorted(net.edges, key=lambda e: (rank[e.tail], e.id)), inputs_of
+
+
+def search_plan(net):
+    """(searched, forms, ready): the edges the search assigns, those whose
+    tail has two inputs or more, in layout order; each node's inputs as the
+    input each carries through relays, a ("msg", id), ("zero", "") or a
+    searched ("edge", id); and per depth, from -1, the receivers whose last
+    searched input is the edge at that depth."""
+    edges, inputs_of = layout(net)
+    searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
+    edge_by_id = {e.id: e for e in net.edges}
+
+    def resolve(inp):
+        kind, ref = inp
+        if kind == "msg":
+            return inp
+        ins = inputs_of[edge_by_id[ref].tail]
+        if len(ins) >= 2:
+            return inp
+        if not ins:
+            return ("zero", "")
+        return resolve(ins[0])
+
+    forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
+    depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
+    ready: dict[int, list[Receiver]] = {}
+    for recv in net.receivers:
+        last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
+        ready.setdefault(last, []).append(recv)
+    return searched, forms, ready
 
 
 def transfer(net, code):
     """The TransferVector of every node input, keyed ("msg", m) or
-    ("edge", e), each entry a fold."""
+    ("edge", e), each entry a fold, after network.transfer's checks of the
+    edge's coefficient list and of each coefficient's ring."""
     spec, msg_ids = code.ring, net.message_ids()
     edges, inputs_of = layout(net)
     vec_of = {("msg", m): unit(m, msg_ids, spec) for m in msg_ids}
     for e in edges:
-        vecs = [vec_of[i] for i in inputs_of[e.tail]]
-        vec_of[("edge", e.id)] = TransferVector({m: fold(code.edge_coeffs[e.id], vecs, m, spec) for m in msg_ids})
+        vecs, coeffs = [vec_of[i] for i in inputs_of[e.tail]], code.edge_coeffs.get(e.id)
+        if coeffs is None or len(coeffs) != len(vecs):
+            raise ValueError(f"edge {e.id}: coefficient arity mismatch")
+        owned(coeffs, spec)
+        vec_of[("edge", e.id)] = TransferVector({m: fold(coeffs, vecs, m, spec) for m in msg_ids})
     return vec_of
+
+
+def owned(coeffs, spec):
+    """ValueError, as network's, if a coefficient is over a ring other than spec."""
+    if any(c.ring != spec for c in coeffs):
+        raise ValueError("elements belong to different rings")
 
 
 def verify(net, code):
     """network.verify recomputed through fold: every transfer vector and
-    every decoder sum on the public, checked add and mul."""
+    every decoder sum on the public, checked add and mul.  Receivers and
+    their demands are taken in order; a demand without a decoder gives
+    False, one of the wrong length or over another ring ValueError."""
     spec, msg_ids = code.ring, net.message_ids()
     vec_of, inputs_of = transfer(net, code), layout(net)[1]
     for recv in net.receivers:
         rows = [vec_of[i] for i in inputs_of[recv.node]]
         for demand in recv.demands:
             coeffs = code.decoders.get((recv.node, demand))
+            if coeffs is None:
+                return False
+            if len(coeffs) != len(rows):
+                raise ValueError(f"receiver {recv.node}: decoder arity mismatch for {demand}")
+            owned(coeffs, spec)
             goal = unit(demand, msg_ids, spec).coefficients
-            if coeffs is None or any(fold(coeffs, rows, m, spec) != goal[m] for m in msg_ids):
+            if any(fold(coeffs, rows, m, spec) != goal[m] for m in msg_ids):
                 return False
     return True
 
@@ -161,31 +262,10 @@ def first_decoders(rows, targets, ops):
 def search(net, spec):
     """First scalar linear solution over spec in canonical coefficient order,
     with decoders from decode, or None."""
-    edges, inputs_of = layout(net)
-    msg_ids = net.message_ids()
-    searched = [e for e in edges if len(inputs_of[e.tail]) >= 2]
-    edge_by_id = {e.id: e for e in net.edges}
-
-    def resolve(inp):
-        kind, ref = inp
-        if kind == "msg":
-            return inp
-        ins = inputs_of[edge_by_id[ref].tail]
-        if len(ins) >= 2:
-            return inp
-        if not ins:
-            return ("zero", "")
-        return resolve(ins[0])
-
-    forms = {node: [resolve(i) for i in ins] for node, ins in inputs_of.items()}
+    inputs_of, msg_ids = layout(net)[1], net.message_ids()
+    searched, forms, recv_ready = search_plan(net)
     vec_of = {("msg", m): unit(m, msg_ids, spec) for m in msg_ids}
     vec_of[("zero", "")] = TransferVector(dict.fromkeys(msg_ids, zero(spec)))
-
-    depth_of = {("edge", e.id): i for i, e in enumerate(searched)}
-    recv_ready: dict[int, list[Receiver]] = {}
-    for recv in net.receivers:
-        last = max((depth_of.get(f, -1) for f in forms[recv.node]), default=-1)
-        recv_ready.setdefault(last, []).append(recv)
 
     decode_cache: dict = {}
 

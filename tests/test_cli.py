@@ -4,12 +4,15 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import re
 import time
+from importlib import resources
 
 import pytest
 from test_dominance import PINNED_RINGS
 
-from ringcode import cli
+from ringcode import cli, dominance
 from ringcode.network import (
     Edge,
     Message,
@@ -22,6 +25,7 @@ from ringcode.network import (
     two_six,
     verify,
 )
+from ringcode.partitions import maximal_partitions
 
 
 def run_cli(*argv):
@@ -70,6 +74,47 @@ class TestRingsCommands:
         code, out = run_cli("rings", "maximal", "--size", "2^7*3^5*5^2")
         assert code == 0 and len(out.splitlines()) == 6
         assert out.splitlines()[0] == "GF(2^7)xGF(3^5)xGF(5^2)"
+
+    @staticmethod
+    def _names(p, parts):
+        """A partition ring's name, one field per part, as format_ring prints it."""
+        return "x".join(f"GF({p}^{a})" if a > 1 else f"GF({p})" for a in parts)
+
+    @pytest.mark.parametrize("k", [21, 30])
+    def test_maximal_size_above_the_field_size_guard(self, k):
+        # GF(2^k) for k > 20 is never built: the name comes from the partition
+        row = resources.files("ringcode").joinpath("data/table1.txt").read_text().splitlines()[k - 1]
+        assert row.startswith(f"{k}: ")
+        want = [self._names(2, map(int, part.split(","))) for part in re.findall(r"\(([\d,]+)\)", row)]
+        assert run_cli("rings", "maximal", "--size", f"2^{k}") == (0, "".join(w + "\n" for w in want))
+
+    def test_maximal_size_odd_prime_above_the_guard(self):
+        want = [self._names(3, part.parts) for part in maximal_partitions(13)]
+        assert run_cli("rings", "maximal", "--size", "3^13") == (0, "".join(w + "\n" for w in want))
+
+    def test_maximal_three_primes_in_order(self):
+        # one ring per choice of a partition per prime, the first prime's
+        # partition varying fastest
+        sizes = [(2, 12), (3, 10), (5, 8)]
+        choices = [maximal_partitions(k) for _, k in sizes]
+        want = ["x".join(self._names(p, part.parts) for (p, _), part in zip(sizes, reversed(combo)))
+                for combo in itertools.product(*reversed(choices))]
+        code, out = run_cli("rings", "maximal", "--size", "2^12*3^10*5^8")
+        assert code == 0 and out.splitlines() == want
+        assert len(want) == math.prod(map(len, choices)) > 8
+
+    def test_maximal_rings_are_printed_as_they_are_built(self, monkeypatch):
+        built, at_write = [], []
+        real = dominance.PartitionRing
+        monkeypatch.setattr(dominance, "PartitionRing", lambda assignment: built.append(1) or real(assignment))
+
+        class Out(io.StringIO):
+            def write(self, text):
+                at_write.append(len(built))
+                return super().write(text)
+
+        assert cli.run(["rings", "maximal", "--size", "2^12*3^10*5^8"], out=Out()) == 0
+        assert at_write[0] == 1 and len(built) > 8
 
     def test_parse(self):
         code, out = run_cli("rings", "parse", "--ring", " Z(4) x GF(3) ")

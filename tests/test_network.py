@@ -13,6 +13,9 @@ from netcorpus import corpus, relay_chain
 from ring_oracle import oracle_is_unit, oracle_ops
 from search_oracle import decode as oracle_decode
 from search_oracle import decode_on_elements, element_ops, first_decoders
+from search_oracle import defects as oracle_defects
+from search_oracle import kahn_order as sorted_kahn_order
+from search_oracle import search_plan
 from search_oracle import layout as named_layout
 from search_oracle import transfer as oracle_transfer
 from search_oracle import unit as oracle_unit
@@ -65,6 +68,7 @@ from ringcode.rings import (
     one,
     parse_ring,
     projection,
+    ring_size,
     zero,
 )
 
@@ -90,28 +94,6 @@ def cold_memo():
 def _inputs(net, node):
     """A node's inputs: ("msg", id) entries first, then ("edge", id)."""
     return named_layout(net)[1][node]
-
-
-def sorted_kahn_order(net):
-    """network._topological_order as it was before the heap: Kahn's order,
-    re-sorting the ready list after every pop."""
-    indeg = {n: 0 for n in net.nodes}
-    heads = {n: [] for n in net.nodes}
-    for e in sorted(net.edges, key=lambda e: e.id):
-        if e.head in indeg and e.tail in indeg:
-            indeg[e.head] += 1
-            heads[e.tail].append(e.head)
-    ready = sorted(n for n, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for head in heads[n]:
-            indeg[head] -= 1
-            if indeg[head] == 0:
-                ready.append(head)
-        ready.sort()
-    return order if len(order) == len(net.nodes) else None
 
 
 class TestValidate:
@@ -140,7 +122,7 @@ class TestValidate:
                 names.append(names[0])
             net = Network(tuple(names), tuple(rng.sample(edges, len(edges))), (), ())
             want = sorted_kahn_order(net)
-            assert network_mod._topological_order(net) == want
+            assert network_mod._Plan(net).order == want
             outcomes.append(want is None)
         assert any(outcomes) and not all(outcomes)
 
@@ -171,6 +153,109 @@ class TestValidate:
     def test_unknown_endpoint(self):
         net = Network(("s",), (Edge("e1", "s", "t"),), (Message("x", "s"),), ())
         assert any("unknown head" in d for d in validate(net))
+
+
+def _random_network(rng):
+    """A valid network with messages at several nodes, parallel edges, nodes
+    without inputs, receivers with partial or no demands, and ids in random
+    order, so that id order, Kahn order and tuple order all differ."""
+    names = rng.sample([f"n{i:02d}" for i in range(30)], rng.randint(2, 9))
+    edges = []
+    for k in rng.sample(range(50), rng.randint(0, 14)):
+        a, b = sorted(rng.sample(range(len(names)), 2))
+        edges.append(Edge(f"e{k:02d}", names[a], names[b]))
+    msgs = [Message(f"m{j}", rng.choice(names[:-1])) for j in rng.sample(range(9), rng.randint(0, 3))]
+    receivers = [Receiver(node, tuple(rng.sample([m.id for m in msgs], rng.randint(0, len(msgs)))))
+                 for node in rng.sample(names, rng.randint(0, len(names)))]
+    return Network(tuple(rng.sample(names, len(names))), tuple(edges), tuple(msgs), tuple(receivers))
+
+
+def _broken(net, rng):
+    """net with one to three defects of the kinds validate names."""
+    nodes, edges, msgs, receivers = list(net.nodes), list(net.edges), list(net.messages), list(net.receivers)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(9)
+        if kind == 0:
+            nodes.append(rng.choice(nodes))
+        elif kind == 1 and edges:
+            edges.append(Edge(rng.choice(edges).id, rng.choice(nodes), "zz"))
+        elif kind == 2 and msgs:
+            msgs.append(Message(rng.choice(msgs).id, rng.choice(nodes)))
+        elif kind == 3:
+            edges.append(Edge("ut", "nowhere", rng.choice(nodes)))
+        elif kind == 4:
+            edges.append(Edge("uh", rng.choice(nodes), "nowhere"))
+        elif kind == 5:
+            msgs.append(Message("mu", "nowhere"))
+        elif kind == 6:
+            receivers.append(Receiver("nowhere", ()))
+        elif kind == 7:
+            receivers.append(Receiver(rng.choice(nodes), ("unknown",)))
+        else:  # a cycle: a self-loop or an edge back against a path
+            a = rng.choice(edges) if edges else Edge("", nodes[0], nodes[0])
+            edges.append(Edge(f"back{len(edges)}", a.head, a.tail))
+    return Network(tuple(nodes), tuple(rng.sample(edges, len(edges))), tuple(msgs), tuple(receivers))
+
+
+class TestPlanParity:
+    """network._Plan, the one-walk compile, against the search oracle's
+    compile as it ran before: the same Kahn order, edge order, slots, inputs,
+    carried sources and per-depth receiver checks on valid networks, and the
+    same defects, in the same words and order, on invalid ones."""
+
+    @staticmethod
+    def _assert_same_plan(net):
+        plan = network_mod._Plan(net)
+        edges, inputs_of = named_layout(net)
+        assert plan.defects == [] and plan.order == sorted_kahn_order(net)
+        assert plan.edges == edges and list(plan.msg_slot) == net.message_ids()
+        base = len(plan.msg_slot) + 1
+        name = [("msg", m) for m in plan.msg_slot] + [("zero", "")] + [("edge", e.id) for e in plan.edges]
+        assert list(plan.msg_slot.values()) == list(range(base - 1))
+        assert {n: [name[s] for s in plan.inputs[n]] for n in net.nodes} == inputs_of
+        searched, forms, ready = search_plan(net)
+        assert plan.search.searched == [(base + edges.index(e), e) for e in searched]
+        assert {n: [name[s] for s in src] for n, src in plan.search.sources.items()} == forms
+        assert len(plan.search.checks) == len(searched) + 1
+        for depth, level in enumerate(plan.search.checks):  # ready counts depth from -1
+            groups: dict = {}  # a check two receivers share is made once
+            for r in ready.get(depth - 1, []):
+                groups.setdefault((tuple(("msg", d) for d in r.demands), tuple(forms[r.node])), []).append(r)
+            got = [((tuple(name[s] for s in demands), tuple(name[s] for s in rows)), rs) for demands, rows, rs in level]
+            assert got == list(groups.items())
+
+    def test_corpus_and_generators(self):
+        for net in corpus() + [choose_two(n) for n in range(2, 9)]:
+            self._assert_same_plan(net)
+
+    def test_random_networks(self):
+        rng = random.Random(24)
+        for _ in range(400):
+            self._assert_same_plan(_random_network(rng))
+
+    def test_relabelled_and_fan_networks(self):
+        rng = random.Random(25)
+        for n in range(2, 10):
+            self._assert_same_plan(TestIndexKernel._relabelled(choose_two(n), rng))
+        for sources in (1, 2, 2):
+            for _ in range(40):
+                self._assert_same_plan(TestIndexKernel._fan_network(rng, sources))
+
+    def test_invalid_networks_raise_the_same_text(self):
+        rng = random.Random(26)
+        kinds = dict.fromkeys(["duplicate node", "duplicate edge", "duplicate message", "unknown tail", "unknown head",
+                               "unknown source", "receiver at unknown node", "unknown demand", "directed cycle"], 0)
+        for _ in range(400):
+            net = _broken(_random_network(rng) if rng.random() < 0.7 else choose_two(rng.randint(2, 4)), rng)
+            want = oracle_defects(net)
+            assert validate(net) == want and want
+            with pytest.raises(ValueError) as exc:
+                verify(net, ScalarLinearCode(GF2, {}, {}))
+            assert str(exc.value) == "invalid network: " + "; ".join(want)
+            assert network_mod._Plan(net).order == sorted_kahn_order(net)
+            for kind in kinds:
+                kinds[kind] += any(kind in d for d in want)
+        assert all(kinds.values()), kinds
 
 
 class TestGenerators:
@@ -665,6 +750,94 @@ class TestCoefficientOwnership:
             shared, built = (ScalarLinearCode(spec, edges, decoders) for edges in (code.edge_coeffs, relays))
             assert transfer(net, built) == transfer(net, shared)
             assert verify(net, built) is verify(net, shared) is want
+
+
+class TestVerifyParity:
+    """_verify against the oracle verify on solved codes and on forged ones:
+    a coefficient over another ring on a relay edge, on a combining edge and
+    in a decoder, coefficient lists of the wrong length or missing, a missing
+    decoder and wrong values, alone and two at a time.  Each case must give
+    the same bool or a ValueError with the same text."""
+
+    # each ring with another whose payloads have the same shape, so only the
+    # owner check tells a forged coefficient apart
+    PAIRS = [(GF3, IntegersMod(3)), (GF4, D2), (GF5, IntegersMod(5)), (Z4, GaloisField(2, 2)), (D2, GF4),
+             (Product((GF2, GF3)), Product((IntegersMod(2), IntegersMod(3))))]
+
+    @staticmethod
+    def _outcome(check):
+        try:
+            return check()
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _faults(net, code, other, rng):
+        """(name, forge) pairs; forge(code) gives a copy of code with one fault."""
+        inputs_of = named_layout(net)[1]
+        relays = [e.id for e in net.edges if len(inputs_of[e.tail]) == 1]
+        combining = [e.id for e in net.edges if len(inputs_of[e.tail]) >= 2]
+        keys, els = sorted(code.decoders), elements(code.ring)
+
+        def edit(table, key, make):
+            def forge(c):  # a list an earlier fault removed stays removed
+                edges, decoders = dict(c.edge_coeffs), dict(c.decoders)
+                target = edges if table == "edge" else decoders
+                if key in target and (new := make(target[key])) is None:
+                    del target[key]
+                elif key in target:
+                    target[key] = new
+                return ScalarLinearCode(c.ring, edges, decoders)
+            return forge
+
+        def foreign(cs):
+            i = rng.randrange(len(cs) or 1)
+            return cs[:i] + tuple(RingElement(other, c.payload) for c in cs[i:i + 1]) + cs[i + 1:]
+
+        def value(cs):
+            i = rng.randrange(len(cs) or 1)
+            return cs[:i] + tuple(rng.choice(els) for _ in cs[i:i + 1]) + cs[i + 1:]
+
+        out = []
+        for e in rng.sample(relays, min(3, len(relays))):
+            out += [("foreign relay", edit("edge", e, foreign)), ("relay value", edit("edge", e, value))]
+        for e in rng.sample(combining, min(2, len(combining))):
+            out += [("foreign combining", edit("edge", e, foreign)), ("combining value", edit("edge", e, value)),
+                    ("edge too short", edit("edge", e, lambda cs: cs[1:]))]
+        for e in rng.sample([e.id for e in net.edges], 2):
+            out += [("edge too long", edit("edge", e, lambda cs: cs + cs[:1] + (one(code.ring),))),
+                    ("edge missing", edit("edge", e, lambda cs: None))]
+        for k in rng.sample(keys, min(4, len(keys))):
+            out += [("foreign decoder", edit("decoder", k, foreign)), ("decoder value", edit("decoder", k, value)),
+                    ("decoder arity", edit("decoder", k, lambda cs: cs + (zero(code.ring),))),
+                    ("decoder missing", edit("decoder", k, lambda cs: None))]
+        return out
+
+    @pytest.mark.parametrize("spec, other", PAIRS, ids=str)
+    def test_forged_codes(self, spec, other):
+        rng = random.Random(ring_size(spec))
+        nets = corpus() + [choose_two(3), TestIndexKernel._relabelled(choose_two(4), rng)]
+        seen = {}
+        for net in nets:
+            if (code := solve_brute(net, spec)) is None:
+                continue
+            plan = network_mod._layout(net)
+            assert network_mod._verify(net, code, plan) is oracle_verify(net, code) is True
+            faults = self._faults(net, code, other, rng)
+            pairs = [(a, b) for a, b in zip(faults, rng.sample(faults, len(faults))) if a is not b]
+            for (name, forge), *rest in [[f] for f in faults] + pairs:
+                forged = forge(code)
+                for _, more in rest:
+                    forged = more(forged)
+                got = self._outcome(lambda: network_mod._verify(net, forged, plan))
+                assert got == self._outcome(lambda: oracle_verify(net, forged)), (name, rest, net.nodes)
+                if not rest:
+                    seen.setdefault(name, set()).add(got if isinstance(got, bool) else got.split(":")[-1])
+        assert seen["foreign relay"] == seen["foreign combining"] == seen["foreign decoder"] == {
+            "elements belong to different rings"}
+        assert seen["edge missing"] == seen["edge too long"] == {" coefficient arity mismatch"}
+        assert seen["decoder missing"] == {False} and {True, False} <= seen["decoder value"]
+        assert all(o.startswith(" decoder arity mismatch for ") for o in seen["decoder arity"])
 
 
 class TestLogDomain:
