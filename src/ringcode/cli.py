@@ -242,9 +242,7 @@ def _emit_json(data: dict, path: str | None, out: IO):
 def _load_network(path: str) -> network.Network:
     with open(path) as fh:
         net = network.network_from_json(json.load(fh))
-    defects = network.validate(net)
-    if defects:
-        raise ValueError("invalid network: " + "; ".join(defects))
+    network._layout(net)  # ValueError naming the defects of an invalid network
     return net
 
 

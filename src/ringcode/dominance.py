@@ -523,7 +523,8 @@ def square_free_fields(n: int) -> list[RingSpec]:
 def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bool:
     """Re-verify a definite verdict's certificate from first principles.
 
-    For a NotDominates verdict the single violation is rechecked (the cited
+    For a NotDominates verdict the steps before the last must be equivalences
+    under a known rule, and the last, the violation, is rechecked (the cited
     right-hand factor really has no divisor on the left, or the cited
     characteristic really separates the sides).  A Dominates certificate is
     checked in one pass over its steps: each step must start at an atom S
@@ -534,14 +535,15 @@ def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bo
     Unknown verdicts carry no claim.
     """
     if verdict.relation is Relation.UNKNOWN:
-        return bool(verdict.certificate) and isinstance(
-            verdict.certificate[0], Obligation
-        )
+        return bool(verdict.certificate) and isinstance(verdict.certificate[0], Obligation)
     s_factors, _ = _catalog_factors(s)
     r_factors, _ = _catalog_factors(r)
+    rules = {"dual-numbers", "crt-split", "prime-modulus-field"}  # the EquivalenceSteps _catalog_factors makes
 
     if verdict.relation is Relation.NOT_DOMINATES:
-        last = verdict.certificate[-1]
+        *steps, last = verdict.certificate or (None,)
+        if not all(isinstance(step, EquivalenceStep) and step.rule in rules for step in steps):
+            return False
         if isinstance(last, FieldViolation):
             if any(f.kind != _FIELD for f in s_factors):
                 return False
@@ -579,7 +581,7 @@ def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bo
             if s_factors[step.index].describe() != step.factor:
                 return False
         elif isinstance(step, EquivalenceStep):
-            if step.rule not in {"dual-numbers", "crt-split", "prime-modulus-field"}:
+            if step.rule not in rules:
                 return False
         else:
             return False

@@ -29,8 +29,9 @@ way out.
 
 The solver splits products and composite Z(n) and refutes Z(p^k) and D(p)
 through their residue field, so it only searches fields and Z(p^k), all on
-one plan.  The codes it builds on the way are not checked; the code a public
-call returns is checked once, and a failed check raises RuntimeError.  The
+one plan, each with one call of _search, which returns the code it found.
+The codes it builds on the way are not checked; the code a public call
+returns is checked once, and a failed check raises RuntimeError.  The
 search pins edges whose tail has a single input to the relay coefficient 1:
 over a commutative ring any solution can be rescaled into this normal form
 (consumers absorb the copy factor), so solvability is unaffected while the
@@ -183,7 +184,6 @@ def _defects(net: Network, order: list[str] | None) -> list[str]:
 
 
 class _Search(NamedTuple):  # see _Plan
-    searched: list  # (slot, edge) of each searched edge, in edge order
     sources: dict  # node -> tuple of slots
     checks: list  # by depth: lists of (demand slots, source slots, receivers)
 
@@ -247,10 +247,10 @@ class _Plan:
     def search(self) -> _Search:
         """The search's part of a valid plan, made on first use from the
         walk's carried slots, with no second walk over the edges, so verify
-        and the transforms never pay for it: searched; sources, for each
-        node, the slots its inputs carry; checks[depth], each receiver check
-        (demand slots, source slots, the receivers it decides) once, after
-        the last searched edge it depends on."""
+        and the transforms never pay for it: sources, for each node, the
+        slots its inputs carry; checks[depth], each receiver check (demand
+        slots, source slots, the receivers it decides) once, after the last
+        searched edge it depends on."""
         searched, carried, demand = self.searched, self.carries.__getitem__, self.msg_slot.__getitem__
         depth = {slot: i for i, (slot, _) in enumerate(searched, 1)}
         sources = {n: tuple(map(carried, ins)) for n, ins in self.inputs.items()}
@@ -258,7 +258,7 @@ class _Plan:
         for r in self.net.receivers:  # carried slots rise with depth, so the largest gives the level
             level = checks[depth.get(max(rows), 0) if (rows := sources[r.node]) else 0]
             level.setdefault((tuple(map(demand, r.demands)), rows), []).append(r)
-        return _Search(searched, sources, [[(*k, rs) for k, rs in level.items()] for level in checks])
+        return _Search(sources, [[(*k, rs) for k, rs in level.items()] for level in checks])
 
 
 def _layout(net: Network) -> _Plan:
@@ -295,12 +295,7 @@ def choose_two(n: int) -> Network:
         edges.append(Edge(f"a{i:02d}x{j:02d}", f"m{i:02d}", rnode))
         edges.append(Edge(f"b{i:02d}x{j:02d}", f"m{j:02d}", rnode))
         receivers.append(Receiver(rnode, ("x", "y")))
-    return Network(
-        tuple(nodes),
-        tuple(edges),
-        (Message("x", "s"), Message("y", "s")),
-        tuple(receivers),
-    )
+    return Network(tuple(nodes), tuple(edges), (Message("x", "s"), Message("y", "s")), tuple(receivers))
 
 
 def two_six() -> Network:
@@ -382,12 +377,12 @@ def _slot_vectors(d: _Domain, width: int) -> list:
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    (vecs, _), decode = _transfer(code, plan := _layout(net)), _domain(code.ring).decode
+    (vecs, _), decode = _transfer(plan := _layout(net), code), _domain(code.ring).decode
     edge_vecs = zip(plan.edges, vecs[len(plan.msg_slot) + 1:])
     return {e.id: TransferVector(dict(zip(plan.msg_slot, map(decode, v)))) for e, v in edge_vecs}
 
 
-def _transfer(code: ScalarLinearCode, plan: _Plan):
+def _transfer(plan: _Plan, code: ScalarLinearCode):
     """(vecs, combine): every slot's vector under the code (see _Plan), in
     _domain(code.ring), and combine(coeffs, slots), sum(c_i * vecs[slots[i]]).
     Each coefficient is owner-checked (ValueError if not over code.ring) and
@@ -423,13 +418,13 @@ def _transfer(code: ScalarLinearCode, plan: _Plan):
 
 def verify(net: Network, code: ScalarLinearCode) -> bool:
     """True iff every receiver's decoders recover exactly its demands."""
-    return _verify(net, code, _layout(net))
+    return _verify(_layout(net), code)
 
 
-def _verify(net: Network, code: ScalarLinearCode, plan: _Plan) -> bool:
+def _verify(plan: _Plan, code: ScalarLinearCode) -> bool:
     """verify on the network's _Plan."""
-    vecs, combine = _transfer(code, plan)
-    for recv in net.receivers:
+    vecs, combine = _transfer(plan, code)
+    for recv in plan.net.receivers:
         slots = plan.inputs[recv.node]
         for demand in recv.demands:
             coeffs = code.decoders.get((recv.node, demand))
@@ -570,7 +565,7 @@ def _solve(net: Network, spec: RingSpec, budget: int, plan: _Plan | None = None)
     plan, unchecked: their codes are parts or images of the answer."""
     if plan is None:
         code, why = _solve(net, spec, budget, plan := _layout(net))
-        return (None if code is None else _checked(net, code, plan)), why
+        return (None if code is None else _checked(plan, code)), why
     fac = factorize(spec.n) if isinstance(spec, IntegersMod) else []
     if isinstance(spec, Product) or len(fac) > 1:
         parts = spec.factors if not fac else [IntegersMod(p**k) for p, k in fac]
@@ -580,7 +575,7 @@ def _solve(net: Network, spec: RingSpec, budget: int, plan: _Plan | None = None)
             if code is None:
                 return None, why + [f"factor of {format_ring(spec)}"]
             solutions.append(code)
-        code = _product_code(net, solutions)
+        code = _product_code(plan, solutions)
         return (_apply_to_code(code, crt(code.ring, spec)) if fac else code), []
     if isinstance(spec, DualNumbers) or (fac and fac[0][1] > 1):  # D(p), Z(p^k>p)
         residue = IntegersMod(fac[0][0]) if fac else PrimeField(spec.p)
@@ -589,58 +584,47 @@ def _solve(net: Network, spec: RingSpec, budget: int, plan: _Plan | None = None)
             return None, why + [f"residue field of {format_ring(spec)}"]
         if isinstance(spec, DualNumbers):
             return _apply_to_code(code, subring_inclusion(code.ring, spec)), []
-    required = ring_size(spec) ** sum(len(plan.inputs[e.tail]) for _, e in plan.search.searched)
+    required = ring_size(spec) ** sum(len(plan.inputs[e.tail]) for _, e in plan.searched)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    code = _search(net, spec, plan)
+    code = _search(plan, spec)
     return code, [] if code is not None else [format_ring(spec)]
-
-
-def _search(net: Network, spec: RingSpec, plan: _Plan) -> ScalarLinearCode | None:
-    """First scalar linear solution over a field or Z(p^k) in canonical
-    coefficient order of the combining edges (tail arity >= 2), unchecked;
-    single-input edges relay their input (see the module docstring)."""
-    chosen, decoders = _index_search(net, spec, plan) if plan.search.searched else ({}, None)
-    if chosen is None:
-        return None
-    decode, relay = _domain(spec).decode, one(spec)
-    edge_coeffs = {e.id: (relay,) * len(plan.inputs[e.tail]) for e in net.edges}
-    edge_coeffs.update((e, tuple(map(decode, cs))) for e, cs in chosen.items())
-    if decoders is None:  # Z(p^k), or nothing searched
-        return _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), plan)
-    return ScalarLinearCode(spec, edge_coeffs, {k: tuple(map(decode, cs)) for k, cs in decoders.items()})
 
 
 @functools.cache  # by ring value, like rings._shared: _solve makes fresh equal specs
 def _search_memo(spec: RingSpec) -> tuple[dict, dict]:
-    """(decodes, lists) shared by every _index_search over a ring equal to
-    spec, one thread at a time: _first_decoders results by (target vectors,
-    rows), and candidate lists by input vectors or depth (see candidates).
-    Z(p) searches use the memo of GF(p), whose values and kernel are theirs."""
+    """(decodes, lists) shared by every _search over a ring equal to spec,
+    one thread at a time: _first_decoders results by (target vectors, rows),
+    and candidate lists by input vectors or depth (see candidates).  Z(p)
+    searches use the memo of GF(p), whose values and kernel are theirs."""
     return {}, {}
 
 
-def _index_search(net: Network, spec: RingSpec, plan: _Plan):
-    """(chosen, decoders): value tuples (see _domain) per searched edge of the
-    first choice under which every receiver decodes its demands, and over a
-    field those of decode_search per (receiver, demand); (None, None) if there
-    is none.  GuardExceeded, before any work, above FIELD_TABLE_LIMIT elements.
+def _search(plan: _Plan, spec: RingSpec) -> ScalarLinearCode | None:
+    """The first scalar linear solution over a field or Z(p^k) in canonical
+    coefficient order of the searched edges, unchecked, or None; relay edges
+    get 1 (see the module docstring).  Over a field the decoders are the
+    kernel's, else _decoded's.  GuardExceeded, before any work, if an edge is
+    searched over more than FIELD_TABLE_LIMIT elements.
 
     Eliminations and candidate lists are the ring's _search_memo, which a
     search finding it above SEARCH_MEMO_LIMIT entries empties first.  One
     that exits by an exception drops the memo's lists: a generator the
     exception stopped would end them early, a false refutation."""
-    if ring_size(spec) > FIELD_TABLE_LIMIT:
+    if (searched := plan.searched) and ring_size(spec) > FIELD_TABLE_LIMIT:
         raise GuardExceeded(f"{format_ring(spec)} is too large to search")
-    d = _domain(spec)
+    d, relay = _domain(spec), (one(spec),)  # one tuple for every relay edge
+    code = ScalarLinearCode(spec, {e.id: relay * len(plan.inputs[e.tail]) for e in plan.net.edges}, {})
+    if not searched:
+        return _decoded(plan, code)
     decodes, store = _search_memo(PrimeField(spec.n) if isinstance(spec, IntegersMod) and d.field else spec)
     if len(decodes) + len(store) > SEARCH_MEMO_LIMIT:
         decodes.clear()
         store.clear()
-    values, plus, scaled = tuple(map(d.encode, _iter_elements(spec))), d.plus, d.scaled
+    values, plus, scaled, decode = tuple(map(d.encode, _iter_elements(spec))), d.plus, d.scaled, d.decode
 
     # vecs by slot (see _Plan): the search writes only its searched edges' slots
-    (searched, sources, levels), width = plan.search, len(plan.msg_slot)
+    (sources, levels), width = plan.search, len(plan.msg_slot)
     vecs, base = _slot_vectors(d, width) + [None] * len(plan.edges), width + 1
     at = vecs.__getitem__
     checks = [[(tuple(map(at, demands)), rows, receivers) for demands, rows, receivers in level] for level in levels]
@@ -700,29 +684,30 @@ def _index_search(net: Network, spec: RingSpec, plan: _Plan):
         return False
 
     try:
-        found = descend(0)
+        if not descend(0):
+            return None
     except BaseException:
         store.clear()
         raise
-    if not found:
-        return None, None
+    code.edge_coeffs.update((e, tuple(map(decode, cs))) for e, cs in chosen.items())
     if not d.field:
-        return chosen, None
-    return chosen, {(r.node, m): cs for level in checks for targets, rows, receivers in level
-                    for r in receivers for m, cs in zip(r.demands, decodes[targets, tuple(map(at, rows))])}
+        return _decoded(plan, code)
+    code.decoders = {(r.node, m): tuple(map(decode, cs)) for level in checks for targets, rows, receivers in level
+                     for r in receivers for m, cs in zip(r.demands, decodes[targets, tuple(map(at, rows))])}
+    return code
 
 
-def _decoded(net: Network, code: ScalarLinearCode, plan: _Plan) -> ScalarLinearCode | None:
+def _decoded(plan: _Plan, code: ScalarLinearCode) -> ScalarLinearCode | None:
     """The code with decoders from one decode_search per receiver on its
     exact transfer vectors, not checked.  A receiver that cannot decode gives
     None when no edge combines, else RuntimeError: the search or construction
     ensured it."""
-    (vecs, _), decode = _transfer(code, plan), _domain(code.ring).decode
-    for recv in net.receivers:
+    (vecs, _), decode = _transfer(plan, code), _domain(code.ring).decode
+    for recv in plan.net.receivers:
         rows = [TransferVector(dict(zip(plan.msg_slot, map(decode, vecs[s])))) for s in plan.inputs[recv.node]]
         found = decode_search(rows, recv.demands, code.ring)
         if found is None:
-            if plan.search.searched:
+            if plan.searched:
                 raise RuntimeError(f"receiver {recv.node} cannot decode {', '.join(recv.demands)}")
             return None
         code.decoders.update(((recv.node, d), cs) for d, cs in zip(recv.demands, found))
@@ -734,9 +719,9 @@ def _decoded(net: Network, code: ScalarLinearCode, plan: _Plan) -> ScalarLinearC
 # ---------------------------------------------------------------------------
 
 
-def _checked(net: Network, code: ScalarLinearCode, plan: _Plan) -> ScalarLinearCode:
+def _checked(plan: _Plan, code: ScalarLinearCode) -> ScalarLinearCode:
     """The code a public call returns, once verify accepts it; else RuntimeError, also under -O."""
-    if not _verify(net, code, plan):
+    if not _verify(plan, code):
         raise RuntimeError("constructed code fails verify")
     return code
 
@@ -758,12 +743,10 @@ def choose_two_field_solution(n: int, spec: RingSpec) -> ScalarLinearCode:
     edge_coeffs = {e.id: (one(spec),) for e in net.edges}  # the lam edges come first
     edge_coeffs.update((f"lam{i:02d}", pair) for i, pair in enumerate(pairs, 1))
     plan = _layout(net)
-    return _checked(net, _decoded(net, ScalarLinearCode(spec, edge_coeffs, {}), plan), plan)
+    return _checked(plan, _decoded(plan, ScalarLinearCode(spec, edge_coeffs, {})))
 
 
-def product_code(
-    net: Network, solutions: Sequence[tuple[RingSpec, ScalarLinearCode]]
-) -> ScalarLinearCode:
+def product_code(net: Network, solutions: Sequence[tuple[RingSpec, ScalarLinearCode]]) -> ScalarLinearCode:
     """Componentwise combination of verified solutions into one over the product ring."""
     if not solutions:
         raise ValueError("need at least one solution")
@@ -771,30 +754,27 @@ def product_code(
     for spec, code in solutions:
         if code.ring != spec:
             raise ValueError("listed ring does not own its code")
-        if not _verify(net, code, plan):
+        if not _verify(plan, code):
             raise ValueError("unverified input solution")
-    return _checked(net, _product_code(net, [code for _, code in solutions]), plan)
+    return _checked(plan, _product_code(plan, [code for _, code in solutions]))
 
 
-def _product_code(net: Network, codes: list[ScalarLinearCode]) -> ScalarLinearCode:
+def _product_code(plan: _Plan, codes: list[ScalarLinearCode]) -> ScalarLinearCode:
     """product_code of codes known to verify, not checked."""
     prod = Product(tuple(code.ring for code in codes))
 
     def stack(keys, tables):
         return {key: tuple(RingElement(prod, comps) for comps in zip(*(t[key] for t in tables))) for key in keys}
 
-    edge_coeffs = stack([e.id for e in net.edges], [c.edge_coeffs for c in codes])
+    edge_coeffs = stack([e.id for e in plan.net.edges], [c.edge_coeffs for c in codes])
     decoders = stack(codes[0].decoders, [c.decoders for c in codes])
     return ScalarLinearCode(prod, edge_coeffs, decoders)
 
 
 def _apply_to_code(code: ScalarLinearCode, hom: RingHom) -> ScalarLinearCode:
     """Every coefficient of a code known to verify mapped through hom, not checked."""
-    return ScalarLinearCode(
-        hom.target,
-        {e: tuple(apply_hom(hom, c) for c in cs) for e, cs in code.edge_coeffs.items()},
-        {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in code.decoders.items()},
-    )
+    mapped = lambda table: {k: tuple(apply_hom(hom, c) for c in cs) for k, cs in table.items()}
+    return ScalarLinearCode(hom.target, mapped(code.edge_coeffs), mapped(code.decoders))
 
 
 def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinearCode:
@@ -803,9 +783,9 @@ def map_code(net: Network, code: ScalarLinearCode, hom: RingHom) -> ScalarLinear
         raise ValueError(f"hom kind {hom.kind} is not surjective")
     if code.ring != hom.source:
         raise ValueError("code ring does not match the hom source")
-    if not _verify(net, code, plan := _layout(net)):
+    if not _verify(plan := _layout(net), code):
         raise ValueError("unverified input solution")
-    return _checked(net, _apply_to_code(code, hom), plan)
+    return _checked(plan, _apply_to_code(code, hom))
 
 
 def lift_subring(net: Network, code: ScalarLinearCode, target: RingSpec) -> ScalarLinearCode:
@@ -814,10 +794,10 @@ def lift_subring(net: Network, code: ScalarLinearCode, target: RingSpec) -> Scal
     Supported inclusions: GF(p^m) into GF(p^k) for m | k, GF(p) into D(p),
     and the identity.
     """
-    if not _verify(net, code, plan := _layout(net)):
+    if not _verify(plan := _layout(net), code):
         raise ValueError("unverified input solution")
     if code.ring != target:
-        return _checked(net, _apply_to_code(code, subring_inclusion(code.ring, target)), plan)
+        return _checked(plan, _apply_to_code(code, subring_inclusion(code.ring, target)))
     return ScalarLinearCode(target, dict(code.edge_coeffs), dict(code.decoders))
 
 
@@ -831,56 +811,75 @@ def network_to_json(net: Network) -> dict:
         "nodes": list(net.nodes),
         "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in net.edges],
         "messages": [{"id": m.id, "source": m.source} for m in net.messages],
-        "receivers": [
-            {"node": r.node, "demands": list(r.demands)} for r in net.receivers
-        ],
+        "receivers": [{"node": r.node, "demands": list(r.demands)} for r in net.receivers],
     }
+
+
+def _json(value, kind: type, what: str):
+    """value if it is a JSON value of kind (dict, list or str), else TypeError naming what."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {({dict: 'an object', list: 'a list', str: 'a string'})[kind]}")
+    return value
+
+
+def _json_strings(value, what: str) -> list:
+    """value if it is a JSON list of strings, else TypeError naming what."""
+    if not all(map(str.__instancecheck__, _json(value, list, what))):
+        raise TypeError(f"{what} must hold strings only")
+    return value
+
+
+def _json_objects(value, what: str, *keys: str) -> list:
+    """value if it is a JSON list of objects with a string at each key, else TypeError naming the first other."""
+    for i, item in enumerate(_json(value, list, what)):
+        for key in keys:
+            _json(_json(item, dict, f"{what}[{i}]").get(key), str, f"{what}[{i}].{key}")
+    return value
 
 
 def network_from_json(data: dict) -> Network:
+    """The network of a JSON object in the README's shape; ValueError for any other."""
     try:
-        return Network(
-            tuple(data["nodes"]),
-            tuple(Edge(e["id"], e["tail"], e["head"]) for e in data["edges"]),
-            tuple(Message(m["id"], m["source"]) for m in data["messages"]),
-            tuple(
-                Receiver(r["node"], tuple(r["demands"])) for r in data["receivers"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
+        nodes = _json_strings(_json(data, dict, "a network").get("nodes"), "nodes")
+        edges = _json_objects(data.get("edges"), "edges", "id", "tail", "head")
+        msgs = _json_objects(data.get("messages"), "messages", "id", "source")
+        demands = [_json_strings(r.get("demands"), f"receivers[{i}].demands")
+                   for i, r in enumerate(_json_objects(data.get("receivers"), "receivers", "node"))]
+    except TypeError as exc:
         raise ValueError(f"malformed network JSON: {exc}") from None
+    return Network(tuple(nodes), tuple(Edge(e["id"], e["tail"], e["head"]) for e in edges),
+                   tuple(Message(m["id"], m["source"]) for m in msgs),
+                   tuple(Receiver(r["node"], tuple(ds)) for r, ds in zip(data["receivers"], demands)))
 
 
 def code_to_json(code: ScalarLinearCode) -> dict:
-    for (node, _msg) in code.decoders:
-        if ":" in node:
-            raise ValueError("node ids must not contain ':'")
-    return {
-        "ring": format_ring(code.ring),
-        "edges": {
-            e: [format_element(c) for c in cs]
-            for e, cs in sorted(code.edge_coeffs.items())
-        },
-        "decoders": {
-            f"{node}:{msg}": [format_element(c) for c in cs]
-            for (node, msg), cs in sorted(code.decoders.items())
-        },
-    }
+    if any(":" in node for node, _ in code.decoders):
+        raise ValueError("node ids must not contain ':'")
+    return {"ring": format_ring(code.ring),
+            "edges": {e: [format_element(c) for c in cs] for e, cs in sorted(code.edge_coeffs.items())},
+            "decoders": {f"{node}:{msg}": [format_element(c) for c in cs]
+                         for (node, msg), cs in sorted(code.decoders.items())}}
 
 
 def code_from_json(data: dict) -> ScalarLinearCode:
+    """The code of a JSON object in the README's shape, its decoders keyed
+    node:message; ValueError for any other shape or element text."""
     try:
-        spec = parse_ring(data["ring"])
-        edges = {
-            e: tuple(parse_element(t, spec) for t in ts)
-            for e, ts in data["edges"].items()
-        }
-        decoders = {}
-        for key, ts in data["decoders"].items():
-            node, _, msg = key.partition(":")
-            decoders[(node, msg)] = tuple(parse_element(t, spec) for t in ts)
-    except (KeyError, TypeError) as exc:
+        ring = _json(_json(data, dict, "a code").get("ring"), str, "ring")
+        for part in ("edges", "decoders"):  # hundreds of lists: checked flat, then the first other named
+            lists = _json(data.get(part), dict, part).values()
+            if not (all(map(list.__instancecheck__, lists))
+                    and all(map(str.__instancecheck__, itertools.chain.from_iterable(lists)))):
+                for key, ts in data[part].items():
+                    _json_strings(ts, f"{part}[{key!r}]")
+        if bad := [key for key in data["decoders"] if ":" not in key]:
+            raise TypeError(f"decoder key {bad[0]!r} is not node:message")
+    except TypeError as exc:
         raise ValueError(f"malformed code JSON: {exc}") from None
+    spec = parse_ring(ring)
+    edges = {e: tuple(parse_element(t, spec) for t in ts) for e, ts in data["edges"].items()}
+    decoders = {tuple(key.split(":", 1)): tuple(parse_element(t, spec) for t in ts)
+                for key, ts in data["decoders"].items()}
     return ScalarLinearCode(spec, edges, decoders)
 
 

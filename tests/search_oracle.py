@@ -319,4 +319,4 @@ def search(net, spec):
         for recv in net.receivers
         for demand, coeffs in receiver_ok(recv).items()
     }
-    return _checked(net, ScalarLinearCode(spec, edge_coeffs, decoders), _layout(net))
+    return _checked(_layout(net), ScalarLinearCode(spec, edge_coeffs, decoders))

@@ -18,14 +18,18 @@ from ringcode.network import (
     Message,
     Network,
     Receiver,
+    choose_two,
     code_from_json,
+    code_to_json,
     dump_json,
     network_from_json,
     network_to_json,
+    solve_brute,
     two_six,
     verify,
 )
 from ringcode.partitions import maximal_partitions
+from ringcode.rings import PrimeField
 
 
 def run_cli(*argv):
@@ -411,6 +415,46 @@ class TestNetworkCommands:
             for _ in range(2)
         }
         assert len(outs) == 1
+
+    @staticmethod
+    def _files(tmp_path, net, code):
+        """net and code written as JSON files; their paths."""
+        paths = tmp_path / "net.json", tmp_path / "code.json"
+        for path, data in zip(paths, (net, code)):
+            path.write_text(json.dumps(data))
+        return [str(path) for path in paths]
+
+    @pytest.mark.parametrize("which, key, value, error", [
+        ("net", "receivers", [{"node": "r01x02", "demands": "xy"}], "network JSON: receivers[0].demands must be a list"),
+        ("net", "nodes", [1, "m01", "m02", "r01x02"], "network JSON: nodes must hold strings only"),
+        ("code", "edges", {"lam01": "01"}, "code JSON: edges['lam01'] must be a list"),
+        ("code", "edges", {"lam01": [0, 1]}, "code JSON: edges['lam01'] must hold strings only"),
+        ("code", "decoders", [], "code JSON: decoders must be an object"),
+        ("code", "decoders", {"r01x02": ["0", "1"]}, "code JSON: decoder key 'r01x02' is not node:message"),
+    ])
+    def test_malformed_json_is_a_usage_error(self, which, key, value, error, tmp_path, capsys):
+        # each was read as another network or code, or raised past run() with exit 1
+        files = {"net": network_to_json(choose_two(2)), "code": code_to_json(solve_brute(choose_two(2), PrimeField(2)))}
+        files[which] = {**files[which], key: value}
+        net, code = self._files(tmp_path, files["net"], files["code"])
+        capsys.readouterr()
+        assert run_cli("network", "verify", "--file", net, "--code", code) == (2, "")
+        assert capsys.readouterr().err == f"error: malformed {error}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--ring", "GF(2)"], ["verify", "--code", "{code}"],
+        ["transform", "--code", "{code}", "--kind", "lift", "--target", "GF(4)"],
+    ])
+    def test_invalid_network_is_a_usage_error(self, command, tmp_path, capsys):
+        # validate's defects, in its order, in the words every command prints
+        data = network_to_json(choose_two(2))
+        data["edges"][0]["head"] = "zz"
+        data["edges"].append(dict(data["edges"][1]))
+        net, code = self._files(tmp_path, data, code_to_json(solve_brute(choose_two(2), PrimeField(2))))
+        capsys.readouterr()
+        argv = [command[0], "--file", net, *(arg.format(code=code) for arg in command[1:])]
+        assert run_cli("network", *argv) == (2, "")
+        assert capsys.readouterr().err == "error: invalid network: duplicate edge ids; edge lam01: unknown head zz\n"
 
 
 class TestVerifyCommands:

@@ -407,6 +407,12 @@ class TestForgedCertificates:
             ("GF(5)", "Z(4)", DOM, (ModReductionStep(8, 4),)),
             # a factor selection naming a factor other than the one at its index
             ("GF(2)xGF(3)", "GF(9)", DOM, (FactorSelection(0, "GF(3)"), SubfieldStep(3, 1, 2))),
+            # a NOT resting on no step at all
+            ("GF(2)", "GF(3)", NOT, ()),
+            # a true violation after an unknown rule and a step of no known kind
+            ("GF(2)", "GF(3)", NOT, (EquivalenceStep("bogus", "x"), Obligation("y"), FieldViolation(3, 1, ()))),
+            # ... after a step that is no equivalence
+            ("D(2)", "GF(3)", NOT, (SubfieldStep(2, 1, 1), FieldViolation(3, 1, ()))),
         ],
     )
     def test_rejects(self, left, right, relation, steps):

@@ -214,7 +214,7 @@ class TestPlanParity:
         assert list(plan.msg_slot.values()) == list(range(base - 1))
         assert {n: [name[s] for s in plan.inputs[n]] for n in net.nodes} == inputs_of
         searched, forms, ready = search_plan(net)
-        assert plan.search.searched == [(base + edges.index(e), e) for e in searched]
+        assert plan.searched == [(base + edges.index(e), e) for e in searched]
         assert {n: [name[s] for s in src] for n, src in plan.search.sources.items()} == forms
         assert len(plan.search.checks) == len(searched) + 1
         for depth, level in enumerate(plan.search.checks):  # ready counts depth from -1
@@ -822,14 +822,14 @@ class TestVerifyParity:
             if (code := solve_brute(net, spec)) is None:
                 continue
             plan = network_mod._layout(net)
-            assert network_mod._verify(net, code, plan) is oracle_verify(net, code) is True
+            assert network_mod._verify(plan, code) is oracle_verify(net, code) is True
             faults = self._faults(net, code, other, rng)
             pairs = [(a, b) for a, b in zip(faults, rng.sample(faults, len(faults))) if a is not b]
             for (name, forge), *rest in [[f] for f in faults] + pairs:
                 forged = forge(code)
                 for _, more in rest:
                     forged = more(forged)
-                got = self._outcome(lambda: network_mod._verify(net, forged, plan))
+                got = self._outcome(lambda: network_mod._verify(plan, forged))
                 assert got == self._outcome(lambda: oracle_verify(net, forged)), (name, rest, net.nodes)
                 if not rest:
                     seen.setdefault(name, set()).add(got if isinstance(got, bool) else got.split(":")[-1])
@@ -919,7 +919,7 @@ class TestLogDomain:
             for position in self._positions(base):
                 for value in self._values(spec):
                     forged = self._forged(base, position, RingElement(spec, value.payload))
-                    got = network_mod._verify(net, forged, network_mod._layout(net))
+                    got = network_mod._verify(network_mod._layout(net), forged)
                     assert got is oracle_verify(net, forged), (position, value)
                     verdicts.append(got)
         assert True in verdicts and False in verdicts
@@ -1050,7 +1050,7 @@ class TestValueDomain:
         for position in TestLogDomain._positions(code):
             for value in values:
                 forged = TestLogDomain._forged(code, position, RingElement(spec, value.payload))
-                got = network_mod._verify(net, forged, network_mod._layout(net))
+                got = network_mod._verify(network_mod._layout(net), forged)
                 assert got is oracle_verify(net, forged), (position, value)
                 verdicts.append(got)
         assert True in verdicts and False in verdicts
@@ -1087,7 +1087,7 @@ class TestValueDomain:
                       (Receiver("r", tuple(msgs)),))
         tried, real = [], network_mod._first_decoders
         monkeypatch.setattr(network_mod, "_first_decoders", lambda rows, t, ops: tried.append(rows[0]) or real(rows, t, ops))
-        assert network_mod._search(net, spec, network_mod._layout(net)) is None
+        assert network_mod._search(network_mod._layout(net), spec) is None
         els = elements(spec)
         units, seen, want = [u for u in els if inverse(u) is not None], set(), []
         for combo in itertools.product(els, repeat=width):
@@ -1289,18 +1289,19 @@ class TestSolveBrute:
 
     def test_self_check_raises(self, monkeypatch):
         # wrong decoders must be refused by an explicit error, not an assert
-        # that python -O strips; over a field they come from the index
+        # that python -O strips; over a field they come from the search's
         # kernel, over Z(p^k) from decode_search
-        search = network_mod._index_search
+        search = network_mod._search
 
-        def zero_decoders(*args):
-            chosen, decoders = search(*args)
-            return chosen, {key: (0,) * len(cs) for key, cs in decoders.items()}
+        def zero_decoders(plan, spec):
+            code = search(plan, spec)
+            zeros = {key: (zero(spec),) * len(cs) for key, cs in code.decoders.items()}
+            return ScalarLinearCode(spec, code.edge_coeffs, zeros)
 
-        monkeypatch.setattr(network_mod, "_index_search", zero_decoders)
+        monkeypatch.setattr(network_mod, "_search", zero_decoders)
         with pytest.raises(RuntimeError):
             solve_brute(choose_two(3), GF2)
-        monkeypatch.setattr(network_mod, "_index_search", search)
+        monkeypatch.setattr(network_mod, "_search", search)
         monkeypatch.setattr(
             "ringcode.network.decode_search",
             lambda rows, demands, spec: tuple(tuple(zero(spec) for _ in rows) for _ in demands),
@@ -1405,9 +1406,9 @@ class TestRoutedSolve:
         seen = []
         search = network_mod._search
 
-        def recording(net, spec, layout):
+        def recording(plan, spec):
             seen.append(spec)
-            return search(net, spec, layout)
+            return search(plan, spec)
 
         monkeypatch.setattr(network_mod, "_search", recording)
         return seen
@@ -1493,12 +1494,11 @@ class TestIndexKernel:
     def test_tables_refuse_rings_above_the_table_limit(self, ring, monkeypatch):
         # the search refuses a ring of more than FIELD_TABLE_LIMIT elements
         # before it builds the ring's value record, or does anything else
-        net = self.ONE_COMBINING_EDGE
-        plan = network_mod._layout(net)
+        plan = network_mod._layout(self.ONE_COMBINING_EDGE)
         monkeypatch.setattr(network_mod, "_domain", None)
         start = time.perf_counter()
         with pytest.raises(GuardExceeded):
-            network_mod._index_search(net, parse_ring(ring), plan)
+            network_mod._search(plan, parse_ring(ring))
         assert time.perf_counter() - start < 0.5
 
     def test_search_over_a_large_ring_is_refused_quickly(self):
@@ -1524,7 +1524,7 @@ class TestIndexKernel:
         spec = parse_ring(ring)
         nets = corpus() + ([two_six()] if ring != "Z(8)" else [])
         for net in nets:
-            got = network_mod._search(net, spec, network_mod._layout(net))
+            got = network_mod._search(network_mod._layout(net), spec)
             want = plain_search(net, spec)
             assert (got is None) == (want is None), (net.nodes, ring)
             if got is not None:
@@ -1554,7 +1554,7 @@ class TestIndexKernel:
             for spec in (GF2, GF3, GF4, Z4, GF5, GF8, Z8, Z9):
                 if len(elements(spec)) ** sum(a for a in arities if a >= 2) > 4096:
                     continue
-                got = network_mod._search(net, spec, plan)
+                got = network_mod._search(plan, spec)
                 want = plain_search(net, spec)
                 assert (got is None) == (want is None), (net, spec)
                 if got is not None:
@@ -1563,7 +1563,7 @@ class TestIndexKernel:
 
     @staticmethod
     def _same_as_oracle(net, spec):
-        got = network_mod._search(net, spec, network_mod._layout(net))
+        got = network_mod._search(network_mod._layout(net), spec)
         want = plain_search(net, spec)
         assert (got is None) == (want is None), (net, spec)
         if got is not None:
@@ -1643,7 +1643,7 @@ class TestIndexKernel:
         )
         plan = network_mod._layout(net)
         for spec in (GF2, Z4):
-            got = network_mod._search(net, spec, plan)
+            got = network_mod._search(plan, spec)
             assert got is not None and verify(net, got)
             assert code_to_json(got) == code_to_json(plain_search(net, spec))
 
@@ -1688,17 +1688,17 @@ class TestIndexKernel:
 
     def test_boundary_decoder_disagreeing_raises(self, monkeypatch):
         # a field decoder missing from the kernel's answer fails the check
-        search = network_mod._index_search
+        search = network_mod._search
 
-        def drop_one(*args):
-            chosen, decoders = search(*args)
-            decoders.popitem()
-            return chosen, decoders
+        def drop_one(plan, spec):
+            code = search(plan, spec)
+            code.decoders.popitem()
+            return code
 
-        monkeypatch.setattr(network_mod, "_index_search", drop_one)
+        monkeypatch.setattr(network_mod, "_search", drop_one)
         with pytest.raises(RuntimeError):
             solve_brute(choose_two(3), GF3)
-        monkeypatch.setattr(network_mod, "_index_search", search)
+        monkeypatch.setattr(network_mod, "_search", search)
         # over Z(p^k) decode_search is still the boundary
         monkeypatch.setattr(
             "ringcode.network.decode_search", lambda rows, demands, spec: None
@@ -1710,8 +1710,8 @@ class TestIndexKernel:
 
     @pytest.mark.parametrize("ring", ["GF(2^10)", "Z(1024)"])
     def test_large_ring_without_combining_edge(self, ring, monkeypatch):
-        # no search runs when nothing combines
-        monkeypatch.setattr(network_mod, "_index_search", None)
+        # no search runs when nothing combines: it would read the memo
+        monkeypatch.setattr(network_mod, "_search_memo", None)
         start = time.perf_counter()
         code = solve_brute(relay_chain(), parse_ring(ring))
         assert code is not None and verify(relay_chain(), code)
@@ -1739,7 +1739,7 @@ class TestIndexKernel:
     def _verified(monkeypatch):
         """The rings of the codes _verify checks from here on."""
         calls, original = [], network_mod._verify
-        monkeypatch.setattr(network_mod, "_verify", lambda net, code, plan: calls.append(code.ring) or original(net, code, plan))
+        monkeypatch.setattr(network_mod, "_verify", lambda plan, code: calls.append(code.ring) or original(plan, code))
         return calls
 
     def test_each_routed_code_is_verified_once(self, monkeypatch):
@@ -1835,8 +1835,8 @@ class TestBoundaryCheck:
     def test_corrupted_factor_code_fails_the_self_check(self, ring, factor, monkeypatch, tmp_path):
         search = network_mod._search
 
-        def corrupting(net, spec, plan):
-            code = search(net, spec, plan)
+        def corrupting(plan, spec):
+            code = search(plan, spec)
             return self._corrupted(code) if spec == parse_ring(factor) else code
 
         monkeypatch.setattr(network_mod, "_search", corrupting)
@@ -2043,8 +2043,36 @@ class TestJson:
             assert verify(net, back)
             assert code_to_json(back) == data
 
+    @staticmethod
+    def _malformed():
+        """(loader, JSON value, error text) for shapes the README does not give:
+        each part of a network or code missing or of another JSON kind."""
+        net, code = network_to_json(choose_two(2)), code_to_json(solve_brute(choose_two(2), GF2))
+        edited = lambda data, key, value: {**data, key: value}
+        return [(network_from_json, data, f"malformed network JSON: {text}") for data, text in [
+            ({"nodes": []}, "edges must be a list"),
+            (None, "a network must be an object"),
+            (edited(net, "nodes", "sm01"), "nodes must be a list"),
+            (edited(net, "nodes", [1, *net["nodes"][1:]]), "nodes must hold strings only"),
+            (edited(net, "edges", [["lam01", "s", "m01"]]), "edges[0] must be an object"),
+            (edited(net, "edges", [{"id": "lam01", "tail": "s"}]), "edges[0].head must be a string"),
+            (edited(net, "messages", [{"id": 0, "source": "s"}]), "messages[0].id must be a string"),
+            (edited(net, "receivers", [{"node": 7, "demands": []}]), "receivers[0].node must be a string"),
+            (edited(net, "receivers", [{"node": "r01x02", "demands": "xy"}]), "receivers[0].demands must be a list"),
+        ]] + [(code_from_json, data, f"malformed code JSON: {text}") for data, text in [
+            ({"ring": "GF(2)"}, "edges must be an object"),
+            ([], "a code must be an object"),
+            (edited(code, "ring", 2), "ring must be a string"),
+            (edited(code, "edges", {**code["edges"], "lam01": "01"}), "edges['lam01'] must be a list"),
+            (edited(code, "edges", {**code["edges"], "lam01": [0, 1]}), "edges['lam01'] must hold strings only"),
+            (edited(code, "decoders", []), "decoders must be an object"),
+            (edited(code, "decoders", {"r01x02": ["0", "1"]}), "decoder key 'r01x02' is not node:message"),
+        ]]
+
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            network_from_json({"nodes": []})
-        with pytest.raises(ValueError):
-            code_from_json({"ring": "GF(2)"})
+        net, code = choose_two(2), solve_brute(choose_two(2), GF2)
+        assert network_from_json(network_to_json(net)) == net and code_from_json(code_to_json(code)) == code
+        for load, data, text in self._malformed():
+            with pytest.raises(ValueError) as err:
+                load(data)
+            assert str(err.value) == text, data
