@@ -19,8 +19,8 @@ for only when the walk meets one.  The search's receiver checks per depth
 are made from the carried slots on first use.  verify checks D * M = I on
 that plan (Koetter and Medard 2003): it holds one vector per slot, a tuple
 in message_ids() order of values of the ring's record
-rings.arithmetic(spec), on which _domain(spec) builds the vector operations
-that verify, decode_search and the search share.  It owner-checks and
+rings.arithmetic(spec), whose vector and elimination operations verify,
+decode_search and the search share.  It owner-checks and
 encodes each coefficient once and skips a zero one; a relay edge (one
 input) skips the general combination and shares its input's vector where
 its coefficient is one.  transfer and decode_search take and give
@@ -64,13 +64,13 @@ import functools
 import heapq
 import itertools
 import json
-import math
 import operator
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._record import Frozen, Record, _set
 from .errors import BudgetExceeded, GuardExceeded
 from .rings import (
+    Arithmetic,
     DualNumbers,
     FIELD_TABLE_LIMIT,
     GaloisField,
@@ -83,7 +83,6 @@ from .rings import (
     SURJECTIVE_KINDS,
     _check_owner,
     _iter_elements,
-    _kept,
     add,
     apply_hom,
     arithmetic,
@@ -91,7 +90,6 @@ from .rings import (
     factorize,
     format_element,
     format_ring,
-    is_prime,
     mul,
     one,
     parse_element,
@@ -312,64 +310,16 @@ def _itself(a):
     return a
 
 
-class _Domain(NamedTuple):
-    """The vectors that verify, decode_search and the search compute on over
-    one ring (see _domain): tuples of the values of its record
-    rings.arithmetic(spec).  add and mul are the record's scalar operations,
-    with which the elimination reduces its rows in place; val, split and
-    cancel are the elimination's too (see _first_decoders), with val(zero)
-    the ring size, and exist over fields and Z(p^k) only."""
-
-    encode: Callable  # RingElement -> value
-    decode: Callable  # value -> RingElement, the shared one where the ring has them
-    zero: object
-    one: object
-    add: Callable  # add(a, b): the value a + b
-    mul: Callable  # mul(a, b): the value a * b
-    plus: Callable  # plus(u, v): the vector u + v
-    scaled: Callable  # scaled(c, v): the vector c * v
-    val: Callable | None = None
-    split: Callable | None = None
-    cancel: Callable | None = None
-    field: bool = False
-
-    def orbit_key(self, v):
-        """Names the unit orbit {u*v} of a vector over a field or Z(p^k): v
-        scaled so its first entry of least valuation t becomes p^t (1 over a
-        field); the units fixing p^t fix every entry of valuation >= t."""
-        least = min(v, key=self.val, default=self.zero)
-        return v if least == self.zero else self.scaled(self.split(least, self.val(least))[0], v)
+def _orbit_key(d: Arithmetic, v):
+    """Names the unit orbit {u*v} of a vector over a field or Z(p^k), on the
+    ring's record d: v scaled so its first entry of least valuation t becomes
+    p^t (1 over a field); the units fixing p^t fix every entry of valuation
+    >= t."""
+    least = min(v, key=d.val, default=d.zero)
+    return v if least == d.zero else d.scaled(d.split(least, d.val(least))[0], v)
 
 
-def _domain(spec: RingSpec) -> _Domain:
-    """spec's vectors over its record r = arithmetic(spec), built on first
-    use and kept on spec.  plus and scaled apply r.add and r.mul entry by
-    entry; a product's run once per factor on the transposed vector, so each
-    factor computes on its own values (logs for a table field).  Over a field
-    every nonzero entry is a unit: val(a) is 1, split(a, w) gives r.inv(a)
-    and cancel(a, w) is r.neg(a).  Z(p^k) eliminates by gcd valuations."""
-    return _kept(spec, "_domain", _build_domain)
-
-
-def _build_domain(spec: RingSpec) -> _Domain:
-    r, q = arithmetic(spec), ring_size(spec)
-    if isinstance(spec, Product):
-        parts = tuple(map(_domain, spec.factors))
-        plus = lambda u, v: tuple(zip(*[f.plus(a, b) for f, a, b in zip(parts, zip(*u), zip(*v))]))
-        scaled = lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))]))
-    else:
-        plus, scaled = (lambda u, v: tuple(map(r.add, u, v))), (lambda c, v: tuple(map(r.mul, itertools.repeat(c), v)))
-    d, z = _Domain(r.encode, r.decode, r.zero, r.one, r.add, r.mul, plus, scaled), r.zero
-    if isinstance(spec, (PrimeField, GaloisField)):
-        return d._replace(val=lambda a: q if a == z else 1, split=lambda a, w: (r.inv(a), z),
-                          cancel=lambda a, w: r.neg(a), field=True)
-    if isinstance(spec, IntegersMod) and len(factorize(q)) == 1:  # no elimination over composite Z(n)
-        return d._replace(val=lambda a: math.gcd(a, q), split=lambda a, w: (pow(a // w, -1, q), q // w % q),
-                          cancel=lambda a, w: -(a // w) % q, field=is_prime(q))
-    return d
-
-
-def _slot_vectors(d: _Domain, width: int) -> list:
+def _slot_vectors(d: Arithmetic, width: int) -> list:
     """The vectors of a plan's first slots over d: each message's unit vector, then zero."""
     z = (d.zero,)
     return [z * i + (d.one,) + z * (width - 1 - i) for i in range(width)] + [z * width]
@@ -377,19 +327,20 @@ def _slot_vectors(d: _Domain, width: int) -> list:
 
 def transfer(net: Network, code: ScalarLinearCode) -> dict[str, TransferVector]:
     """Exact per-edge message coefficients under the code."""
-    (vecs, _), decode = _transfer(plan := _layout(net), code), _domain(code.ring).decode
+    (vecs, _), decode = _transfer(plan := _layout(net), code), arithmetic(code.ring).decode
     edge_vecs = zip(plan.edges, vecs[len(plan.msg_slot) + 1:])
     return {e.id: TransferVector(dict(zip(plan.msg_slot, map(decode, v)))) for e, v in edge_vecs}
 
 
 def _transfer(plan: _Plan, code: ScalarLinearCode):
-    """(vecs, combine): every slot's vector under the code (see _Plan), in
-    _domain(code.ring), and combine(coeffs, slots), sum(c_i * vecs[slots[i]]).
-    Each coefficient is owner-checked (ValueError if not over code.ring) and
-    encoded once; a zero adds nothing and a one passes its vector through
-    unmultiplied.  A relay edge skips combine: its coefficient, owner-checked,
-    is compared with the ring's one, then zero, and a one shares the vector."""
-    d = _domain(spec := code.ring)
+    """(vecs, combine): every slot's vector under the code (see _Plan), on
+    the record arithmetic(code.ring), and combine(coeffs, slots),
+    sum(c_i * vecs[slots[i]]).  Each coefficient is owner-checked (ValueError
+    if not over code.ring) and encoded once; a zero adds nothing and a one
+    passes its vector through unmultiplied.  A relay edge skips combine: its
+    coefficient, owner-checked, is compared with the ring's one, then zero,
+    and a one shares the vector."""
+    d = arithmetic(spec := code.ring)
     encode, plus, scaled, z, u, relay = d.encode, d.plus, d.scaled, d.zero, d.one, one(spec)
     vecs = _slot_vectors(d, len(plan.msg_slot))
     zeros = vecs[-1]
@@ -452,13 +403,13 @@ def decode_search(
     every demand one of them, else ValueError.  Each c is the
     lexicographically first in canonical element order, with the last input
     most significant over a field and the first over Z(p^k).  One
-    _first_decoders call serves every demand of the receiver: on the record's
-    logs and scalar add and mul over a table field (see _domain), each row
-    entry owner-checked and encoded once, else on the public, checked
-    rings.add and rings.mul, with the record's val, split and cancel read
-    through encode and decode.
+    _first_decoders call serves every demand of the receiver: on the logs
+    and scalar add and mul of the record rings.arithmetic(spec) over a table
+    field, each row entry owner-checked and encoded once, else on the public,
+    checked rings.add and rings.mul, with the record's val, split and cancel
+    read through encode and decode.
     """
-    d = _domain(spec)
+    d = arithmetic(spec)
     if d.val is None:
         raise ValueError(f"decode_search needs a field or Z(p^k), not {format_ring(spec)}")
     if not demands:
@@ -476,11 +427,11 @@ def decode_search(
             _check_owner(x, spec)
         ops, vecs = d, [tuple(map(d.encode, v)) for v in vecs]
     else:
-        encode, decode, z = d.encode, d.decode, zero(spec)
-        ops = _Domain(
-            _itself, _itself, z, one(spec), add, mul, None, None,  # no vector ops: the kernel needs none
+        encode, decode = d.encode, d.decode
+        ops = d._replace(
+            encode=_itself, decode=_itself, zero=zero(spec), one=one(spec), add=add, mul=mul,
             val=lambda a: d.val(encode(a)), split=lambda a, w: tuple(map(decode, d.split(encode(a), w))),
-            cancel=lambda a, w: decode(d.cancel(encode(a), w)), field=d.field,
+            cancel=lambda a, w: decode(d.cancel(encode(a), w)),
         )
     units = [tuple(ops.one if m == demand else ops.zero for m in msg_ids) for demand in demands]
     found = _first_decoders(vecs, units, ops)
@@ -500,10 +451,10 @@ def _first_decoders(rows, targets, ops):
     stays so, and the elimination stops there.  The rows are lists reduced in
     place with ops's scalar add and mul: at column j every row still to
     eliminate and the pivot are zero before j, so only the pivot's nonzero
-    entries from j on are added.  ops has a _Domain's fields: for a != 0,
-    val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v)) for a unit u
-    with u*a = p^v, and cancel(a, w) is the c making a + c*p^v the least
-    residue of a modulo p^v.
+    entries from j on are added.  ops has a rings.Arithmetic's fields: for
+    a != 0, val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v)) for a
+    unit u with u*a = p^v, and cancel(a, w) is the c making a + c*p^v the
+    least residue of a modulo p^v.
     """
     zero, add, mul, val, split, cancel = ops.zero, ops.add, ops.mul, ops.val, ops.split, ops.cancel
     field, n, messages = ops.field, len(rows), len(targets[0]) if targets else 0
@@ -613,7 +564,7 @@ def _search(plan: _Plan, spec: RingSpec) -> ScalarLinearCode | None:
     exception stopped would end them early, a false refutation."""
     if (searched := plan.searched) and ring_size(spec) > FIELD_TABLE_LIMIT:
         raise GuardExceeded(f"{format_ring(spec)} is too large to search")
-    d, relay = _domain(spec), (one(spec),)  # one tuple for every relay edge
+    d, relay = arithmetic(spec), (one(spec),)  # one tuple for every relay edge
     code = ScalarLinearCode(spec, {e.id: relay * len(plan.inputs[e.tail]) for e in plan.net.edges}, {})
     if not searched:
         return _decoded(plan, code)
@@ -646,7 +597,7 @@ def _search(plan: _Plan, spec: RingSpec) -> ScalarLinearCode | None:
         seen = set()
         for combo in combos:
             acc = functools.reduce(plus, map(list.__getitem__, multiples, combo))
-            if (key := d.orbit_key(acc)) not in seen:
+            if (key := _orbit_key(d, acc)) not in seen:
                 seen.add(key)
                 yield tuple(map(values.__getitem__, combo)), acc
 
@@ -702,7 +653,7 @@ def _decoded(plan: _Plan, code: ScalarLinearCode) -> ScalarLinearCode | None:
     exact transfer vectors, not checked.  A receiver that cannot decode gives
     None when no edge combines, else RuntimeError: the search or construction
     ensured it."""
-    (vecs, _), decode = _transfer(plan, code), _domain(code.ring).decode
+    (vecs, _), decode = _transfer(plan, code), arithmetic(code.ring).decode
     for recv in plan.net.receivers:
         rows = [TransferVector(dict(zip(plan.msg_slot, map(decode, vecs[s])))) for s in plan.inputs[recv.node]]
         found = decode_search(rows, recv.demands, code.ring)
@@ -843,13 +794,16 @@ def network_from_json(data: dict) -> Network:
         nodes = _json_strings(_json(data, dict, "a network").get("nodes"), "nodes")
         edges = _json_objects(data.get("edges"), "edges", "id", "tail", "head")
         msgs = _json_objects(data.get("messages"), "messages", "id", "source")
-        demands = [_json_strings(r.get("demands"), f"receivers[{i}].demands")
-                   for i, r in enumerate(_json_objects(data.get("receivers"), "receivers", "node"))]
+        receivers = _json_objects(data.get("receivers"), "receivers", "node")
+        demands = [_json_strings(r.get("demands"), f"receivers[{i}].demands") for i, r in enumerate(receivers)]
+        for i, r in enumerate(receivers):  # decoder keys are node:message
+            if ":" in r["node"]:
+                raise TypeError(f"receivers[{i}].node {r['node']!r} contains ':'")
     except TypeError as exc:
         raise ValueError(f"malformed network JSON: {exc}") from None
     return Network(tuple(nodes), tuple(Edge(e["id"], e["tail"], e["head"]) for e in edges),
                    tuple(Message(m["id"], m["source"]) for m in msgs),
-                   tuple(Receiver(r["node"], tuple(ds)) for r, ds in zip(data["receivers"], demands)))
+                   tuple(Receiver(r["node"], tuple(ds)) for r, ds in zip(receivers, demands)))
 
 
 def code_to_json(code: ScalarLinearCode) -> dict:

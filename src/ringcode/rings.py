@@ -28,14 +28,17 @@ the field tables' g^i are the same objects.  Products and larger rings build
 their results, over the spec object they were given.
 
 Each ring kind is defined once, in arithmetic(spec), a record built on first
-use and kept on the spec outside its equality, hash and repr.  It holds the
-ring's values (residues for GF(p) and Z(n), logs with None for zero for the
-table fields, payloads for D(p) and larger GF(p^k), tuples of the factors'
-values for products), encode and decode between elements and values, zero,
-one, and add, mul, neg and inv on values.  The public add, mul, neg and
+use and kept on the spec outside its equality, hash and repr, the only one
+a spec keeps.  It holds the ring's values (residues for GF(p) and Z(n), logs
+with None for zero for the table fields, payloads for D(p) and larger
+GF(p^k), tuples of the factors' values for products), encode and decode
+between elements and values, zero, one, add, mul, neg and inv on values,
+plus and scaled on vectors of values, and the Howell elimination's val,
+split and cancel over fields and Z(p^k).  The public add, mul, neg and
 inverse are decode(op(encode(a), ...)), add and mul after checking both
-operands' ring; zero and one decode the record's.  network's vectors
-(network._domain) and the subfield inclusions compute on the same record.
+operands' ring; zero and one decode the record's.  network's verify,
+decode_search and search and the subfield inclusions compute on the same
+record.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class _Spec(Keyed):
-    __slots__ = ("_arithmetic", "_domain")  # kept by arithmetic(spec) and network._domain; not fields
+    __slots__ = ("_arithmetic",)  # kept by arithmetic(spec); not a field
 
 
 class PrimeField(_Spec):
@@ -358,17 +361,17 @@ def element(spec: RingSpec, payload: Payload) -> RingElement:
     """Validating constructor; arithmetic builds elements directly."""
     if isinstance(spec, (PrimeField, IntegersMod)):
         n = _modulus_of(spec)
-        if not isinstance(payload, int) or not 0 <= payload < n:
+        if type(payload) is not int or not 0 <= payload < n:  # a bool or float is no residue
             raise ValueError(f"residue {payload!r} out of range for modulus {n}")
     elif isinstance(spec, GaloisField):
         if not isinstance(payload, tuple) or len(payload) != spec.k:
             raise ValueError(f"payload must be a coefficient tuple of length {spec.k}")
-        if any(not 0 <= c < spec.p for c in payload):
+        if any(type(c) is not int or not 0 <= c < spec.p for c in payload):
             raise ValueError("coefficient out of range")
     elif isinstance(spec, DualNumbers):
         if not isinstance(payload, tuple) or len(payload) != 2:
             raise ValueError("payload must be a pair (a, b) meaning a + bx")
-        if any(not 0 <= c < spec.p for c in payload):
+        if any(type(c) is not int or not 0 <= c < spec.p for c in payload):
             raise ValueError("coefficient out of range")
     else:
         if not isinstance(payload, tuple) or len(payload) != len(spec.factors):
@@ -469,7 +472,14 @@ class Arithmetic(NamedTuple):
     element(payload) the element of a value or canonical payload: the shared
     one where the ring has them (see _shared), else a new one over the spec.
     add, mul, neg and inv (None for a non-unit) take and give values and
-    check no ownership."""
+    check no ownership.  plus(u, v) and scaled(c, v) are the vectors u + v
+    and c * v on tuples of values, which network's verify, decode_search and
+    search compute on: entry by entry, or a product's once per factor on the
+    transposed vector, so each factor computes on its own values.  val, split
+    and cancel are the Howell elimination's (see network._first_decoders),
+    with val(zero) the ring size, and field says every nonzero value is a
+    unit; the three are None where there is no elimination: D(p), composite
+    Z(n) and products."""
 
     encode: Callable[[RingElement], object]
     decode: Callable[[object], RingElement]
@@ -480,22 +490,22 @@ class Arithmetic(NamedTuple):
     mul: Callable
     neg: Callable
     inv: Callable
-
-
-def _kept(spec: RingSpec, slot: str, build: Callable):
-    """build(spec), made on first use and kept in spec's slot, outside its
-    equality, hash and repr."""
-    if not hasattr(spec, slot):
-        object.__setattr__(spec, slot, build(spec))
-    return getattr(spec, slot)
+    plus: Callable
+    scaled: Callable
+    val: Callable | None = None
+    split: Callable | None = None
+    cancel: Callable | None = None
+    field: bool = False
 
 
 def arithmetic(spec: RingSpec) -> Arithmetic:
-    """spec's Arithmetic, built on its first use and kept on spec."""
+    """spec's Arithmetic, built on its first use and kept on spec, outside its
+    equality, hash and repr."""
     try:
         return spec._arithmetic  # every public operation reads it
     except AttributeError:
-        return _kept(spec, "_arithmetic", _build_arithmetic)
+        object.__setattr__(spec, "_arithmetic", r := _build_arithmetic(spec))
+        return r
 
 
 def _build_arithmetic(spec: RingSpec) -> Arithmetic:
@@ -503,17 +513,22 @@ def _build_arithmetic(spec: RingSpec) -> Arithmetic:
     if isinstance(spec, (PrimeField, IntegersMod)):  # residues
         n = _modulus_of(spec)
         at = new if shared is None else shared.__getitem__  # a residue is its own index
-        return Arithmetic(payload, at, at, 0, 1, lambda x, y: (x + y) % n, lambda x, y: x * y % n,
-                          lambda x: -x % n, lambda x: pow(x, -1, n) if gcd(x, n) == 1 else None)
+        add, mul = (lambda x, y: (x + y) % n), (lambda x, y: x * y % n)
+        r = Arithmetic(payload, at, at, 0, 1, add, mul, lambda x: -x % n,
+                       lambda x: pow(x, -1, n) if gcd(x, n) == 1 else None, *_entrywise(add, mul))
+        if prime_power(n) is None:  # composite Z(n): no elimination
+            return r
+        # GF(p), Z(p) and Z(p^k) by gcd valuations: w = gcd(a, n) is p^v, a // w a unit
+        return r._replace(val=lambda a: gcd(a, n), split=lambda a, w: (pow(a // w, -1, n), n // w % n),
+                          cancel=lambda a, w: -(a // w) % n, field=is_prime(n))
     if isinstance(spec, DualNumbers):  # payload pairs (a0, a1) meaning a0 + a1 x
         p = spec.p
         at = new if shared is None else (lambda x: shared[x[0] * p + x[1]])
+        add = lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+        mul = lambda x, y: (x[0] * y[0] % p, (x[0] * y[1] + x[1] * y[0]) % p)
         return Arithmetic(
-            payload, at, at, (0, 0), (1, 0),
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
-            lambda x, y: (x[0] * y[0] % p, (x[0] * y[1] + x[1] * y[0]) % p),
-            lambda x: (-x[0] % p, -x[1] % p),
-            lambda x: None if x[0] == 0 else (i := pow(x[0], -1, p), -x[1] * i * i % p),
+            payload, at, at, (0, 0), (1, 0), add, mul, lambda x: (-x[0] % p, -x[1] % p),
+            lambda x: None if x[0] == 0 else (i := pow(x[0], -1, p), -x[1] * i * i % p), *_entrywise(add, mul),
         )
     if isinstance(spec, Product):  # tuples of the factors' values, on their records
         parts = tuple(map(arithmetic, spec.factors))
@@ -529,29 +544,36 @@ def _build_arithmetic(spec: RingSpec) -> Arithmetic:
             lambda x, y: tuple(f.add(a, b) for f, a, b in zip(parts, x, y)),
             lambda x, y: tuple(f.mul(a, b) for f, a, b in zip(parts, x, y)),
             lambda x: tuple(f.neg(a) for f, a in zip(parts, x)), inv,
+            lambda u, v: tuple(zip(*[f.plus(a, b) for f, a, b in zip(parts, zip(*u), zip(*v))])),
+            lambda c, v: tuple(zip(*[f.scaled(x, a) for f, x, a in zip(parts, c, zip(*v))])),
         )
     p, q, t = spec.p, ring_size(spec), _field_tables(spec.p, spec.k)
     if t is None:  # GF(p^k) above FIELD_TABLE_LIMIT: coefficient payloads
-        z, u = (0,) * spec.k, (1,) + (0,) * (spec.k - 1)
-        times = lambda x, y: _field_mul(x, y, spec)
-        return Arithmetic(payload, new, new, z, u, lambda x, y: tuple((a + b) % p for a, b in zip(x, y)),
-                          times, lambda x: tuple(-a % p for a in x),
-                          lambda x: None if x == z else _pow(x, q - 2, times, u))
-    log, els, zech, m, z = t.log.get, t.els, t.zech, q - 1, shared[0]  # a table field: logs i < q - 1, None for zero
+        encode, decode, at, z, u = payload, new, new, (0,) * spec.k, (1,) + (0,) * (spec.k - 1)
+        add, mul = (lambda x, y: tuple((a + b) % p for a, b in zip(x, y))), (lambda x, y: _field_mul(x, y, spec))
+        neg, inv = (lambda x: tuple(-a % p for a in x)), (lambda x: None if x == z else _pow(x, q - 2, mul, u))
+    else:  # a table field: logs i < q - 1, None for zero
+        log, els, zech, m, z, u = t.log.get, t.els, t.zech, q - 1, None, 0
 
-    def log_add(i, j):
-        if i is None or j is None:
-            return j if i is None else i
-        n = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
-        return None if n is None else (i + n) % m
+        def add(i, j):
+            if i is None or j is None:
+                return j if i is None else i
+            n = zech[j - i]  # g^i + g^j = g^i (1 + g^(j-i)); a negative index wraps mod q - 1
+            return None if n is None else (i + n) % m
 
-    decode = lambda i: z if i is None else els[i]
-    return Arithmetic(
-        lambda a: log(a.payload), decode, lambda x: decode(log(x)), None, 0, log_add,
-        lambda i, j: None if i is None or j is None else (i + j) % m,
-        lambda i: None if i is None else (i + t.neg_one) % m,
-        lambda i: None if i is None else -i % m,
-    )
+        decode = lambda i: shared[0] if i is None else els[i]
+        encode, at = (lambda a: log(a.payload)), (lambda x: decode(log(x)))
+        mul = lambda i, j: None if i is None or j is None else (i + j) % m
+        neg = lambda i: None if i is None else (i + t.neg_one) % m
+        inv = lambda i: None if i is None else -i % m
+    # every nonzero value is a unit: val is 1, split gives inv and cancel neg
+    return Arithmetic(encode, decode, at, z, u, add, mul, neg, inv, *_entrywise(add, mul),
+                      lambda a: q if a == z else 1, lambda a, w: (inv(a), z), lambda a, w: neg(a), True)
+
+
+def _entrywise(add: Callable, mul: Callable) -> tuple[Callable, Callable]:
+    """plus(u, v) = u + v and scaled(c, v) = c * v on tuples of values, entry by entry."""
+    return (lambda u, v: tuple(map(add, u, v))), (lambda c, v: tuple(map(mul, itertools.repeat(c), v)))
 
 
 def _field_mul(a: tuple[int, ...], b: tuple[int, ...], spec: GaloisField) -> tuple[int, ...]:
@@ -796,7 +818,7 @@ def apply_hom(h: RingHom, a: RingElement) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# ring expression grammar: GF(q) | GF(p^k) | Z(n) | D(p), product via infix x
+# ring expression grammar: GF(q) | GF(p^k) | Z(n) | D(p) | (product), product via infix x
 # ---------------------------------------------------------------------------
 
 
@@ -884,9 +906,14 @@ class _ExprParser:
                 self.error(f"{p} is not prime", start)
             self.expect(")")
             return DualNumbers(p)
+        if head == "(":  # a parenthesised product, as format_ring writes a nested one
+            self.pos += 1
+            spec = self.product()
+            self.expect(")")
+            return spec
         self.error("expected GF(, Z( or D(")
 
-    def parse(self) -> RingSpec:
+    def product(self) -> RingSpec:
         factors = [self.atom()]
         while True:
             self.skip_ws()
@@ -895,15 +922,23 @@ class _ExprParser:
                 factors.append(self.atom())
             else:
                 break
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+    def parse(self) -> RingSpec:
+        spec = self.product()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+        return spec
 
 
 def parse_ring(text: str) -> RingSpec:
     """Parse a ring expression; whitespace-insensitive, errors carry offsets."""
-    return _ExprParser(text).parse()
+    parser = _ExprParser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # parentheses nested deeper than the interpreter's stack
+        parser.error("parentheses nested too deeply")
 
 
 def format_ring(spec: RingSpec) -> str:

@@ -1,6 +1,6 @@
 """Ring arithmetic on payloads, independent of ``rings``: the oracles the
-ring records (``rings.arithmetic``) and the vectors built on them
-(``network._domain``) are tested against.
+ring records (``rings.arithmetic``), with their vector and elimination
+operations, are tested against.
 
 A payload is a residue, a coefficient tuple (constant term first) or, for a
 product, a tuple of component ``RingElement``s; results are flat, with each

@@ -232,10 +232,10 @@ def first_decoders(rows, targets, ops):
     valuation v, scaled to p^v, and p^(k-v) times the pivot row is fed back.
     Each (t | 0), reduced along but never a pivot, ends as (0 | c), c in least
     residues, iff t is decodable; a target left nonzero at a message column
-    stays so, and the elimination stops there.  ops has a _Domain's fields:
-    for a != 0, val(a) = w is p^v as an integer, split(a, w) = (u, p^(k-v))
-    for a unit u with u*a = p^v, and cancel(a, w) is the c making a + c*p^v
-    the least residue of a modulo p^v.
+    stays so, and the elimination stops there.  ops has a rings.Arithmetic's
+    fields: for a != 0, val(a) = w is p^v as an integer, split(a, w) =
+    (u, p^(k-v)) for a unit u with u*a = p^v, and cancel(a, w) is the c
+    making a + c*p^v the least residue of a modulo p^v.
     """
     zero, plus, scaled, val, split, cancel = ops.zero, ops.plus, ops.scaled, ops.val, ops.split, ops.cancel
     minus_one = cancel(ops.one, 1)  # 1 + (-1)*1 = 0, the least residue of 1 modulo 1

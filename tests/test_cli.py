@@ -13,6 +13,7 @@ import pytest
 from test_dominance import PINNED_RINGS
 
 from ringcode import cli, dominance
+from ringcode import network as network_mod
 from ringcode.network import (
     Edge,
     Message,
@@ -455,6 +456,23 @@ class TestNetworkCommands:
         argv = [command[0], "--file", net, *(arg.format(code=code) for arg in command[1:])]
         assert run_cli("network", *argv) == (2, "")
         assert capsys.readouterr().err == "error: invalid network: duplicate edge ids; edge lam01: unknown head zz\n"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--ring", "GF(2)"], ["verify", "--code", "{code}"],
+        ["transform", "--code", "{code}", "--kind", "lift", "--target", "GF(4)"],
+    ])
+    def test_receiver_id_with_a_colon_is_refused_before_any_work(self, command, n, tmp_path, capsys, monkeypatch):
+        # decoder keys are node:message, so no code of such a network can be
+        # written; refused before any work, the exit code cannot depend on
+        # whether a search finds a code (choose_two(4) has none over GF(2))
+        data = json.loads(json.dumps(network_to_json(choose_two(n))).replace("r01x02", "r:01x02"))
+        net, code = self._files(tmp_path, data, code_to_json(solve_brute(choose_two(2), PrimeField(2))))
+        monkeypatch.setattr(network_mod, "_layout", lambda net: pytest.fail("the network was compiled"))
+        capsys.readouterr()
+        argv = [command[0], "--file", net, *(arg.format(code=code) for arg in command[1:])]
+        assert run_cli("network", *argv) == (2, "")
+        assert capsys.readouterr().err == "error: malformed network JSON: receivers[0].node 'r:01x02' contains ':'\n"
 
 
 class TestVerifyCommands:

@@ -616,10 +616,10 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_same_decoders_as_the_reference_kernel(self, ring):
-        # on the ring's values (_domain), and through decode_search, whose
+        # on the ring's values (rings.arithmetic), and through decode_search, whose
         # GF(p), Z(p^k) and GF(2^13) cases run on the public add and mul
         spec = parse_ring(ring)
-        d, els = network_mod._domain(spec), elements(spec)
+        d, els = rings_mod.arithmetic(spec), elements(spec)
         values, rng = [d.encode(a) for a in els], random.Random(ring)
         outcomes, exhaustive = set(), 0
         for rows, targets, picks in self._systems(d, values, rng):
@@ -841,8 +841,8 @@ class TestVerifyParity:
 
 
 class TestLogDomain:
-    """Table fields verify and decode on discrete logarithms (network._domain
-    over the field's record rings.arithmetic), checked against oracles: the
+    """Table fields verify and decode on discrete logarithms (the field's
+    record rings.arithmetic and its vectors), checked against oracles: the
     payload arithmetic of ring_oracle, the public, checked add and mul
     (search_oracle.verify, search_oracle.decode) and the element kernel
     decode_search ran before (decode_on_elements)."""
@@ -880,7 +880,7 @@ class TestLogDomain:
     @pytest.mark.parametrize("text", FIELDS)
     def test_log_ops_against_the_element_arithmetic(self, text):
         spec = parse_ring(text)
-        d = network_mod._domain(spec)
+        d = rings_mod.arithmetic(spec)
         encode, decode, z, u = d.encode, d.decode, d.zero, d.one
         log_add, log_mul = (lambda i, j: d.plus((i,), (j,))[0]), (lambda i, j: d.scaled(i, (j,))[0])
         assert z is None and u == 0 and decode(None) is zero(spec) and decode(0) is one(spec)
@@ -1003,7 +1003,7 @@ class TestLogDomain:
 
 
 class TestValueDomain:
-    """network._domain, the one value record verify, decode_search and the
+    """rings.arithmetic, the one value record verify, decode_search and the
     search compute on: products on their factors' values, decode_search
     above the table limit, and the search's candidates, one per unit orbit."""
 
@@ -1012,7 +1012,7 @@ class TestValueDomain:
     @pytest.mark.parametrize("text", PRODUCTS)
     def test_product_values_are_factor_values(self, text):
         spec = parse_ring(text)
-        d, parts = network_mod._domain(spec), [network_mod._domain(f) for f in spec.factors]
+        d, parts = rings_mod.arithmetic(spec), [rings_mod.arithmetic(f) for f in spec.factors]
         els = elements(spec)
         if len(els) > 64:
             els = [zero(spec), one(spec)] + random.Random(3).sample(els, 30)
@@ -1031,9 +1031,9 @@ class TestValueDomain:
         # an equal product of another object, used first, owns no result
         fresh, other = (parse_ring("GF(4)xZ(9)") for _ in "ab")
         assert fresh == other and fresh is not other
-        first = network_mod._domain(fresh)
-        d = network_mod._domain(other)
-        assert d is network_mod._domain(other) is not first
+        first = rings_mod.arithmetic(fresh)
+        d = rings_mod.arithmetic(other)
+        assert d is rings_mod.arithmetic(other) is not first
         assert first.decode(first.one).ring is fresh
         for v in (d.zero, d.one, d.plus((d.one,), (d.one,))[0], d.encode(element(other, ((0, 1), 4)))):
             assert d.decode(v).ring is other
@@ -1058,7 +1058,7 @@ class TestValueDomain:
     def test_decode_search_above_the_table_limit(self):
         # GF(2^13) computes on RingElements through the public add and mul
         spec = parse_ring("GF(2^13)")
-        els, rng, d = elements(spec), random.Random(13), network_mod._domain(spec)
+        els, rng, d = elements(spec), random.Random(13), rings_mod.arithmetic(spec)
         assert d.field and [d.val(d.encode(a)) for a in els[:3]] == [len(els), 1, 1]
         outcomes = set()
         for _ in range(60):
@@ -1094,15 +1094,15 @@ class TestValueDomain:
             if (orbit := frozenset(tuple(mul(u, c) for c in combo) for u in units)) not in seen:
                 seen.add(orbit)
                 want.append(combo)
-        d = network_mod._domain(spec)
+        d = rings_mod.arithmetic(spec)
         assert [tuple(map(d.decode, v)) for v in tried] == want
 
     @pytest.mark.parametrize("q", [16, 64, 256, 1024])
     def test_choose_two_makes_one_candidate_per_unit_orbit(self, q, monkeypatch, cold_memo):
         # the three source edges share one list: (0, 0), (0, 1) and (1, c)
         calls = []
-        real = network_mod._Domain.orbit_key
-        monkeypatch.setattr(network_mod._Domain, "orbit_key", lambda d, v: calls.append(v) or real(d, v))
+        real = network_mod._orbit_key
+        monkeypatch.setattr(network_mod, "_orbit_key", lambda d, v: calls.append(v) or real(d, v))
         code = solve_brute(choose_two(3), parse_ring(f"GF({q})"), budget=2**200)
         assert code is not None and verify(choose_two(3), code)
         assert len(calls) <= 2 * q + 4
@@ -1150,13 +1150,13 @@ class TestSearchMemo:
     def _counted(monkeypatch):
         """Counts of _first_decoders and orbit_key calls from here on."""
         calls = {"_first_decoders": 0, "orbit_key": 0}
-        kernel, key = network_mod._first_decoders, network_mod._Domain.orbit_key
+        kernel, key = network_mod._first_decoders, network_mod._orbit_key
 
         def bump(name, real):
             return lambda *a: calls.__setitem__(name, calls[name] + 1) or real(*a)
 
         monkeypatch.setattr(network_mod, "_first_decoders", bump("_first_decoders", kernel))
-        monkeypatch.setattr(network_mod._Domain, "orbit_key", bump("orbit_key", key))
+        monkeypatch.setattr(network_mod, "_orbit_key", bump("orbit_key", key))
         return calls
 
     def test_warm_solves_equal_cold_solves(self, cold_memo):
@@ -1228,7 +1228,7 @@ class TestSearchMemo:
             network_mod._search_memo.cache_clear()
             want[n] = self._answer(choose_two(n), spec)
         network_mod._search_memo.cache_clear()
-        real, made = network_mod._Domain.orbit_key, []
+        real, made = network_mod._orbit_key, []
 
         def failing(d, v):
             made.append(v)
@@ -1236,7 +1236,7 @@ class TestSearchMemo:
                 raise KeyboardInterrupt
             return real(d, v)
 
-        monkeypatch.setattr(network_mod._Domain, "orbit_key", failing)
+        monkeypatch.setattr(network_mod, "_orbit_key", failing)
         with pytest.raises(KeyboardInterrupt):
             solve_brute(choose_two(4), spec)
         assert network_mod._search_memo(spec)[1] == {}
@@ -1461,13 +1461,13 @@ class TestIndexKernel:
     @pytest.mark.parametrize(
         "ring",
         ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(16)",
-         "GF(25)", "GF(27)", "GF(32)", "Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)"],
+         "GF(25)", "GF(27)", "GF(32)", "Z(2)", "Z(5)", "Z(7)", "Z(4)", "Z(8)", "Z(9)", "Z(25)", "Z(27)"],
     )
     def test_tables_match_ring_arithmetic(self, ring):
-        # the values the search runs on (network._domain), every operation
+        # the values the search runs on (rings.arithmetic), every operation
         # on every value against the payload arithmetic of ring_oracle
         spec = parse_ring(ring)
-        els, d = elements(spec), network_mod._domain(spec)
+        els, d = elements(spec), rings_mod.arithmetic(spec)
         q, enc, (plus, times, minus) = len(els), d.encode, oracle_ops(spec)
         values, pay = [enc(a) for a in els], lambda v: tuple(d.decode(x).payload for x in v)
         assert [d.decode(x) for x in values] == els
@@ -1493,9 +1493,9 @@ class TestIndexKernel:
     @pytest.mark.parametrize("ring", ["GF(2^13)", "GF(8191)", "Z(8192)"])
     def test_tables_refuse_rings_above_the_table_limit(self, ring, monkeypatch):
         # the search refuses a ring of more than FIELD_TABLE_LIMIT elements
-        # before it builds the ring's value record, or does anything else
+        # before it reads the ring's record, or does anything else
         plan = network_mod._layout(self.ONE_COMBINING_EDGE)
-        monkeypatch.setattr(network_mod, "_domain", None)
+        monkeypatch.setattr(network_mod, "arithmetic", None)
         start = time.perf_counter()
         with pytest.raises(GuardExceeded):
             network_mod._search(plan, parse_ring(ring))
@@ -1650,22 +1650,22 @@ class TestIndexKernel:
     @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
     def test_orbit_key_names_unit_orbits(self, ring):
         spec = parse_ring(ring)
-        d = network_mod._domain(spec)
+        d, key = rings_mod.arithmetic(spec), network_mod._orbit_key
         values = [d.encode(a) for a in elements(spec)]
         units = [u for u in values if inverse(d.decode(u)) is not None]
         for v in itertools.product(values, repeat=3):
             orbit = {d.scaled(u, v) for u in units}
             # equal across the orbit, and a member of it: distinct orbits
             # are disjoint, so they cannot share a key
-            assert {d.orbit_key(w) for w in orbit} == {d.orbit_key(v)} and d.orbit_key(v) in orbit
+            assert {key(d, w) for w in orbit} == {key(d, v)} and key(d, v) in orbit
 
     def test_candidates_are_made_once_per_input_tuple(self, monkeypatch, cold_memo):
         # one orbit key per candidate made: the choose_two edges are fed by the
         # messages only, so they share one list of at most q + 2 candidates,
         # (0, 0), (0, 1) and (1, c) for each c
         calls = []
-        real = network_mod._Domain.orbit_key
-        monkeypatch.setattr(network_mod._Domain, "orbit_key", lambda d, v: calls.append(v) or real(d, v))
+        real = network_mod._orbit_key
+        monkeypatch.setattr(network_mod, "_orbit_key", lambda d, v: calls.append(v) or real(d, v))
         for net, ring, solvable, most in (
             (choose_two(8), "GF(5)", False, 7),
             (choose_two(12), "GF(3)", False, 5),
@@ -2036,6 +2036,9 @@ class TestJson:
                 ),
             ),
         ]
+        # a nested product, written (GF(2^2)xGF(3))xGF(5)
+        inner = product_code(ct3, [(GF4, solve_brute(ct3, GF4)), (GF3, solve_brute(ct3, GF3))])
+        cases.append((ct3, product_code(ct3, [(inner.ring, inner), (GF5, solve_brute(ct3, GF5))])))
         for net, code in cases:
             assert code is not None
             data = code_to_json(code)
@@ -2059,6 +2062,8 @@ class TestJson:
             (edited(net, "messages", [{"id": 0, "source": "s"}]), "messages[0].id must be a string"),
             (edited(net, "receivers", [{"node": 7, "demands": []}]), "receivers[0].node must be a string"),
             (edited(net, "receivers", [{"node": "r01x02", "demands": "xy"}]), "receivers[0].demands must be a list"),
+            (edited(net, "receivers", [{"node": "r01x02", "demands": []}, {"node": "r:01x02", "demands": ["x"]}]),
+             "receivers[1].node 'r:01x02' contains ':'"),
         ]] + [(code_from_json, data, f"malformed code JSON: {text}") for data, text in [
             ({"ring": "GF(2)"}, "edges must be an object"),
             ([], "a code must be an object"),

@@ -36,6 +36,7 @@ from ringcode.rings import (
     RingElement,
     _Spec,
     arithmetic,
+    element,
     is_prime,
     mod_reduction,
     subring_inclusion,
@@ -238,7 +239,8 @@ class TestRecordParity:
 
 class TestRecordConstructors:
     """Constructors refuse a bool, a float or any other non-int field, and a
-    product factor that is not a ring, with ValueError when built."""
+    product factor that is not a ring, with ValueError when built; so does
+    rings.element for a residue or coefficient of such a type."""
 
     @pytest.mark.parametrize(
         "build",
@@ -251,6 +253,11 @@ class TestRecordConstructors:
             lambda: Partition((True, 2)),
             lambda: Product((5,)),
             lambda: Product((PrimeField(2), "GF(3)")),
+            lambda: element(IntegersMod(5000), True),
+            lambda: element(GaloisField(2, 13), (0.5,) + (0,) * 12),
+            lambda: element(GaloisField(2, 2), (0.5, 0)),
+            lambda: element(DualNumbers(3), (1, True)),
+            lambda: element(Product((PrimeField(2), IntegersMod(4))), (True, 3)),
         ],
         ids=[
             "PrimeField(5.0)",
@@ -261,6 +268,11 @@ class TestRecordConstructors:
             "Partition((True, 2))",
             "Product((5,))",
             "Product((GF(2), 'GF(3)'))",
+            "element(Z(5000), True)",
+            "element(GF(2^13), 0.5 + ...)",
+            "element(GF(4), 0.5)",
+            "element(D(3), 1 + True x)",
+            "element(GF(2)xZ(4), (True, 3))",
         ],
     )
     def test_refuses(self, build):

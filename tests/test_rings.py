@@ -377,6 +377,10 @@ class TestExpressionGrammar:
                 text,
                 text.replace("GF(8)", "GF(2^3)").replace("GF(4)", "GF(2^2)"),
             )
+        # nested products: format_ring parenthesises a product factor
+        for spec in [Product((Product((GF4, GF3)), PrimeField(5))), Product((GF2, Product((Z4, Product((D3, GF3)))))),
+                     Product((Product((GF2, GF3)), Product((Z4, D2))))]:
+            assert parse_ring(format_ring(spec)) == spec, format_ring(spec)
 
     def test_error_offsets(self):
         with pytest.raises(ParseError) as err:
@@ -394,6 +398,11 @@ class TestExpressionGrammar:
         with pytest.raises(ParseError, match="degree must be positive") as err:
             parse_ring("Z(4) x GF(2^0)")
         assert err.value.offset == 7
+        with pytest.raises(ParseError, match="expected '[)]'") as err:
+            parse_ring("(GF(2)xGF(3) x GF(5)")
+        assert err.value.offset == 20
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_ring("(" * 5000 + "GF(2)" + ")" * 5000)
 
     def test_whitespace_insensitive(self):
         assert parse_ring("GF( 8 ) x GF( 4 )") == parse_ring("GF(8)xGF(4)")
@@ -821,16 +830,12 @@ def flat(a):
 
 class TestBoundArithmetic:
     """Each ring kind's Arithmetic record, whose value operations the public
-    add, mul, neg and inverse and network's vectors are built on, against the
-    oracles of ring_oracle through encode and decode: every pair for rings of
-    at most 64 elements, 2,000 seeded pairs above."""
+    add, mul, neg and inverse and the record's vectors are built on, against
+    the oracles of ring_oracle through encode and decode: every pair for rings
+    of at most 64 elements, 2,000 seeded pairs above."""
 
     RINGS = ["GF(7)", "Z(12)", "Z(1000)", "D(5)", "D(13)", "GF(2^5)", "GF(2^8)", "GF(3^5)",
              "GF(2^13)", "GF(3^8)", "GF(4)x(Z(4)xD(2))", "GF(2^8)xGF(3^5)", "GF(2^13)xZ(9)"]
-
-    @staticmethod
-    def _spec(text):
-        return Product((GF4, Product((Z4, D2)))) if text == "GF(4)x(Z(4)xD(2))" else parse_ring(text)
 
     @staticmethod
     def _elements(spec, seed):
@@ -842,7 +847,7 @@ class TestBoundArithmetic:
 
     @pytest.mark.parametrize("text", RINGS)
     def test_against_the_oracles(self, text):
-        spec = self._spec(text)
+        spec = parse_ring(text)
         r, want = arithmetic(spec), oracle_ops(spec)
         assert r is arithmetic(spec)
         z, u = r.decode(r.zero), r.decode(r.one)
@@ -865,7 +870,7 @@ class TestBoundArithmetic:
     def test_inv_against_the_oracle(self, text):
         # a * inv(a) = 1 by the oracle, and None exactly for the non-units:
         # D(p)'s with a0 = 0 and products' with a non-unit factor among them
-        spec = self._spec(text)
+        spec = parse_ring(text)
         r, times = arithmetic(spec), oracle_ops(spec)[1]
         uno, seen = flat(r.decode(r.one)), set()
         for a in self._elements(spec, 11):
@@ -887,6 +892,17 @@ class TestBoundArithmetic:
         assert arithmetic(fresh) is arithmetic(fresh) is not arithmetic(other)
         assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == "IntegersMod(n=77)"
         assert {fresh: 1}[other] == 1
+        assert rings_mod._Spec.__slots__ == ("_arithmetic",)  # the one record a spec keeps
+
+    @pytest.mark.parametrize("text, eliminates, field", [
+        ("GF(2)", True, True), ("GF(5)", True, True), ("GF(4)", True, True), ("GF(2^13)", True, True),
+        ("Z(2)", True, True), ("Z(5)", True, True), ("Z(4)", True, False), ("Z(27)", True, False),
+        ("D(2)", False, False), ("D(3)", False, False), ("Z(6)", False, False), ("Z(12)", False, False),
+        ("GF(2)xGF(3)", False, False), ("Z(4)xGF(3)", False, False),
+    ])
+    def test_elimination_exactly_over_fields_and_z_p_k(self, text, eliminates, field):
+        r = arithmetic(parse_ring(text))
+        assert [f is not None for f in (r.val, r.split, r.cancel)] == [eliminates] * 3 and r.field is field
 
 
 def random_element(spec, rng):
