@@ -4,7 +4,8 @@ Modules: ``rings`` (exact catalog-ring arithmetic and the ring
 expression grammar), ``partitions`` (partition division and maximal
 partitions), ``dominance`` (the dominance quasi-order, partition rings and
 maximal-ring enumeration), ``network`` (networks, scalar linear codes, the
-exhaustive solver and solution transforms), ``cli`` (command-line frontend).
+exhaustive solver and solution transforms, over the private search kernel
+``_kernel``), ``cli`` (command-line frontend).
 """
 
 from .dominance import (

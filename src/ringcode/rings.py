@@ -36,9 +36,10 @@ between elements and values, zero, one, add, mul, neg and inv on values,
 plus and scaled on vectors of values, and the Howell elimination's val,
 split and cancel over fields and Z(p^k).  The public add, mul, neg and
 inverse are decode(op(encode(a), ...)), add and mul after checking both
-operands' ring; zero and one decode the record's.  network's verify,
-decode_search and search and the subfield inclusions compute on the same
-record.
+operands' ring; zero and one decode the record's.  network's verify and
+decode_search, _kernel's search and the subfield inclusions compute on the
+same record.  This module owns ring arithmetic, homomorphisms and the ring
+and element text; the solver's modules only read the record.
 """
 
 from __future__ import annotations
@@ -139,35 +140,12 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(a))
 
 
-def _poly_eval(f: tuple[int, ...], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _monic_polys(degree: int, p: int) -> Iterator[tuple[int, ...]]:
-    for low in itertools.product(range(p), repeat=degree):
-        yield low + (1,)
-
-
 def poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p) by trial division."""
+    """Irreducibility of a monic polynomial over GF(p) by trial division: no
+    monic of degree 1 to deg // 2 divides it."""
     deg = len(f) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for x in range(p):
-        if _poly_eval(f, x, p) == 0:
-            return False
-    if deg <= 3:
-        return True  # a factorization would include a linear factor
-    for d in range(2, deg // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _poly_mod(f, g, p):
-                return False
-    return True
+    return deg >= 1 and all(_poly_mod(f, low + (1,), p) for d in range(1, deg // 2 + 1)
+                            for low in itertools.product(range(p), repeat=d))
 
 
 @functools.cache
@@ -300,8 +278,9 @@ def characteristic(spec: RingSpec) -> int:
 def canonicalize(spec: RingSpec) -> RingSpec:
     """Flatten nested products and sort field factors by (prime, exponent desc).
 
-    Non-field factors keep their input order after the field factors.
-    Idempotent; non-product specs are returned unchanged.
+    Non-field factors keep their input order after the field factors, and a
+    product of one factor flattens to that factor.  Idempotent; non-product
+    specs are returned unchanged.
     """
     if not isinstance(spec, Product):
         return spec
@@ -318,7 +297,7 @@ def canonicalize(spec: RingSpec) -> RingSpec:
     fields = [f for f in flat if isinstance(f, (PrimeField, GaloisField))]
     rest = [f for f in flat if not isinstance(f, (PrimeField, GaloisField))]
     fields.sort(key=lambda f: (f.p, -(f.k if isinstance(f, GaloisField) else 1)))
-    return Product(tuple(fields + rest))
+    return flat[0] if len(flat) == 1 else Product(tuple(fields + rest))
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +452,13 @@ class Arithmetic(NamedTuple):
     one where the ring has them (see _shared), else a new one over the spec.
     add, mul, neg and inv (None for a non-unit) take and give values and
     check no ownership.  plus(u, v) and scaled(c, v) are the vectors u + v
-    and c * v on tuples of values, which network's verify, decode_search and
-    search compute on: entry by entry, or a product's once per factor on the
-    transposed vector, so each factor computes on its own values.  val, split
-    and cancel are the Howell elimination's (see network._first_decoders),
-    with val(zero) the ring size, and field says every nonzero value is a
-    unit; the three are None where there is no elimination: D(p), composite
-    Z(n) and products."""
+    and c * v on tuples of values, which network's verify and decode_search
+    and _kernel's search compute on: entry by entry, or a product's once per
+    factor on the transposed vector, so each factor computes on its own
+    values.  val, split and cancel are the Howell elimination's (see
+    _kernel._first_decoders), with val(zero) the ring size, and field says
+    every nonzero value is a unit; the three are None where there is no
+    elimination: D(p), composite Z(n) and products."""
 
     encode: Callable[[RingElement], object]
     decode: Callable[[object], RingElement]
@@ -906,34 +885,34 @@ class _ExprParser:
                 self.error(f"{p} is not prime", start)
             self.expect(")")
             return DualNumbers(p)
-        if head == "(":  # a parenthesised product, as format_ring writes a nested one
+        if head == "(":  # a group is the product of its factors, also of one (see format_ring)
             self.pos += 1
-            spec = self.product()
+            spec = Product(self.factors())
             self.expect(")")
             return spec
         self.error("expected GF(, Z( or D(")
 
-    def product(self) -> RingSpec:
+    def factors(self) -> tuple[RingSpec, ...]:
         factors = [self.atom()]
         while True:
             self.skip_ws()
-            if self.peek().lower() == "x":
-                self.pos += 1
-                factors.append(self.atom())
-            else:
-                break
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+            if self.peek().lower() != "x":
+                return tuple(factors)
+            self.pos += 1
+            factors.append(self.atom())
 
     def parse(self) -> RingSpec:
-        spec = self.product()
+        factors = self.factors()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
-        return spec
+        return factors[0] if len(factors) == 1 else Product(factors)
 
 
 def parse_ring(text: str) -> RingSpec:
-    """Parse a ring expression; whitespace-insensitive, errors carry offsets."""
+    """Parse a ring expression; whitespace-insensitive, errors carry offsets.
+    A parenthesised group is the product of its factors, also of one, so
+    parse_ring(format_ring(spec)) == spec."""
     parser = _ExprParser(text)
     try:
         return parser.parse()
@@ -950,10 +929,9 @@ def format_ring(spec: RingSpec) -> str:
         return f"Z({spec.n})"
     if isinstance(spec, DualNumbers):
         return f"D({spec.p})"
-    return "x".join(
-        f"({format_ring(f)})" if isinstance(f, Product) else format_ring(f)
-        for f in spec.factors
-    )
+    text = "x".join(f"({format_ring(f)})" if isinstance(f, Product) and len(f.factors) > 1 else format_ring(f)
+                    for f in spec.factors)  # a one-factor product is in parentheses already
+    return text if len(spec.factors) > 1 else f"({text})"
 
 
 # ---------------------------------------------------------------------------

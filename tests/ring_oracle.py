@@ -7,6 +7,7 @@ product, a tuple of component ``RingElement``s; results are flat, with each
 product component replaced by its own payload.
 """
 
+import itertools
 from math import gcd
 
 from ringcode.rings import DualNumbers, GaloisField, IntegersMod, PrimeField, Product, ring_size
@@ -64,3 +65,23 @@ def oracle_is_unit(spec, a):
     if isinstance(spec, (PrimeField, IntegersMod)):
         return gcd(a, ring_size(spec)) == 1
     return a[0] != 0 if isinstance(spec, DualNumbers) else any(a)
+
+
+def oracle_reducible_monics(p, top):
+    """Every monic over GF(p) of degree at most top that is a product of two
+    monics of lower, positive degree: all such products, multiplied out
+    coefficientwise, independent of rings.  Coefficients constant term first."""
+    def monics(degree):
+        return [low + (1,) for low in itertools.product(range(p), repeat=degree)]
+
+    found = set()
+    for da in range(1, top):
+        for db in range(1, top - da + 1):
+            for a in monics(da):
+                for b in monics(db):
+                    out = [0] * (da + db + 1)
+                    for i, x in enumerate(a):
+                        for j, y in enumerate(b):
+                            out[i + j] = (out[i + j] + x * y) % p
+                    found.add(tuple(out))
+    return found

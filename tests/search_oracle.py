@@ -1,7 +1,7 @@
 """The solver's search, decoding and verification on RingElement values,
 kept as oracles.
 
-``network._search`` runs on element indices; ``search`` is the same
+``_kernel._search`` runs on element indices; ``search`` is the same
 depth-first search in the same canonical coefficient order, without the
 kernel's unit-orbit pruning, written on ``RingElement`` arithmetic and the
 exhaustive ``decode``.  Both accept any catalog ring, products and D(p)
@@ -10,7 +10,7 @@ included, so ``search`` also serves as the plain search on rings that
 every transfer vector and decoder sum through ``fold``, and ``decode_on_elements`` is
 ``decode_search``'s elimination over GF(p^k) on ``RingElement`` values, as it
 ran before table fields moved to discrete logarithms.  ``first_decoders`` is
-the elimination kernel as it ran before ``network._first_decoders`` reduced
+the elimination kernel as it ran before ``_kernel._first_decoders`` reduced
 its rows in place: new tuples per column, through a ring's vector ``plus``
 and ``scaled``.  ``kahn_order``, ``layout``, ``defects`` and ``search_plan``
 compile a network as ``network._Plan`` did before it became one walk: a
@@ -24,14 +24,8 @@ ring.
 import itertools
 from types import SimpleNamespace
 
-from ringcode.network import (
-    Receiver,
-    ScalarLinearCode,
-    TransferVector,
-    _checked,
-    _first_decoders,
-    _layout,
-)
+from ringcode._kernel import _first_decoders
+from ringcode.network import Receiver, ScalarLinearCode, TransferVector, _checked, _layout
 from ringcode.rings import add, elements, inverse, mul, neg, one, zero
 
 
@@ -202,7 +196,7 @@ def verify(net, code):
 def element_ops(spec):
     """The elimination's operations over the field spec on RingElement values,
     through the public add, mul, neg and inverse: scalar add and mul for
-    network._first_decoders, vector plus and scaled for first_decoders."""
+    _kernel._first_decoders, vector plus and scaled for first_decoders."""
     z = zero(spec)
     return SimpleNamespace(
         zero=z, one=one(spec), field=True, add=add, mul=mul,

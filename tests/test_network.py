@@ -1,5 +1,7 @@
 """Network model, codes, transfer vectors, solving, and transforms."""
 
+import ast
+import inspect
 import io
 import itertools
 import json
@@ -21,6 +23,7 @@ from search_oracle import transfer as oracle_transfer
 from search_oracle import unit as oracle_unit
 from search_oracle import verify as oracle_verify
 from search_oracle import search as plain_search
+from ringcode import _kernel as kernel_mod
 from ringcode import cli
 from ringcode import network as network_mod
 from ringcode import rings as rings_mod
@@ -88,7 +91,7 @@ D2 = DualNumbers(2)
 def cold_memo():
     """Every ring's search memo empty, as after a fresh import, so a test
     that counts the search's work does not see what earlier tests left."""
-    network_mod._search_memo.cache_clear()
+    kernel_mod._search_memo.cache_clear()
 
 
 def _inputs(net, node):
@@ -581,7 +584,7 @@ class TestDecodeSearch:
 
 
 class TestKernelEquivalence:
-    """network._first_decoders, which reduces its rows in place with the
+    """_kernel._first_decoders, which reduces its rows in place with the
     record's scalar add and mul, gives what the kernel gave before it
     (search_oracle.first_decoders: new tuples per column through plus and
     scaled) on seeded systems, and on the small ones what the exhaustive
@@ -624,7 +627,7 @@ class TestKernelEquivalence:
         outcomes, exhaustive = set(), 0
         for rows, targets, picks in self._systems(d, values, rng):
             want = first_decoders(rows, targets, d)
-            assert network_mod._first_decoders(rows, targets, d) == want, (rows, targets)
+            assert kernel_mod._first_decoders(rows, targets, d) == want, (rows, targets)
             outcomes.add(want is None)
             if None in picks:
                 continue
@@ -646,9 +649,30 @@ class TestKernelEquivalence:
         ops, els, outcomes = element_ops(spec), elements(spec), set()
         for rows, targets, _ in self._systems(ops, els, random.Random(13)):
             want = first_decoders(rows, targets, ops)
-            assert network_mod._first_decoders(rows, targets, ops) == want, (rows, targets)
+            assert kernel_mod._first_decoders(rows, targets, ops) == want, (rows, targets)
             outcomes.add(want is None)
         assert outcomes == {True, False}
+
+
+class TestKernelLayering:
+    """_kernel sits below network: it imports from rings and errors only,
+    and network binds only the kernel names it calls."""
+
+    def test_kernel_imports_nothing_from_network(self):
+        modules, names = set(), set()
+        for node in ast.walk(ast.parse(inspect.getsource(kernel_mod))):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules.add("." * node.level + (node.module or ""))
+                names |= {alias.name for alias in node.names}
+        assert not any("network" in module.split(".") for module in modules) and "network" not in names
+        assert {m for m in modules if m.startswith(".")} == {".rings", ".errors"}
+
+    def test_network_binds_only_the_kernel_names_it_calls(self):
+        bound = {name for name, value in vars(network_mod).items()
+                 if getattr(value, "__module__", None) == kernel_mod.__name__}
+        assert bound == {"_first_decoders", "_search", "_slot_vectors"}
 
 
 class TestVerify:
@@ -1085,9 +1109,9 @@ class TestValueDomain:
         spec, msgs = parse_ring(ring), "xyz"[:width]
         net = Network(("s", "r"), (Edge("e", "s", "r"),), tuple(Message(m, "s") for m in msgs),
                       (Receiver("r", tuple(msgs)),))
-        tried, real = [], network_mod._first_decoders
-        monkeypatch.setattr(network_mod, "_first_decoders", lambda rows, t, ops: tried.append(rows[0]) or real(rows, t, ops))
-        assert network_mod._search(network_mod._layout(net), spec) is None
+        tried, real = [], kernel_mod._first_decoders
+        monkeypatch.setattr(kernel_mod, "_first_decoders", lambda rows, t, ops: tried.append(rows[0]) or real(rows, t, ops))
+        assert kernel_mod._search(network_mod._layout(net), spec) is None
         els = elements(spec)
         units, seen, want = [u for u in els if inverse(u) is not None], set(), []
         for combo in itertools.product(els, repeat=width):
@@ -1101,8 +1125,8 @@ class TestValueDomain:
     def test_choose_two_makes_one_candidate_per_unit_orbit(self, q, monkeypatch, cold_memo):
         # the three source edges share one list: (0, 0), (0, 1) and (1, c)
         calls = []
-        real = network_mod._orbit_key
-        monkeypatch.setattr(network_mod, "_orbit_key", lambda d, v: calls.append(v) or real(d, v))
+        real = kernel_mod._orbit_key
+        monkeypatch.setattr(kernel_mod, "_orbit_key", lambda d, v: calls.append(v) or real(d, v))
         code = solve_brute(choose_two(3), parse_ring(f"GF({q})"), budget=2**200)
         assert code is not None and verify(choose_two(3), code)
         assert len(calls) <= 2 * q + 4
@@ -1116,7 +1140,7 @@ class TestValueDomain:
 
 
 class TestSearchMemo:
-    """network._search_memo: the eliminations and candidate lists that every
+    """_kernel._search_memo: the eliminations and candidate lists that every
     search over one ring value shares.  Warm or cold, a solve gives the same
     bytes; warm, it redoes no elimination and makes no candidate again."""
 
@@ -1150,22 +1174,22 @@ class TestSearchMemo:
     def _counted(monkeypatch):
         """Counts of _first_decoders and orbit_key calls from here on."""
         calls = {"_first_decoders": 0, "orbit_key": 0}
-        kernel, key = network_mod._first_decoders, network_mod._orbit_key
+        kernel, key = kernel_mod._first_decoders, kernel_mod._orbit_key
 
         def bump(name, real):
             return lambda *a: calls.__setitem__(name, calls[name] + 1) or real(*a)
 
-        monkeypatch.setattr(network_mod, "_first_decoders", bump("_first_decoders", kernel))
-        monkeypatch.setattr(network_mod, "_orbit_key", bump("orbit_key", key))
+        monkeypatch.setattr(kernel_mod, "_first_decoders", bump("_first_decoders", kernel))
+        monkeypatch.setattr(kernel_mod, "_orbit_key", bump("orbit_key", key))
         return calls
 
     def test_warm_solves_equal_cold_solves(self, cold_memo):
         grid = self._grid()
         cold = {}
         for n, spec in grid:
-            network_mod._search_memo.cache_clear()
+            kernel_mod._search_memo.cache_clear()
             cold[n, spec] = self._answer(choose_two(n), spec)
-        network_mod._search_memo.cache_clear()
+        kernel_mod._search_memo.cache_clear()
         for order in (sorted(grid, key=lambda c: c[0]), sorted(grid, key=lambda c: -c[0])):
             for n, spec in order:
                 assert self._answer(choose_two(n), spec) == cold[n, spec], (n, spec)
@@ -1211,9 +1235,9 @@ class TestSearchMemo:
         net, spec = choose_two(6), parse_ring("GF(5)")
         calls = self._counted(monkeypatch)
         want, cold = self._answer(net, spec), dict(calls)
-        decodes, lists = network_mod._search_memo(spec)
+        decodes, lists = kernel_mod._search_memo(spec)
         decodes["stale"] = None
-        monkeypatch.setattr(network_mod, "SEARCH_MEMO_LIMIT", len(decodes) + len(lists) - over)
+        monkeypatch.setattr(kernel_mod, "SEARCH_MEMO_LIMIT", len(decodes) + len(lists) - over)
         calls.update(dict.fromkeys(calls, 0))
         assert self._answer(net, spec) == want
         assert ("stale" in decodes) == (not over)
@@ -1225,10 +1249,10 @@ class TestSearchMemo:
         spec, ns = parse_ring("GF(5)"), (2, 3, 4, 5, 6, 7)
         want = {}
         for n in ns:
-            network_mod._search_memo.cache_clear()
+            kernel_mod._search_memo.cache_clear()
             want[n] = self._answer(choose_two(n), spec)
-        network_mod._search_memo.cache_clear()
-        real, made = network_mod._orbit_key, []
+        kernel_mod._search_memo.cache_clear()
+        real, made = kernel_mod._orbit_key, []
 
         def failing(d, v):
             made.append(v)
@@ -1236,10 +1260,10 @@ class TestSearchMemo:
                 raise KeyboardInterrupt
             return real(d, v)
 
-        monkeypatch.setattr(network_mod, "_orbit_key", failing)
+        monkeypatch.setattr(kernel_mod, "_orbit_key", failing)
         with pytest.raises(KeyboardInterrupt):
             solve_brute(choose_two(4), spec)
-        assert network_mod._search_memo(spec)[1] == {}
+        assert kernel_mod._search_memo(spec)[1] == {}
         for n in ns + ns[::-1]:
             assert self._answer(choose_two(n), spec) == want[n], n
 
@@ -1291,17 +1315,17 @@ class TestSolveBrute:
         # wrong decoders must be refused by an explicit error, not an assert
         # that python -O strips; over a field they come from the search's
         # kernel, over Z(p^k) from decode_search
-        search = network_mod._search
+        search = network_mod._search_code
 
         def zero_decoders(plan, spec):
             code = search(plan, spec)
             zeros = {key: (zero(spec),) * len(cs) for key, cs in code.decoders.items()}
             return ScalarLinearCode(spec, code.edge_coeffs, zeros)
 
-        monkeypatch.setattr(network_mod, "_search", zero_decoders)
+        monkeypatch.setattr(network_mod, "_search_code", zero_decoders)
         with pytest.raises(RuntimeError):
             solve_brute(choose_two(3), GF2)
-        monkeypatch.setattr(network_mod, "_search", search)
+        monkeypatch.setattr(network_mod, "_search_code", search)
         monkeypatch.setattr(
             "ringcode.network.decode_search",
             lambda rows, demands, spec: tuple(tuple(zero(spec) for _ in rows) for _ in demands),
@@ -1454,9 +1478,10 @@ class TestRoutedSolve:
 
 
 class TestIndexKernel:
-    """_search runs on element indices; RingElement values appear only in
-    the returned code.  Its decoders come from the kernel over a field and
-    from decode_search over Z(p^k)."""
+    """_kernel._search runs on element indices; RingElement values appear
+    only in the code network._search_code builds from its values.  Its
+    decoders come from the kernel over a field and from decode_search over
+    Z(p^k)."""
 
     @pytest.mark.parametrize(
         "ring",
@@ -1495,10 +1520,10 @@ class TestIndexKernel:
         # the search refuses a ring of more than FIELD_TABLE_LIMIT elements
         # before it reads the ring's record, or does anything else
         plan = network_mod._layout(self.ONE_COMBINING_EDGE)
-        monkeypatch.setattr(network_mod, "arithmetic", None)
+        monkeypatch.setattr(kernel_mod, "arithmetic", None)
         start = time.perf_counter()
         with pytest.raises(GuardExceeded):
-            network_mod._search(plan, parse_ring(ring))
+            kernel_mod._search(plan, parse_ring(ring))
         assert time.perf_counter() - start < 0.5
 
     def test_search_over_a_large_ring_is_refused_quickly(self):
@@ -1524,7 +1549,7 @@ class TestIndexKernel:
         spec = parse_ring(ring)
         nets = corpus() + ([two_six()] if ring != "Z(8)" else [])
         for net in nets:
-            got = network_mod._search(network_mod._layout(net), spec)
+            got = network_mod._search_code(network_mod._layout(net), spec)
             want = plain_search(net, spec)
             assert (got is None) == (want is None), (net.nodes, ring)
             if got is not None:
@@ -1554,7 +1579,7 @@ class TestIndexKernel:
             for spec in (GF2, GF3, GF4, Z4, GF5, GF8, Z8, Z9):
                 if len(elements(spec)) ** sum(a for a in arities if a >= 2) > 4096:
                     continue
-                got = network_mod._search(plan, spec)
+                got = network_mod._search_code(plan, spec)
                 want = plain_search(net, spec)
                 assert (got is None) == (want is None), (net, spec)
                 if got is not None:
@@ -1563,7 +1588,7 @@ class TestIndexKernel:
 
     @staticmethod
     def _same_as_oracle(net, spec):
-        got = network_mod._search(network_mod._layout(net), spec)
+        got = network_mod._search_code(network_mod._layout(net), spec)
         want = plain_search(net, spec)
         assert (got is None) == (want is None), (net, spec)
         if got is not None:
@@ -1643,14 +1668,14 @@ class TestIndexKernel:
         )
         plan = network_mod._layout(net)
         for spec in (GF2, Z4):
-            got = network_mod._search(plan, spec)
+            got = network_mod._search_code(plan, spec)
             assert got is not None and verify(net, got)
             assert code_to_json(got) == code_to_json(plain_search(net, spec))
 
     @pytest.mark.parametrize("ring", ["GF(4)", "GF(9)", "Z(8)", "Z(9)"])
     def test_orbit_key_names_unit_orbits(self, ring):
         spec = parse_ring(ring)
-        d, key = rings_mod.arithmetic(spec), network_mod._orbit_key
+        d, key = rings_mod.arithmetic(spec), kernel_mod._orbit_key
         values = [d.encode(a) for a in elements(spec)]
         units = [u for u in values if inverse(d.decode(u)) is not None]
         for v in itertools.product(values, repeat=3):
@@ -1664,8 +1689,8 @@ class TestIndexKernel:
         # messages only, so they share one list of at most q + 2 candidates,
         # (0, 0), (0, 1) and (1, c) for each c
         calls = []
-        real = network_mod._orbit_key
-        monkeypatch.setattr(network_mod, "_orbit_key", lambda d, v: calls.append(v) or real(d, v))
+        real = kernel_mod._orbit_key
+        monkeypatch.setattr(kernel_mod, "_orbit_key", lambda d, v: calls.append(v) or real(d, v))
         for net, ring, solvable, most in (
             (choose_two(8), "GF(5)", False, 7),
             (choose_two(12), "GF(3)", False, 5),
@@ -1688,17 +1713,17 @@ class TestIndexKernel:
 
     def test_boundary_decoder_disagreeing_raises(self, monkeypatch):
         # a field decoder missing from the kernel's answer fails the check
-        search = network_mod._search
+        search = network_mod._search_code
 
         def drop_one(plan, spec):
             code = search(plan, spec)
             code.decoders.popitem()
             return code
 
-        monkeypatch.setattr(network_mod, "_search", drop_one)
+        monkeypatch.setattr(network_mod, "_search_code", drop_one)
         with pytest.raises(RuntimeError):
             solve_brute(choose_two(3), GF3)
-        monkeypatch.setattr(network_mod, "_search", search)
+        monkeypatch.setattr(network_mod, "_search_code", search)
         # over Z(p^k) decode_search is still the boundary
         monkeypatch.setattr(
             "ringcode.network.decode_search", lambda rows, demands, spec: None
@@ -1711,7 +1736,7 @@ class TestIndexKernel:
     @pytest.mark.parametrize("ring", ["GF(2^10)", "Z(1024)"])
     def test_large_ring_without_combining_edge(self, ring, monkeypatch):
         # no search runs when nothing combines: it would read the memo
-        monkeypatch.setattr(network_mod, "_search_memo", None)
+        monkeypatch.setattr(kernel_mod, "_search_memo", None)
         start = time.perf_counter()
         code = solve_brute(relay_chain(), parse_ring(ring))
         assert code is not None and verify(relay_chain(), code)
@@ -1833,13 +1858,13 @@ class TestBoundaryCheck:
 
     @pytest.mark.parametrize("ring, factor", [("GF(2)xGF(3)", "GF(3)"), ("Z(12)", "Z(3)"), ("Z(12)", "Z(4)")])
     def test_corrupted_factor_code_fails_the_self_check(self, ring, factor, monkeypatch, tmp_path):
-        search = network_mod._search
+        search = network_mod._search_code
 
         def corrupting(plan, spec):
             code = search(plan, spec)
             return self._corrupted(code) if spec == parse_ring(factor) else code
 
-        monkeypatch.setattr(network_mod, "_search", corrupting)
+        monkeypatch.setattr(network_mod, "_search_code", corrupting)
         self._both_raise(choose_two(3), ring, tmp_path)
 
     @pytest.mark.parametrize("ring", ["Z(12)", "D(3)"])  # the CRT image, the D(p) lift
@@ -2039,12 +2064,16 @@ class TestJson:
         # a nested product, written (GF(2^2)xGF(3))xGF(5)
         inner = product_code(ct3, [(GF4, solve_brute(ct3, GF4)), (GF3, solve_brute(ct3, GF3))])
         cases.append((ct3, product_code(ct3, [(inner.ring, inner), (GF5, solve_brute(ct3, GF5))])))
+        # one-factor products, written (GF(2)), and one nested, ((GF(2)))xGF(3)
+        single = product_code(ct3, [(GF2, solve_brute(ct3, GF2))])
+        cases.append((ct3, single))
+        cases.append((ct3, product_code(ct3, [(single.ring, single), (GF3, solve_brute(ct3, GF3))])))
         for net, code in cases:
             assert code is not None
             data = code_to_json(code)
             back = code_from_json(json.loads(json.dumps(data)))
             assert verify(net, back)
-            assert code_to_json(back) == data
+            assert back.ring == code.ring and code_to_json(back) == data
 
     @staticmethod
     def _malformed():

@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 from hom_oracle import verify_hom_table_all_pairs
-from ring_oracle import oracle_add, oracle_is_unit, oracle_mul, oracle_neg, oracle_ops
+from ring_oracle import oracle_add, oracle_is_unit, oracle_mul, oracle_neg, oracle_ops, oracle_reducible_monics
 
 from ringcode import rings as rings_mod
 from ringcode.errors import GuardExceeded, ParseError
@@ -83,6 +83,66 @@ class TestFindIrreducible:
     def test_size_guard(self):
         with pytest.raises(GuardExceeded):
             find_irreducible(2, 21)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_irreducible_iff_no_product_of_lower_monics(self, p):
+        # every monic of degree <= 5 against the brute-force products
+        reducible = oracle_reducible_monics(p, 5)
+        for degree in range(6):
+            for low in itertools.product(range(p), repeat=degree):
+                f = low + (1,)
+                assert poly_is_irreducible(f, p) == (degree >= 1 and f not in reducible), f
+
+    # find_irreducible(p, k) for every p^k <= 2^12 and k >= 2; a field's modulus
+    # fixes its element order and so every output over it; for k = 1 it is x
+    MODULI = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 0, 1, 1),
+        (2, 4): (1, 0, 0, 1, 1),
+        (2, 5): (1, 0, 0, 1, 0, 1),
+        (2, 6): (1, 0, 0, 0, 0, 1, 1),
+        (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+        (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+        (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+        (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+        (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        (3, 2): (1, 0, 1),
+        (3, 3): (1, 0, 2, 1),
+        (3, 4): (1, 0, 1, 1, 1),
+        (3, 5): (1, 0, 0, 0, 2, 1),
+        (3, 6): (1, 0, 0, 0, 1, 1, 1),
+        (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+        (5, 2): (1, 1, 1),
+        (5, 3): (1, 0, 1, 1),
+        (5, 4): (1, 0, 1, 1, 1),
+        (5, 5): (1, 0, 0, 0, 4, 1),
+        (7, 2): (1, 0, 1),
+        (7, 3): (1, 0, 1, 1),
+        (7, 4): (1, 0, 0, 1, 1),
+        (11, 2): (1, 0, 1),
+        (11, 3): (1, 0, 4, 1),
+        (13, 2): (1, 3, 1),
+        (13, 3): (1, 0, 4, 1),
+        (17, 2): (1, 1, 1),
+        (19, 2): (1, 0, 1),
+        (23, 2): (1, 0, 1),
+        (29, 2): (1, 1, 1),
+        (31, 2): (1, 0, 1),
+        (37, 2): (1, 3, 1),
+        (41, 2): (1, 1, 1),
+        (43, 2): (1, 0, 1),
+        (47, 2): (1, 0, 1),
+        (53, 2): (1, 1, 1),
+        (59, 2): (1, 0, 1),
+        (61, 2): (1, 5, 1),
+    }
+
+    def test_moduli_up_to_the_table_limit(self):
+        assert all(find_irreducible(p, 1) == (0, 1) for p in range(2, 4097) if is_prime(p))
+        got = {(p, k): find_irreducible(p, k) for p in range(2, 65) if is_prime(p)
+               for k in range(2, 13) if p**k <= rings_mod.FIELD_TABLE_LIMIT}
+        assert got == self.MODULI
 
 
 class TestElements:
@@ -381,6 +441,13 @@ class TestExpressionGrammar:
         for spec in [Product((Product((GF4, GF3)), PrimeField(5))), Product((GF2, Product((Z4, Product((D3, GF3)))))),
                      Product((Product((GF2, GF3)), Product((Z4, D2))))]:
             assert parse_ring(format_ring(spec)) == spec, format_ring(spec)
+        # one-factor products: a parenthesised group is always a product
+        single = Product((GF2,))
+        for spec, text in [(single, "(GF(2))"), (Product((single, GF3)), "(GF(2))xGF(3)"),
+                           (Product((single,)), "((GF(2)))"), (Product((Product((GF2, GF3)),)), "((GF(2)xGF(3)))"),
+                           (Product((GF3, Product((single,)))), "GF(3)x((GF(2)))")]:
+            assert format_ring(spec) == text and parse_ring(text) == spec, text
+        assert parse_ring("(GF(4))") == Product((GF4,)) and canonicalize(parse_ring("(GF(4))")) == GF4
 
     def test_error_offsets(self):
         with pytest.raises(ParseError) as err:
