@@ -9,7 +9,9 @@ moduli.  Other catalog pairs are read through their atoms: fields, with D(p)
 and Z(p) read as GF(p), and Z(p^k) for k >= 2, Z(n) split by its prime
 powers.  S is dominated by R when each atom of R is dominated by one atom of
 S; a characteristic witness settles a pair as NotDominates, and a pair the
-rules do not settle is Unknown rather than a guess.  Maximal rings are
+rules do not settle is Unknown rather than a guess.  Each ring value is read
+into atoms once and kept (``_atoms``), so a sweep over the pairs of a fixed
+set of rings walks each ring once.  Maximal rings are
 products of fields, one maximal partition per prime (``maximal_rings``).
 
 Definite verdicts carry certificates: small step objects naming the rule and
@@ -19,12 +21,12 @@ pass; see ``check_certificate``.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from ._record import Frozen, _set
+from ._record import Frozen, Keyed, _set
 from .errors import GuardExceeded
 from .partitions import MAXIMAL_MAX_K, Partition, is_maximal, maximal_partitions
 from .rings import (
@@ -311,15 +313,17 @@ def zmod_dominates(n: int, m: int) -> DominanceVerdict:
 
 _FIELD = "field"
 _ZLOCAL = "zlocal"
+_RULES = frozenset({"dual-numbers", "crt-split", "prime-modulus-field"})  # the EquivalenceSteps _atoms makes
 
 
-class _Factor(Frozen):
+class _Factor(Keyed):  # equality and hash on one tuple: check_certificate's reached set
     __slots__ = ("kind", "p", "k")
 
     def __init__(self, kind: str, p: int, k: int):  # kind: _FIELD or _ZLOCAL
         _set(self, "kind", kind)
         _set(self, "p", p)
         _set(self, "k", k)
+        _set(self, "_key", (kind, p, k))
 
     def describe(self) -> str:
         if self.kind == _FIELD:
@@ -327,8 +331,27 @@ class _Factor(Frozen):
         return f"Z({self.p ** self.k})"
 
 
-def _catalog_factors(spec: RingSpec) -> tuple[tuple[_Factor, ...], tuple[EquivalenceStep, ...]]:
-    """Decompose a catalog ring into dominance-equivalent atomic factors.
+class _Atoms(Frozen):
+    """One ring value as dominance reads it (see _atoms): its atoms, the
+    equivalence steps that read them off, its characteristic, the
+    PartitionRing of the atoms when all are fields (else None), and what a
+    certificate step may start at: ``starts``, (p, k) of a field atom and
+    (p, 1), the residue field, of a Z(p^k) atom, and ``moduli``, the p^k of
+    the Z(p^k) atoms."""
+
+    __slots__ = ("factors", "steps", "char", "field_ring", "starts", "moduli")
+
+    def __init__(self, factors: tuple[_Factor, ...], steps: tuple[EquivalenceStep, ...], char: int):
+        zlocal = [f for f in factors if f.kind == _ZLOCAL]
+        ring = None if zlocal else to_partition_ring([(f.p, f.k) for f in factors])
+        starts = frozenset((f.p, 1 if f.kind == _ZLOCAL else f.k) for f in factors)
+        self.__setstate__((factors, steps, char, ring, starts, frozenset(f.p**f.k for f in zlocal)))
+
+
+@functools.cache  # by ring value, like rings._shared: callers parse fresh equal specs
+def _atoms(spec: RingSpec) -> _Atoms:
+    """Decompose a catalog ring into dominance-equivalent atomic factors,
+    once per ring value: the record is kept for the life of the process.
 
     The one walk from a catalog ring to its atoms, over canonicalize's flat
     factor list.  Fields stay fields; D(p) collapses to GF(p); Z(n) splits
@@ -343,32 +366,22 @@ def _catalog_factors(spec: RingSpec) -> tuple[tuple[_Factor, ...], tuple[Equival
         elif isinstance(s, GaloisField):
             factors.append(_Factor(_FIELD, s.p, s.k))
         elif isinstance(s, DualNumbers):
-            steps.append(
-                EquivalenceStep(
-                    "dual-numbers",
-                    f"D({s.p}) and GF({s.p})xGF({s.p}) and GF({s.p}) all solve the same networks",
-                )
-            )
+            detail = f"D({s.p}) and GF({s.p})xGF({s.p}) and GF({s.p}) all solve the same networks"
+            steps.append(EquivalenceStep("dual-numbers", detail))
             factors.append(_Factor(_FIELD, s.p, 1))
         else:
             fac = factorize(s.n)
             if len(fac) > 1:
                 split = "x".join(f"Z({p ** k})" for p, k in fac)
-                steps.append(
-                    EquivalenceStep("crt-split", f"Z({s.n}) is isomorphic to {split}")
-                )
+                steps.append(EquivalenceStep("crt-split", f"Z({s.n}) is isomorphic to {split}"))
             for p, k in fac:
                 if k == 1:
                     if len(fac) == 1:
-                        steps.append(
-                            EquivalenceStep(
-                                "prime-modulus-field", f"Z({p}) is the field GF({p})"
-                            )
-                        )
+                        steps.append(EquivalenceStep("prime-modulus-field", f"Z({p}) is the field GF({p})"))
                     factors.append(_Factor(_FIELD, p, 1))
                 else:
                     factors.append(_Factor(_ZLOCAL, p, k))
-    return tuple(factors), tuple(steps)
+    return _Atoms(tuple(factors), tuple(steps), characteristic(spec))
 
 
 def _single_factor_dominated(f: _Factor, target: _Factor) -> list | None:
@@ -396,33 +409,27 @@ def _single_factor_dominated(f: _Factor, target: _Factor) -> list | None:
 def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
     """Rule-engine dominance decision for arbitrary catalog rings.
 
-    Both sides are read as atoms (``_catalog_factors``).  Pairs of field
+    Both sides are read as atoms (``_atoms``).  Pairs of field
     products are always decided by the divisor criterion, and any other pair
     in which char(R) does not divide char(S) is NotDominates by the
     characteristic rule of zmod_dominates.  Otherwise every atom of R needs
     an atom of S that maps onto it; the first atom of R without one makes
     the pair Unknown, with that atom named as the unresolved obligation.
     """
-    s_factors, s_steps = _catalog_factors(s)
-    r_factors, r_steps = _catalog_factors(r)
-    collected: list = [*s_steps, *r_steps]
+    left, right = _atoms(s), _atoms(r)
+    collected: list = [*left.steps, *right.steps]
 
-    if all(f.kind == _FIELD for f in s_factors) and all(
-        f.kind == _FIELD for f in r_factors
-    ):
-        left = to_partition_ring([(f.p, f.k) for f in s_factors])
-        right = to_partition_ring([(f.p, f.k) for f in r_factors])
-        inner = field_product_dominates(left, right)
+    if left.field_ring is not None and right.field_ring is not None:
+        inner = field_product_dominates(left.field_ring, right.field_ring)
         return DominanceVerdict(inner.relation, (*collected, *inner.certificate))
 
-    s_char, r_char = characteristic(s), characteristic(r)
-    if s_char % r_char:  # the characteristic-char(S) family separates them
-        obstruction = CharacteristicObstruction(s_char, s_char, r_char)
+    if left.char % right.char:  # the characteristic-char(S) family separates them
+        obstruction = CharacteristicObstruction(left.char, left.char, right.char)
         return DominanceVerdict(Relation.NOT_DOMINATES, (*collected, obstruction))
-    for target in r_factors:
+    for target in right.factors:
         # one dominated left factor settles a target: every network the
         # product solves is solved by each factor alone
-        for i, f in enumerate(s_factors):
+        for i, f in enumerate(left.factors):
             chain = _single_factor_dominated(f, target)
             if chain is not None:
                 break
@@ -430,7 +437,7 @@ def catalog_dominates(s: RingSpec, r: RingSpec) -> DominanceVerdict:
             return _unknown(
                 f"no rule settles this left side against {target.describe()}"
             )
-        if len(s_factors) > 1:
+        if len(left.factors) > 1:
             collected.append(FactorSelection(i, f.describe()))
         collected.extend(chain)
     return _dominates(collected)
@@ -446,12 +453,9 @@ def is_maximal_ring(spec: RingSpec) -> bool:
     exponent partitions are all maximal (Z(n) for square-free n counts as the
     product of the prime fields GF(p) for p | n).  A Z(p^k) factor, k >= 2,
     or a D(p) factor, whose atom GF(p) is smaller than it, rules it out."""
-    factors, _ = _catalog_factors(spec)
-    if any(f.kind == _ZLOCAL for f in factors):
+    pr = _atoms(spec).field_ring
+    if pr is None or pr.size < ring_size(spec):
         return False
-    if math.prod(f.p**f.k for f in factors) < ring_size(spec):
-        return False
-    pr = to_partition_ring([(f.p, f.k) for f in factors])
     return all(is_maximal(part) for _, part in pr.assignment)
 
 
@@ -497,8 +501,7 @@ def smallest_field_refuge(spec: RingSpec, p: int) -> RingSpec:
         raise ValueError(f"{p} is not prime")
     if ring_size(spec) % p != 0:
         raise ValueError(f"{p} does not divide the ring size {ring_size(spec)}")
-    factors, _ = _catalog_factors(spec)
-    candidates = [f for f in factors if f.p == p]
+    candidates = [f for f in _atoms(spec).factors if f.p == p]
     best = max(candidates, key=lambda f: f.k)
     if best.kind == _FIELD:
         return galois_field(p, best.k)
@@ -536,27 +539,23 @@ def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bo
     """
     if verdict.relation is Relation.UNKNOWN:
         return bool(verdict.certificate) and isinstance(verdict.certificate[0], Obligation)
-    s_factors, _ = _catalog_factors(s)
-    r_factors, _ = _catalog_factors(r)
-    rules = {"dual-numbers", "crt-split", "prime-modulus-field"}  # the EquivalenceSteps _catalog_factors makes
+    left, right = _atoms(s), _atoms(r)
 
     if verdict.relation is Relation.NOT_DOMINATES:
         *steps, last = verdict.certificate or (None,)
-        if not all(isinstance(step, EquivalenceStep) and step.rule in rules for step in steps):
+        if not all(isinstance(step, EquivalenceStep) and step.rule in _RULES for step in steps):
             return False
         if isinstance(last, FieldViolation):
-            if any(f.kind != _FIELD for f in s_factors):
+            if left.field_ring is None:
                 return False
-            if any(f.p == last.prime and last.exponent % f.k == 0 for f in s_factors):
+            if any(f.p == last.prime and last.exponent % f.k == 0 for f in left.factors):
                 return False
-            return _Factor(_FIELD, last.prime, last.exponent) in r_factors
+            return _Factor(_FIELD, last.prime, last.exponent) in right.factors
         if isinstance(last, CharacteristicObstruction):
             c = last.witness_modulus
-            return c % characteristic(s) == 0 and c % characteristic(r) != 0
+            return c % left.char == 0 and c % right.char != 0
         return False
 
-    fields = {(f.p, f.k if f.kind == _FIELD else 1) for f in s_factors}
-    moduli = {f.p**f.k for f in s_factors if f.kind == _ZLOCAL}
     reached: set[_Factor] = set()
     for step in verdict.certificate:
         if isinstance(step, (FieldCriterion, SubfieldStep)):
@@ -566,23 +565,23 @@ def check_certificate(s: RingSpec, r: RingSpec, verdict: DominanceVerdict) -> bo
                 else ((step.p, step.target_degree, step.source_degree),)
             )
             for p, k, m in claims:
-                if (p, m) not in fields or k % m:
+                if (p, m) not in left.starts or k % m:
                     return False
                 reached.add(_Factor(_FIELD, p, k))
         elif isinstance(step, ModReductionStep):
             n, m = step.source_modulus, step.target_modulus
-            if n not in moduli or m < 2 or n % m:
+            if n not in left.moduli or m < 2 or n % m:
                 return False
             p, k = prime_power(m)
             reached.add(_Factor(_FIELD if k == 1 else _ZLOCAL, p, k))
         elif isinstance(step, FactorSelection):
-            if not 0 <= step.index < len(s_factors):
+            if not 0 <= step.index < len(left.factors):
                 return False
-            if s_factors[step.index].describe() != step.factor:
+            if left.factors[step.index].describe() != step.factor:
                 return False
         elif isinstance(step, EquivalenceStep):
-            if step.rule not in rules:
+            if step.rule not in _RULES:
                 return False
         else:
             return False
-    return reached.issuperset(r_factors)
+    return reached.issuperset(right.factors)

@@ -116,8 +116,6 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -141,11 +139,12 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
 
 
 def poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p) by trial division: no
-    monic of degree 1 to deg // 2 divides it."""
-    deg = len(f) - 1
-    return deg >= 1 and all(_poly_mod(f, low + (1,), p) for d in range(1, deg // 2 + 1)
-                            for low in itertools.product(range(p), repeat=d))
+    """Irreducibility of a monic polynomial over GF(p): of degree 1, or with no
+    root (Horner's rule at each residue) and no monic divisor of degree 2 to
+    deg // 2 (trial division)."""
+    deg, horner = len(f) - 1, lambda x: functools.reduce(lambda y, c: (y * x + c) % p, reversed(f))  # f(x)
+    return deg == 1 or deg > 1 and all(map(horner, range(p))) and all(
+        _poly_mod(f, low + (1,), p) for d in range(2, deg // 2 + 1) for low in itertools.product(range(p), repeat=d))
 
 
 @functools.cache
@@ -950,16 +949,8 @@ def format_element(a: RingElement) -> str:
     if isinstance(spec, (PrimeField, IntegersMod)):
         return str(a.payload)
     if isinstance(spec, (GaloisField, DualNumbers)):
-        terms = []
-        for deg, c in enumerate(a.payload):
-            if c == 0:
-                continue
-            if deg == 0:
-                terms.append(str(c))
-            else:
-                xpart = "x" if deg == 1 else f"x^{deg}"
-                terms.append(xpart if c == 1 else f"{c}{xpart}")
-        return "+".join(terms) if terms else "0"
+        return "+".join(str(c) if deg == 0 else ("" if c == 1 else str(c)) + ("x" if deg == 1 else f"x^{deg}")
+                        for deg, c in enumerate(a.payload) if c) or "0"
     return "(" + ",".join(format_element(c) for c in a.payload) + ")"
 
 

@@ -29,6 +29,7 @@ from ringcode.dominance import (
     square_free_fields,
     to_partition_ring,
     zmod_dominates,
+    _atoms,
 )
 from ringcode.errors import GuardExceeded
 from ringcode.network import solve_brute, two_six
@@ -95,6 +96,33 @@ PINNED_RINGS = (
     "GF(2)xGF(2)", "GF(2)xGF(3)", "GF(4)xGF(2)", "GF(8)xGF(4)", "GF(4)xZ(9)",
     "Z(4)xGF(3)", "D(2)xGF(3)", "GF(4)xD(2)", "Z(4)xZ(9)",
 )
+
+
+PINNED_DIGEST = "2511566c23eb68face739d7937f492105648146f23d2961b82f3ec490b0c58df"
+
+
+def pinned_digest(pairs, texts) -> str:
+    """sha256 of relation, describe(), certificate repr and check_certificate
+    of each (left, right) pair, then is_maximal_ring and partition_ring_of
+    (value or error text) of each ring, every ring parsed afresh.  The lines
+    are hashed in PINNED_RINGS order, whatever order they are computed in."""
+    lines = {}
+    for left, right in pairs:
+        s, r = parse_ring(left), parse_ring(right)
+        v = catalog_dominates(s, r)
+        lines[left, right] = (
+            f"{left} {right} {v.relation.name} {v.describe()} "
+            f"{v.certificate!r} {check_certificate(s, r, v)}"
+        )
+    for text in texts:
+        spec = parse_ring(text)
+        try:
+            as_fields = repr(partition_ring_of(spec))
+        except ValueError as exc:
+            as_fields = f"error: {exc}"
+        lines[text] = f"{text} {is_maximal_ring(spec)} {as_fields}"
+    order = [*itertools.product(PINNED_RINGS, repeat=2), *PINNED_RINGS]
+    return hashlib.sha256("\n".join(lines[key] for key in order).encode()).hexdigest()
 
 
 def pr(assignment: dict) -> PartitionRing:
@@ -335,27 +363,34 @@ class TestCatalogEngine:
             assert catalog_dominates(spec, spec).relation is DOM
 
     def test_outputs_are_pinned(self):
-        # relation, describe(), certificate repr and check_certificate of
-        # every ordered pair, then is_maximal_ring and partition_ring_of
-        # (value or error text) of each ring, as recorded before the factor
-        # walks were merged
-        lines = []
-        for left, right in itertools.product(PINNED_RINGS, repeat=2):
+        # as recorded before the factor walks were merged
+        assert pinned_digest(itertools.product(PINNED_RINGS, repeat=2), PINNED_RINGS) == PINNED_DIGEST
+
+
+class TestAtomCache:
+    """Each ring value's atoms are built once (dominance._atoms) and read by
+    every later query, whichever spec object asks."""
+
+    def test_cold_and_warm_give_the_pinned_bytes(self):
+        _atoms.cache_clear()
+        pairs = list(itertools.product(PINNED_RINGS, repeat=2))[::-1]
+        assert pinned_digest(pairs, PINNED_RINGS[::-1]) == PINNED_DIGEST
+        assert _atoms.cache_info().hits > 0
+
+    def test_one_build_per_ring_value(self):
+        # GF(4), Z(4), D(2) and GF(2)xGF(2) have the same size; GF(2^2) and
+        # GF(4) are one value, and so are the two parses of Z(4)
+        texts = ("GF(4)", "Z(4)", "D(2)", "GF(2)xGF(2)", "GF(2^2)", "Z(4)", "Z(12)", "GF(3)xZ(4)")
+        distinct = {parse_ring(t) for t in texts}
+        _atoms.cache_clear()
+        for left, right in itertools.product(texts, repeat=2):
             s, r = parse_ring(left), parse_ring(right)
-            v = catalog_dominates(s, r)
-            lines.append(
-                f"{left} {right} {v.relation.name} {v.describe()} "
-                f"{v.certificate!r} {check_certificate(s, r, v)}"
-            )
-        for text in PINNED_RINGS:
-            spec = parse_ring(text)
-            try:
-                as_fields = repr(partition_ring_of(spec))
-            except ValueError as exc:
-                as_fields = f"error: {exc}"
-            lines.append(f"{text} {is_maximal_ring(spec)} {as_fields}")
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "2511566c23eb68face739d7937f492105648146f23d2961b82f3ec490b0c58df"
+            assert check_certificate(s, r, catalog_dominates(s, r))
+        for text in texts:
+            is_maximal_ring(parse_ring(text))
+            smallest_field_refuge(parse_ring(text), 2)
+        assert len(distinct) == 6
+        assert _atoms.cache_info().misses == len(distinct)
 
 
 class TestForgedCertificates:
