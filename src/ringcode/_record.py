@@ -60,10 +60,14 @@ class Frozen(Record):
 
 
 class Keyed(Frozen):
-    """A Frozen record that also keeps the tuple of its fields in _key, which
-    its __init__ sets last; equality and hash read only that slot."""
+    """A Frozen record that also keeps the tuple of its fields in _key and its
+    hash in _hash, which __init__ sets last by _set_key; == reads only _key."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
+
+    def _set_key(self, key: tuple):
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -71,8 +75,8 @@ class Keyed(Frozen):
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __setstate__(self, values):
         super().__setstate__(values)
-        _set(self, "_key", values)
+        self._set_key(values)

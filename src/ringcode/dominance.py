@@ -323,7 +323,7 @@ class _Factor(Keyed):  # equality and hash on one tuple: check_certificate's rea
         _set(self, "kind", kind)
         _set(self, "p", p)
         _set(self, "k", k)
-        _set(self, "_key", (kind, p, k))
+        self._set_key((kind, p, k))
 
     def describe(self) -> str:
         if self.kind == _FIELD:

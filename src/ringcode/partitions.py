@@ -10,6 +10,7 @@ k is not a sum of fewer than n multiples of its parts (``is_maximal``).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 from ._record import Frozen, _set
@@ -90,12 +91,15 @@ def is_maximal(a: Partition) -> bool:
     ``reach`` is set iff s is a sum of exactly j of them; round one, k itself
     a multiple, is tested first because it settles most partitions.
     """
-    k, parts = a.total, set(a.parts)
-    if len(a) > 1 and any(k % d == 0 for d in parts):
+    return _maximal(a.total, a.parts)
+
+
+def _maximal(k: int, parts: tuple[int, ...]) -> bool:  # is_maximal on the parts of k
+    if len(parts) > 1 and any(k % d == 0 for d in parts):
         return False
-    multiples = {m for d in parts for m in range(d, k + 1, d)}
+    multiples = {m for d in set(parts) for m in range(d, k + 1, d)}
     reach, below = 1, (2 << k) - 1
-    for _ in range(len(a) - 1):
+    for _ in range(len(parts) - 1):
         shifted = 0
         for m in multiples:
             shifted |= reach << m
@@ -105,11 +109,16 @@ def is_maximal(a: Partition) -> bool:
     return True
 
 
+@functools.cache  # each k's enumeration once per process; only maxima become Partitions
+def _maxima(k: int) -> tuple[Partition, ...]:
+    return tuple(Partition(t) for t in _iter_parts(k, k) if _maximal(k, t))
+
+
 def maximal_partitions(k: int) -> list[Partition]:
     """The maximal partitions of k, reverse-lexicographically ordered."""
     if not 1 <= k <= MAXIMAL_MAX_K:
         raise GuardExceeded(f"k must be in 1..{MAXIMAL_MAX_K}, got {k}")
-    return [Partition(t) for t in _iter_parts(k, k) if is_maximal(Partition(t))]
+    return list(_maxima(k))
 
 
 def is_len2_maximal(k: int, m: int) -> bool:

@@ -185,8 +185,7 @@ class PrimeField(_Spec):
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"GF({p!r}): {p!r} is not prime")
-        _set(self, "p", p)
-        _set(self, "_key", (p,))
+        self.__setstate__((p,))
 
 
 class GaloisField(_Spec):
@@ -208,8 +207,7 @@ class IntegersMod(_Spec):
     def __init__(self, n: int):
         if type(n) is not int or n < 2:
             raise ValueError(f"modulus must be an integer of at least 2, got {n!r}")
-        _set(self, "n", n)
-        _set(self, "_key", (n,))
+        self.__setstate__((n,))
 
 
 class DualNumbers(_Spec):
@@ -220,8 +218,7 @@ class DualNumbers(_Spec):
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"D({p!r}): {p!r} is not prime")
-        _set(self, "p", p)
-        _set(self, "_key", (p,))
+        self.__setstate__((p,))
 
 
 class Product(_Spec):
@@ -234,8 +231,7 @@ class Product(_Spec):
         for f in factors:
             if not isinstance(f, _Spec):
                 raise ValueError(f"product factor {f!r} is not a ring")
-        _set(self, "factors", factors)
-        _set(self, "_key", (factors,))
+        self.__setstate__((factors,))
 
 
 # PEP 604 unions: typing.Union's cache keeps the classes of every import alive

@@ -31,6 +31,7 @@ from ringcode.network import (
     verify,
 )
 from ringcode.partitions import (
+    MAXIMAL_MAX_K,
     enumerate_partitions,
     has_unique_maximal,
     is_maximal,
@@ -76,9 +77,10 @@ def test_criterion_01_table1_reproduction():
 def test_criterion_02_unique_maximal_exactly_1_2_3_4_6():
     t0 = time.time()
     ok = all(
-        has_unique_maximal(k) == (k in {1, 2, 3, 4, 6}) for k in range(1, 31)
+        has_unique_maximal(k) == (k in {1, 2, 3, 4, 6})
+        for k in range(1, MAXIMAL_MAX_K + 1)
     )
-    report("criterion 2: unique maximal partition iff k in {1,2,3,4,6}", ok, t0)
+    report(f"criterion 2: unique maximal partition iff k in {{1,2,3,4,6}}, k <= {MAXIMAL_MAX_K}", ok, t0)
 
 
 EXPECTED_PRIME_POWER = {

@@ -2,9 +2,11 @@
 
 import pytest
 
-from partition_oracle import is_maximal_naive
+from partition_oracle import is_maximal_naive, maximal_filter
+from ringcode import partitions as partitions_mod
 from ringcode.errors import GuardExceeded
 from ringcode.partitions import (
+    MAXIMAL_MAX_K,
     Partition,
     divides,
     enumerate_partitions,
@@ -149,6 +151,62 @@ class TestMaximality:
                 assert any(divides(p, m) for m in maxima)
 
 
+class TestMaximalMemo:
+    """maximal_partitions enumerates each k once per process, tests maximality
+    on the enumerator's tuples, and hands every caller a new list."""
+
+    def test_equals_the_filter_for_every_k(self):
+        for k in range(1, MAXIMAL_MAX_K + 1):
+            assert maximal_partitions(k) == maximal_filter(k)
+
+    def test_tuple_core_matches_full_scan_small(self):
+        for k in range(1, 13):
+            for t in partitions_mod._iter_parts(k, k):
+                assert partitions_mod._maximal(k, t) == is_maximal_naive(Partition(t))
+
+    def test_each_call_returns_a_new_list_of_shared_partitions(self):
+        a, b = maximal_partitions(17), maximal_partitions(17)
+        assert type(a) is list and a is not b and a == b
+        assert all(x is y for x, y in zip(a, b))
+
+    def test_mutating_a_returned_list_leaves_the_next_answer(self):
+        want = [p.parts for p in maximal_filter(17)]
+        got = maximal_partitions(17)
+        got.reverse()
+        got.append(P(17))
+        del got[0]
+        assert [p.parts for p in maximal_partitions(17)] == want
+
+    def test_same_answers_after_cache_clear(self):
+        before = [[p.parts for p in maximal_partitions(k)] for k in range(1, 21)]
+        partitions_mod._maxima.cache_clear()
+        assert partitions_mod._maxima.cache_info().currsize == 0
+        assert [[p.parts for p in maximal_partitions(k)] for k in range(1, 21)] == before
+
+    def test_each_k_is_enumerated_once(self, monkeypatch):
+        partitions_mod._maxima.cache_clear()
+        calls = []
+        real = partitions_mod._iter_parts
+
+        def counted(k, max_part):
+            calls.append((k, max_part))
+            return real(k, max_part)
+
+        monkeypatch.setattr(partitions_mod, "_iter_parts", counted)
+        for _ in range(3):
+            maximal_partitions(12)
+            has_unique_maximal(12)
+        assert [c for c in calls if c[0] == 12] == [(12, 12)]  # the rest recurse
+
+    @pytest.mark.parametrize("k", [0, MAXIMAL_MAX_K + 1])
+    def test_guard_leaves_the_memo_untouched(self, k):
+        maximal_partitions(5)
+        info = partitions_mod._maxima.cache_info()
+        with pytest.raises(GuardExceeded):
+            maximal_partitions(k)
+        assert partitions_mod._maxima.cache_info() == info
+
+
 class TestLength2:
     def test_examples(self):
         assert is_len2_maximal(7, 2)
@@ -169,7 +227,7 @@ class TestLength2:
 
 class TestUniqueMaximal:
     def test_exact_set(self):
-        for k in range(1, 31):
+        for k in range(1, MAXIMAL_MAX_K + 1):
             assert has_unique_maximal(k) == (k in {1, 2, 3, 4, 6})
 
     def test_guard(self):

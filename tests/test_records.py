@@ -25,6 +25,7 @@ from ringcode.dominance import (
     _FIELD,
     _Factor,
 )
+from ringcode._record import Keyed
 from ringcode.network import Edge, Message, Network, Receiver, ScalarLinearCode, TransferVector
 from ringcode.partitions import Partition
 from ringcode.rings import (
@@ -235,6 +236,49 @@ class TestRecordParity:
             a.kind = "crt"
         with pytest.raises(AttributeError):
             del a.table
+
+
+KEYED = [name for name, (build, _, _) in FROZEN.items() if isinstance(build(), Keyed)]
+
+
+class TestKeyedHash:
+    """The five ring specs and _Factor keep hash(_key) in a slot, set with
+    _key; copy and pickle compute it again from the fields."""
+
+    def test_every_keyed_kind_is_covered(self):
+        assert sorted(KEYED) == sorted(
+            ["PrimeField", "GaloisField", "IntegersMod", "DualNumbers", "Product", "_Factor"]
+        )
+
+    @pytest.mark.parametrize("name", KEYED)
+    def test_hash_is_the_hash_of_the_key_kept_once(self, name):
+        a, b = FROZEN[name][0](), FROZEN[name][0]()
+        assert hash(a) == a._hash == hash(a._key) == b._hash == hash(b)
+
+    def test_products_of_equal_factors_hash_equal(self):
+        a = Product((PrimeField(2), Product((IntegersMod(9), GaloisField(2, 2)))))
+        b = Product([PrimeField(2), Product([IntegersMod(9), GaloisField(2, 2)])])
+        assert a == b and hash(a) == hash(b) == hash(((PrimeField(2), b.factors[1]),))
+
+    @pytest.mark.parametrize("name", KEYED)
+    def test_copy_and_pickle_recompute_the_slot(self, name):
+        a = FROZEN[name][0]()
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and b._key == a._key
+            assert hash(b) == b._hash == hash(b._key) == hash(a)
+
+    def test_pickle_recomputes_the_slot_under_another_hash_seed(self):
+        # a _Factor's key holds a str, whose hash differs between hash seeds,
+        # so a hash carried over in the pickle would be wrong after loading
+        data = pickle.dumps([_Factor(_FIELD, 2, 3), Product((PrimeField(2), IntegersMod(9)))])
+        code = (
+            "import pickle, sys; records = pickle.loads(sys.stdin.buffer.read()); "
+            "print(all(hash(r) == r._hash == hash(r._key) for r in records))"
+        )
+        for seed in ("0", "1", "12345"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            run = subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True)
+            assert run.stdout.strip() == b"True"
 
 
 class TestRecordConstructors:
